@@ -23,7 +23,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from ribbongraphs.br import bollobas_riordan, subgraph_stats
 from ribbongraphs.duality import dual_orbit
-from ribbongraphs.ribbon import SignedRibbonGraph, is_isomorphic, serialize_ribbon_graph
+from ribbongraphs.ribbon import SignedRibbonGraph, canonical_form, serialize_ribbon_graph
 
 SIGNS = {"1": 1, "2": -1, "3": -1}
 
@@ -82,19 +82,14 @@ def main() -> int:
     print(f"candidates examined: {total}")
     print(f"table matches: {len(survivors)}")
 
-    classes: list[SignedRibbonGraph] = []
-    for g in survivors:
-        if not any(is_isomorphic(g, rep) for rep in classes):
-            classes.append(g)
+    classes = {canonical_form(g) for g in survivors}
     print(f"isomorphism classes: {len(classes)}")
     if len(classes) != 1:
         print("search is inconclusive; not writing a fixture", file=sys.stderr)
         return 1
 
-    winner = min(
-        (serialize_ribbon_graph(g) for g in survivors if is_isomorphic(g, classes[0])),
-    )
-    graph = classes[0]
+    winner = min(serialize_ribbon_graph(g) for g in survivors)
+    graph = survivors[0]
     poly = bollobas_riordan(graph).render()
     print(f"polynomial: {poly}")
     assert poly == GOLDEN_RENDER, poly

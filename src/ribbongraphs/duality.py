@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import TooManyEdges, UnknownEdge
-from .ribbon import (
-    Occurrence,
-    SignedRibbonGraph,
-    components,
-    is_isomorphic,
-    stats,
-)
+from .ribbon import Occurrence, SignedRibbonGraph, canonical_form, components
 
 __all__ = [
     "partial_dual",
@@ -211,7 +205,8 @@ def dual_orbit(
 
     Returns one class per isomorphism type, in first-seen bitmask order
     over the sorted label list, holding the first subset, its dual, and
-    the number of subsets landing in the class.
+    the number of subsets landing in the class.  Duals are grouped by
+    their unsigned :func:`ribbongraphs.ribbon.canonical_form`.
 
     Raises:
         TooManyEdges: more than ``max_edges`` edges.
@@ -221,27 +216,11 @@ def dual_orbit(
         raise TooManyEdges(
             f"{len(labels)} edges exceed the orbit guard of {max_edges}"
         )
-    classes: list[OrbitClass] = []
-    buckets: dict[tuple, list[int]] = {}
+    classes: dict[tuple, OrbitClass] = {}
     for mask in range(1 << len(labels)):
         subset = tuple(l for i, l in enumerate(labels) if mask >> i & 1)
         dual = partial_dual(g, subset)
-        st = stats(dual)
-        key = (
-            st.v,
-            tuple(sorted(len(c) for c in dual.circles)),
-            st.f,
-            st.orientable,
-        )
-        hit = None
-        for idx in buckets.get(key, []):
-            if is_isomorphic(classes[idx].graph, dual, ignore_signs=True):
-                hit = idx
-                break
-        if hit is None:
-            buckets.setdefault(key, []).append(len(classes))
-            classes.append(OrbitClass(subset=subset, graph=dual, size=1))
-        else:
-            old = classes[hit]
-            classes[hit] = OrbitClass(old.subset, old.graph, old.size + 1)
-    return tuple(classes)
+        key = canonical_form(dual, ignore_signs=True)
+        old = classes.get(key, OrbitClass(subset, dual, 0))
+        classes[key] = OrbitClass(old.subset, old.graph, old.size + 1)
+    return tuple(classes.values())

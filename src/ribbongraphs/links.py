@@ -29,7 +29,7 @@ from .errors import (
     UnknownSign,
 )
 from .polynomial import RING_ABD, RING_T, Laurent
-from .ribbon import Occurrence, SignedRibbonGraph, _LABEL_BAD
+from .ribbon import Occurrence, SignedRibbonGraph, _LABEL_BAD, _TOKEN_RE
 
 __all__ = [
     "Pass",
@@ -335,9 +335,6 @@ def parse_gauss(text: str) -> VirtualLinkDiagram:
     components: list[list[Pass]] = []
     signs: dict[str, int] = {}
     first_content = True
-    import re
-
-    token_re = re.compile(r"\S+")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -352,7 +349,7 @@ def parse_gauss(text: str) -> VirtualLinkDiagram:
             raise ParseError(f"unrecognized line {stripped.split()[0]!r}", lineno, col)
         comp: list[Pass] = []
         body_start = line.index("component:") + len("component:")
-        for m in token_re.finditer(line, body_start):
+        for m in _TOKEN_RE.finditer(line, body_start):
             tok, col = m.group(), m.start() + 1
             if len(tok) < 3 or tok[0] not in "OU" or tok[-1] not in "+-":
                 raise ParseError(

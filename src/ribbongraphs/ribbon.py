@@ -17,7 +17,9 @@ single edge (move M2).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -39,6 +41,7 @@ __all__ = [
     "boundary_components",
     "is_orientable",
     "stats",
+    "canonical_form",
     "is_isomorphic",
     "disjoint_union",
     "one_point_join",
@@ -439,10 +442,78 @@ def stats(g: SignedRibbonGraph) -> GraphStats:
 # ----------------------------------------------------------------------
 
 
-def _oriented(circle: tuple[Occurrence, ...], flip: bool, shift: int):
-    if flip:
-        circle = tuple(Occurrence(o.label, not o.against) for o in reversed(circle))
-    return circle[shift:] + circle[:shift]
+def _rooted_code(circles, partner, signs, root, best):
+    """Code of one component read from ``root``, a (circle, position,
+    reversed) triple, or None as soon as it exceeds ``best``."""
+    queue = [root]
+    placed = {root[0]}
+    seen: dict[str, tuple[int, int]] = {}  # label -> (number, first flag)
+    code: list[int] = []
+    tied = bool(best)
+    for ci, start, rev in queue:
+        circle = circles[ci]
+        m = len(circle)
+        lo = len(code)
+        code.append(-m)
+        for step in range(m):
+            pos = (start - step if rev else start + step) % m
+            label, against = circle[pos]
+            flag = against ^ rev
+            hit = seen.get(label)
+            if hit is not None:
+                code += (hit[0], hit[1] ^ flag)
+                continue
+            code.append(len(seen))
+            seen[label] = (len(seen), flag)
+            if signs is not None:
+                code.append(signs[label])
+            cj, pj = partner[ci, pos]
+            if cj not in placed:
+                placed.add(cj)
+                queue.append((cj, pj, circles[cj][pj].against ^ flag))
+        if tied:
+            segment, ref = code[lo:], best[lo : len(code)]
+            if segment > ref:
+                return None
+            tied = segment == ref
+    return code
+
+
+def canonical_form(
+    g: SignedRibbonGraph, ignore_signs: bool = False
+) -> tuple[tuple[int, ...], ...]:
+    """Complete invariant under relabeling, rotation, permutation, M1 and M2.
+
+    Each connected component is coded from every root occurrence, read
+    in both directions, by a breadth-first walk over its circles.  Edges
+    are numbered in the order they are first seen, and each newly reached
+    circle is oriented so that the edge it was entered by has flag XOR 0.
+    A circle emits ``-len(circle)``, then per occurrence the edge number,
+    followed by the sign on the first occurrence (unless ``ignore_signs``)
+    and by the XOR of the two flags as read on the second.  A component
+    keeps its least code; the form is the sorted tuple of component codes,
+    an empty circle coding as ``()``.  Roots lie only on circles of the
+    length class holding the fewest occurrences (ties to the longer), and
+    a root is abandoned once its code exceeds the best; both prunings are
+    invariant under isomorphism.
+    """
+    circles = g.circles
+    signs = None if ignore_signs else g.signs
+    ends: dict[str, list[tuple[int, int]]] = {}
+    for _, ci, pos, occ in g.occurrences():
+        ends.setdefault(occ.label, []).append((ci, pos))
+    partner = {a: b for a, b in ends.values()}
+    partner.update((b, a) for a, b in ends.values())
+    codes: list[tuple[int, ...]] = []
+    for comp in components(g):
+        held = Counter(len(circles[ci]) for ci in comp)
+        root_len = min(held, key=lambda m: (held[m] * m, -m))
+        tops = [ci for ci in comp if len(circles[ci]) == root_len]
+        best: list[int] = []  # stays empty for an empty circle
+        for root in product(tops, range(root_len), (0, 1)):
+            best = _rooted_code(circles, partner, signs, root, best) or best
+        codes.append(tuple(best))
+    return tuple(sorted(codes))
 
 
 def is_isomorphic(
@@ -451,71 +522,10 @@ def is_isomorphic(
     """Equivalence under relabeling, rotation, permutation, M1 and M2.
 
     Signs must transport along the label bijection unless ``ignore_signs``.
-    Backtracking over circle assignments with per-circle reversal and
-    rotation; intended for graphs with at most a dozen edges.
+    The two graphs are isomorphic exactly when their canonical forms
+    (:func:`canonical_form`) are equal.
     """
-    if g.num_vertices != h.num_vertices or g.num_edges != h.num_edges:
-        return False
-    if sorted(len(c) for c in g.circles) != sorted(len(c) for c in h.circles):
-        return False
-    if not ignore_signs and sorted(g.signs.values()) != sorted(h.signs.values()):
-        return False
-    sg, sh = stats(g), stats(h)
-    if (sg.k, sg.f, sg.orientable) != (sh.k, sh.f, sh.orientable):
-        return False
-
-    order = sorted(range(len(g.circles)), key=lambda i: -len(g.circles[i]))
-    used = [False] * len(h.circles)
-
-    def place(
-        rank: int, phi: dict[str, str], tau: dict[str, bool], taken: set[str]
-    ) -> bool:
-        if rank == len(order):
-            return True
-        gi = order[rank]
-        gcircle = g.circles[gi]
-        length = len(gcircle)
-        empty_done = False
-        for hj, hcircle in enumerate(h.circles):
-            if used[hj] or len(hcircle) != length:
-                continue
-            if length == 0:
-                if empty_done:
-                    continue
-                empty_done = True  # empty circles are interchangeable
-            used[hj] = True
-            for flip in (False, True):
-                for shift in range(max(length, 1)):
-                    phi2, tau2, taken2 = dict(phi), dict(tau), set(taken)
-                    ok = True
-                    for og, oh in zip(_oriented(gcircle, flip, shift), hcircle):
-                        mapped = phi2.get(og.label)
-                        if mapped is None:
-                            if oh.label in taken2:
-                                ok = False
-                                break
-                            if not ignore_signs and g.signs[og.label] != h.signs[oh.label]:
-                                ok = False
-                                break
-                            phi2[og.label] = oh.label
-                            taken2.add(oh.label)
-                            tau2[og.label] = og.against ^ oh.against
-                        elif mapped != oh.label or tau2[og.label] != (
-                            og.against ^ oh.against
-                        ):
-                            ok = False
-                            break
-                    if ok and place(rank + 1, phi2, tau2, taken2):
-                        used[hj] = False
-                        return True
-                    if length == 0:
-                        break  # no rotations or flips to try
-                if length == 0:
-                    break
-            used[hj] = False
-        return False
-
-    return place(0, {}, {}, set())
+    return canonical_form(g, ignore_signs) == canonical_form(h, ignore_signs)
 
 
 # ----------------------------------------------------------------------

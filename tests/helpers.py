@@ -14,6 +14,7 @@ from pathlib import Path
 from ribbongraphs.duality import classify_edge
 from ribbongraphs.links import VirtualLinkDiagram, parse_gauss
 from ribbongraphs.ribbon import (
+    Occurrence,
     SignedRibbonGraph,
     parse_ribbon_graph,
     stats,
@@ -286,3 +287,85 @@ def count_subgraphs(g: SignedRibbonGraph) -> dict[str, int]:
         if k == 1:
             counts["connected"] += 1
     return counts
+
+
+# ----------------------------------------------------------------------
+# isomorphism oracle
+# ----------------------------------------------------------------------
+
+
+def _oriented(circle: tuple[Occurrence, ...], flip: bool, shift: int):
+    if flip:
+        circle = tuple(Occurrence(o.label, not o.against) for o in reversed(circle))
+    return circle[shift:] + circle[:shift]
+
+
+def backtrack_isomorphic(
+    g: SignedRibbonGraph, h: SignedRibbonGraph, ignore_signs: bool = False
+) -> bool:
+    """Equivalence under relabeling, rotation, permutation, M1 and M2, by
+    backtracking over circle assignments with per-circle reversal and
+    rotation.  The reference for ``ribbon.is_isomorphic``; recursive and
+    exponential, so only for graphs with at most a dozen edges."""
+    if g.num_vertices != h.num_vertices or g.num_edges != h.num_edges:
+        return False
+    if sorted(len(c) for c in g.circles) != sorted(len(c) for c in h.circles):
+        return False
+    if not ignore_signs and sorted(g.signs.values()) != sorted(h.signs.values()):
+        return False
+    sg, sh = stats(g), stats(h)
+    if (sg.k, sg.f, sg.orientable) != (sh.k, sh.f, sh.orientable):
+        return False
+
+    order = sorted(range(len(g.circles)), key=lambda i: -len(g.circles[i]))
+    used = [False] * len(h.circles)
+
+    def place(
+        rank: int, phi: dict[str, str], tau: dict[str, bool], taken: set[str]
+    ) -> bool:
+        if rank == len(order):
+            return True
+        gi = order[rank]
+        gcircle = g.circles[gi]
+        length = len(gcircle)
+        empty_done = False
+        for hj, hcircle in enumerate(h.circles):
+            if used[hj] or len(hcircle) != length:
+                continue
+            if length == 0:
+                if empty_done:
+                    continue
+                empty_done = True  # empty circles are interchangeable
+            used[hj] = True
+            for flip in (False, True):
+                for shift in range(max(length, 1)):
+                    phi2, tau2, taken2 = dict(phi), dict(tau), set(taken)
+                    ok = True
+                    for og, oh in zip(_oriented(gcircle, flip, shift), hcircle):
+                        mapped = phi2.get(og.label)
+                        if mapped is None:
+                            if oh.label in taken2:
+                                ok = False
+                                break
+                            if not ignore_signs and g.signs[og.label] != h.signs[oh.label]:
+                                ok = False
+                                break
+                            phi2[og.label] = oh.label
+                            taken2.add(oh.label)
+                            tau2[og.label] = og.against ^ oh.against
+                        elif mapped != oh.label or tau2[og.label] != (
+                            og.against ^ oh.against
+                        ):
+                            ok = False
+                            break
+                    if ok and place(rank + 1, phi2, tau2, taken2):
+                        used[hj] = False
+                        return True
+                    if length == 0:
+                        break  # no rotations or flips to try
+                if length == 0:
+                    break
+            used[hj] = False
+        return False
+
+    return place(0, {}, {}, set())

@@ -157,6 +157,20 @@ class TestVerify:
         )
         assert code == 0  # 2 edges: exhaustive, flags are inert
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_2(self, capsys, tmp_path, samples):
+        # Above 12 edges verify samples subsets; none would pass vacuously.
+        labels = [f"e{i}" for i in range(13)]
+        decl = " ".join(f"{l}:+" for l in labels)
+        path = tmp_path / "big.rg"
+        path.write_text(f"edges: {decl}\ncircle: {' '.join(labels * 2)}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", str(path), "--samples", samples])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--samples" in captured.err
+
 
 class TestLinksCommands:
     def test_bracket(self, capsys):

@@ -1,16 +1,19 @@
 """Arrow presentations: moves, stats, isomorphism, serialization."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ribbongraphs.duality import partial_dual
 from ribbongraphs.errors import DuplicateLabelCount, ParseError, UnknownSign
 from ribbongraphs.ribbon import (
     Occurrence,
     SignedRibbonGraph,
     boundary_components,
+    canonical_form,
     components,
     disjoint_union,
     is_isomorphic,
@@ -22,7 +25,13 @@ from ribbongraphs.ribbon import (
 )
 from ribbongraphs.errors import PositionOutOfRange
 
-from .helpers import FIXTURES, graph_corpus, load_graph
+from .helpers import (
+    FIXTURES,
+    backtrack_isomorphic,
+    graph_corpus,
+    load_graph,
+    random_graph,
+)
 
 
 def scramble(g: SignedRibbonGraph, rng: random.Random) -> SignedRibbonGraph:
@@ -241,6 +250,76 @@ class TestIsomorphism:
     def test_distinct_profiles(self):
         assert not is_isomorphic(load_graph("annulus.rg"), load_graph("mobius.rg"))
         assert not is_isomorphic(load_graph("torus.rg"), load_graph("bridge.rg"))
+
+    def test_matches_backtracking_oracle(self):
+        # Isomorphic pairs come from presentation moves, relabelling and
+        # double partial duals; near misses flip one flag or one sign of
+        # such a copy, so cheap invariants often still agree; single
+        # partial duals and unrelated graphs fill in the rest.
+        rng = random.Random(2007)
+        verdicts = {True: 0, False: 0}
+        for i in range(3000):
+            g = random_graph(rng, max_edges=8)
+            subset = [l for l in g.signs if rng.random() < 0.5]
+            kind = i % 5
+            if kind == 0:
+                h = scramble(g, rng)
+            elif kind == 1:
+                h = scramble(partial_dual(partial_dual(g, subset), subset), rng)
+            elif kind == 2:
+                h = _near_miss(scramble(g, rng), rng)
+            elif kind == 3:
+                h = partial_dual(g, subset)
+            else:
+                h = random_graph(rng, max_edges=8)
+            for ignore_signs in (False, True):
+                want = backtrack_isomorphic(g, h, ignore_signs)
+                assert is_isomorphic(g, h, ignore_signs) == want, (g, h, ignore_signs)
+                verdicts[want] += 1
+        assert min(verdicts.values()) > 1500, verdicts
+
+    def test_form_of_pieces(self):
+        torus, mobius = load_graph("torus.rg"), load_graph("mobius.rg")
+        assert canonical_form(SignedRibbonGraph([(), ()], {})) == ((), ())
+        assert canonical_form(disjoint_union(torus, mobius)) == canonical_form(
+            disjoint_union(mobius, torus)
+        )
+        assert canonical_form(torus) != canonical_form(torus, ignore_signs=True)
+
+    def test_long_path_graph(self):
+        # 1200 circles in a row: the search this replaced recursed once
+        # per circle and ran out of stack, or searched without end.
+        n = 1200
+        rng = random.Random(1200)
+        circles = [
+            tuple((f"e{j}", rng.random() < 0.5) for j in (i - 1, i) if 0 <= j < n - 1)
+            for i in range(n)
+        ]
+        g = SignedRibbonGraph(circles, {f"e{i}": rng.choice((1, -1)) for i in range(n - 1)})
+        subset = [f"e{i}" for i in range(0, n - 1, 3)]
+        twice = partial_dual(partial_dual(g, subset), subset)
+        moved = g.m1(5).permute_circles(list(reversed(range(n))))
+        for h in (twice, moved):
+            start = time.process_time()
+            assert is_isomorphic(h, g)
+            assert time.process_time() - start < 1.0
+        assert not is_isomorphic(partial_dual(g, subset), g)
+
+
+def _near_miss(g: SignedRibbonGraph, rng: random.Random) -> SignedRibbonGraph:
+    """Flip one occurrence flag (changing one edge's twist) or one sign."""
+    if not g.signs:
+        return g
+    if rng.random() < 0.5:
+        label = rng.choice(sorted(g.signs))
+        return SignedRibbonGraph(g.circles, {**g.signs, label: -g.signs[label]})
+    ci = rng.choice([i for i, circle in enumerate(g.circles) if circle])
+    circle = list(g.circles[ci])
+    pos = rng.randrange(len(circle))
+    circle[pos] = Occurrence(circle[pos].label, not circle[pos].against)
+    circles = list(g.circles)
+    circles[ci] = tuple(circle)
+    return SignedRibbonGraph(circles, g.signs)
 
 
 class TestUnions:
