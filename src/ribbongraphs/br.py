@@ -1,14 +1,20 @@
 """The signed Bollobás–Riordan polynomial and its specializations.
 
-Everything here is a pure state sum over the 2^e spanning subgraphs: a
-spanning subgraph keeps every circle and a subset of the edges, and each
-one contributes the monomial
+R is a state sum over the 2^e spanning subgraphs: a spanning subgraph
+keeps every circle and a subset of the edges, and each one contributes
+the monomial
 
     x^(r(G) - r(F) + s(F)) * y^(n(F) - s(F)) * z^(k(F) - f(F) + n(F))
 
 where s(F) is half the difference between the negative-edge counts of F
 and of its complement.  The half-integer bookkeeping lives in the doubled
 exponent keys of the polynomial ring.
+
+No subgraph is rebuilt: one depth-first sweep includes or excludes each
+edge in turn and updates |F|, k(F), f(F) and the negative-edge count of
+F as it goes.  R maps the histogram of these profiles to its terms, and
+:func:`ribbongraphs.links.kauffman_bracket` sums the same histogram for
+the all-A state graph of a diagram.
 
 No deletion-contraction recursion is used to produce values; the various
 reduction identities are exercised by the test suite instead.
@@ -21,7 +27,7 @@ from typing import Iterable
 
 from .errors import TooManyEdges
 from .polynomial import RING_XY, RING_XYZ, Laurent, restrict_duality_surface
-from .ribbon import SignedRibbonGraph, stats
+from .ribbon import SignedRibbonGraph, _corner_links, components, stats
 
 __all__ = [
     "SubgraphStats",
@@ -50,111 +56,77 @@ class SubgraphStats:
     s2: int
 
 
-class _SubsetEngine:
-    """Shared precomputation for sweeping all spanning subgraphs.
+def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
+    """Histogram of (|F|, k(F), f(F), negative edges in F) over all 2^e
+    spanning subgraphs F, from one depth-first include/exclude sweep.
 
-    Corner ids follow the convention of :mod:`ribbongraphs.ribbon`
-    (2i and 2i+1 for the tail and head of global occurrence i), but
-    only the corners of subset edges take part in a given sweep.
+    Corners are those of :mod:`ribbongraphs.ribbon` (2i and 2i+1 for
+    occurrence i), and the boundary components of F are the cycles of two
+    corner matchings: the fixed arcs ``sigma`` along the circles, and
+    ``tau``, which pairs the two corners of each occurrence of an excluded
+    edge and the corners across the band of an included one.  Including
+    the edge with corners a, b and c, d trades tau's pairs ab, cd for bc,
+    da; walking on from b, the first of a, c, d met shows that this joins
+    two boundary components, splits one, or neither.  Components of F come
+    from a union-find without path compression, undone on backtrack.
     """
-
-    def __init__(self, g: SignedRibbonGraph):
-        self.v = g.num_vertices
-        self.labels = g.edge_labels
-        index = {l: i for i, l in enumerate(self.labels)}
-        self.neg_mask = 0
-        for l, i in index.items():
-            if g.signs[l] < 0:
-                self.neg_mask |= 1 << i
-        self.neg_total = bin(self.neg_mask).count("1")
-        # per circle: (global occurrence index, edge index, against)
-        self.circle_occs: list[list[tuple[int, int, bool]]] = []
-        self.edge_ends: list[list[int]] = [[] for _ in self.labels]
-        self.occ_circle: dict[int, int] = {}
-        i = 0
-        for ci, circle in enumerate(g.circles):
-            row = []
-            for occ in circle:
-                ei = index[occ.label]
-                row.append((i, ei, occ.against))
-                self.edge_ends[ei].append(i)
-                self.occ_circle[i] = ci
-                i += 1
-            self.circle_occs.append(row)
-        self.total_occs = i
-
-    def sweep(self, mask: int) -> SubgraphStats:
-        """Stats of the spanning subgraph selected by ``mask`` bits."""
-        e_f = bin(mask).count("1")
-        s2 = 2 * bin(mask & self.neg_mask).count("1") - self.neg_total
-
-        parent = list(range(self.v))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        link: dict[int, int] = {}
-        empty_circles = 0
-        for ci, row in enumerate(self.circle_occs):
-            sel = [t for t in row if mask >> t[1] & 1]
-            if not sel:
-                empty_circles += 1
-                continue
-            m = len(sel)
-            for which, (gi, _, against) in enumerate(sel):
-                gj, _, against_j = sel[(which + 1) % m]
-                src = 2 * gi + (0 if against else 1)
-                dst = 2 * gj + (1 if against_j else 0)
-                link[src] = dst
-                link[dst] = src
-        for ei, ends in enumerate(self.edge_ends):
-            if mask >> ei & 1:
-                ra = find(self.occ_circle[ends[0]])
-                rb = find(self.occ_circle[ends[1]])
-                if ra != rb:
-                    parent[ra] = rb
-        k_f = len({find(ci) for ci in range(self.v)})
-
-        # boundary cycles: arcs in `link`, sides from edge ends
-        side: dict[int, int] = {}
-        for ei, ends in enumerate(self.edge_ends):
-            if mask >> ei & 1:
-                i1, i2 = ends
-                side[2 * i1 + 1] = 2 * i2
-                side[2 * i2] = 2 * i1 + 1
-                side[2 * i2 + 1] = 2 * i1
-                side[2 * i1] = 2 * i2 + 1
-        cycles = 0
-        seen: set[int] = set()
-        for start in link:
-            if start in seen:
-                continue
-            cycles += 1
-            at = start
-            use_arc = True
-            while True:
-                seen.add(at)
-                at = link[at] if use_arc else side[at]
-                use_arc = not use_arc
-                if at == start:
-                    break
-        r_f = self.v - k_f
-        return SubgraphStats(
-            k=k_f, r=r_f, n=e_f - r_f, f=cycles + empty_circles, s2=s2
-        )
+    arc, _ = _corner_links(g)
+    sigma = [arc[c][0] for c in range(len(arc))]
+    tau = [c ^ 1 for c in range(len(arc))]
+    ends: dict[str, list[tuple[int, int]]] = {}
+    for i, ci, _, occ in g.occurrences():
+        ends.setdefault(occ.label, []).append((2 * i, ci))
+    edges = [
+        (a, a + 1, c, c + 1, u, w, int(g.signs[label] < 0))
+        for label, ((a, u), (c, w)) in ends.items()
+    ]
+    v = g.num_vertices
+    parent = list(range(v))
+    size, k, f, neg = 0, v, v, 0
+    hist = {(size, k, f, neg): 1}
+    # depth-first over the included edges, innermost last, each with
+    # what undoing it needs: (edge, attached root, change of f, of k)
+    stack: list[tuple[int, int, int, int]] = []
+    j = 0
+    while True:
+        if j < len(edges):
+            a, b, c, d, u, w, minus = edges[j]
+            x = sigma[b]
+            while x != a and x != c and x != d:
+                x = sigma[tau[x]]
+            tau[a], tau[b], tau[c], tau[d] = d, c, b, a
+            while parent[u] != u:
+                u = parent[u]
+            while parent[w] != w:
+                w = parent[w]
+            parent[u] = w
+            df, dk = (x == c) - (x == a), int(u != w)
+            stack.append((j, u, df, dk))
+            size, k, f, neg = size + 1, k - dk, f + df, neg + minus
+            key = (size, k, f, neg)
+            hist[key] = hist.get(key, 0) + 1
+        elif stack:
+            j, u, df, dk = stack.pop()
+            a, b, c, d, _, _, minus = edges[j]
+            tau[a], tau[b], tau[c], tau[d] = b, a, d, c
+            parent[u] = u
+            size, k, f, neg = size - 1, k + dk, f - df, neg - minus
+        else:
+            return hist
+        j += 1
 
 
 def subgraph_stats(g: SignedRibbonGraph, subset: Iterable[str]) -> SubgraphStats:
     """Stats of the spanning subgraph keeping only ``subset`` edges."""
-    engine = _SubsetEngine(g)
-    index = {l: i for i, l in enumerate(engine.labels)}
-    mask = 0
-    for l in subset:
-        mask |= 1 << index[l]
-    return engine.sweep(mask)
+    keep = set(subset)
+    sub = stats(
+        SignedRibbonGraph(
+            [[o for o in circle if o.label in keep] for circle in g.circles],
+            {label: g.signs[label] for label in keep},
+        )
+    )
+    s2 = sum(1 if l in keep else -1 for l, sign in g.signs.items() if sign < 0)
+    return SubgraphStats(k=sub.k, r=sub.r, n=sub.n, f=sub.f, s2=s2)
 
 
 def bollobas_riordan(
@@ -165,21 +137,21 @@ def bollobas_riordan(
     Raises:
         TooManyEdges: more than ``max_edges`` edges.
     """
-    if g.num_edges > max_edges:
+    e = g.num_edges
+    if e > max_edges:
         raise TooManyEdges(
-            f"{g.num_edges} edges exceed the state-sum guard of {max_edges}"
+            f"{e} edges exceed the state-sum guard of {max_edges} (2^{e} subsets)"
         )
-    engine = _SubsetEngine(g)
-    g_stats = stats(g)
+    v = g.num_vertices
+    r_g = v - len(components(g))
+    neg_total = sum(1 for sign in g.signs.values() if sign < 0)
     terms: dict[tuple[int, int, int], int] = {}
-    for mask in range(1 << g.num_edges):
-        st = engine.sweep(mask)
-        key = (
-            2 * (g_stats.r - st.r) + st.s2,
-            2 * st.n - st.s2,
-            st.k - st.f + st.n,
-        )
-        terms[key] = terms.get(key, 0) + 1
+    for (size, k, f, neg), count in _subgraph_profiles(g).items():
+        r = v - k
+        n = size - r
+        s2 = 2 * neg - neg_total
+        key = (2 * (r_g - r) + s2, 2 * n - s2, k - f + n)
+        terms[key] = terms.get(key, 0) + count
     return Laurent(RING_XYZ, terms)
 
 

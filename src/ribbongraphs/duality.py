@@ -212,12 +212,13 @@ def dual_orbit(
         TooManyEdges: more than ``max_edges`` edges.
     """
     labels = g.edge_labels
-    if len(labels) > max_edges:
+    e = len(labels)
+    if e > max_edges:
         raise TooManyEdges(
-            f"{len(labels)} edges exceed the orbit guard of {max_edges}"
+            f"{e} edges exceed the orbit guard of {max_edges} (2^{e} partial duals)"
         )
     classes: dict[tuple, OrbitClass] = {}
-    for mask in range(1 << len(labels)):
+    for mask in range(1 << e):
         subset = tuple(l for i, l in enumerate(labels) if mask >> i & 1)
         dual = partial_dual(g, subset)
         key = canonical_form(dual, ignore_signs=True)

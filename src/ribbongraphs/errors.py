@@ -22,6 +22,14 @@ class DuplicateLabelCount(RibbonGraphError):
     """An edge label does not occur exactly twice in the circles."""
 
 
+class InvalidLabel(RibbonGraphError, ValueError):
+    """An edge label or crossing id is empty or holds a reserved character."""
+
+
+class InvalidState(RibbonGraphError, ValueError):
+    """A splitting state does not choose A or B at some crossing."""
+
+
 class UnknownSign(RibbonGraphError):
     """An edge label has no sign assigned to it."""
 

@@ -21,8 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
+from .br import _subgraph_profiles
 from .errors import (
     DanglingCrossing,
+    InvalidLabel,
+    InvalidState,
     ParseError,
     RoleConflict,
     TooManyCrossings,
@@ -73,6 +76,7 @@ class VirtualLinkDiagram:
         DanglingCrossing: a crossing id is not met exactly twice.
         RoleConflict: a crossing is met twice in the same role.
         UnknownSign: a met crossing has no sign, or a sign is not +-1.
+        InvalidLabel: a crossing id is empty or holds a reserved character.
     """
 
     __slots__ = ("components", "signs")
@@ -92,7 +96,7 @@ class VirtualLinkDiagram:
         for comp in fixed:
             for p in comp:
                 if _LABEL_BAD.search(p.crossing) or not p.crossing:
-                    raise ValueError(f"invalid crossing id {p.crossing!r}")
+                    raise InvalidLabel(f"invalid crossing id {p.crossing!r}")
                 roles.setdefault(p.crossing, []).append(p.over)
         for cid, seen in roles.items():
             if len(seen) != 2:
@@ -194,11 +198,14 @@ def resolve_state(
     two incoming ends together.  Band arrows run from the under-strand
     end to the over-strand end on both arcs of an A-splitting, and from
     over to under for B.
+
+    Raises:
+        InvalidState: ``state`` does not choose A or B at some crossing.
     """
     ids = d.crossing_ids
     for cid in ids:
         if state.get(cid) not in ("A", "B"):
-            raise ValueError(f"state does not choose A or B at {cid!r}")
+            raise InvalidState(f"state does not choose A or B at {cid!r}")
     strand, empties = _strand_edges(d)
     smooth: dict[int, int] = {}
     arrow: dict[tuple[int, int], bool] = {}  # (from, to) -> True if arrow runs so
@@ -252,28 +259,29 @@ def resolve_state(
     )
 
 
-def _all_states(ids: tuple[str, ...]):
-    for mask in range(1 << len(ids)):
-        yield {cid: ("B" if mask >> i & 1 else "A") for i, cid in enumerate(ids)}
-
-
 def kauffman_bracket(
     d: VirtualLinkDiagram, max_crossings: int = BRACKET_MAX_CROSSINGS
 ) -> Laurent:
     """State sum of A^alpha B^beta d^(delta-1) over all splittings.
 
+    Computed through the all-A state graph G: the state that splits the
+    crossings of an edge set F by B and the rest by A traces exactly the
+    boundary components of the spanning subgraph F of G, so the sum runs
+    over the same subset sweep as R(G), as A^(n-|F|) B^|F| d^(f(F)-1).
+
     Raises:
         TooManyCrossings: more than ``max_crossings`` crossings.
     """
-    if d.num_crossings > max_crossings:
+    n = d.num_crossings
+    if n > max_crossings:
         raise TooManyCrossings(
-            f"{d.num_crossings} crossings exceed the guard of {max_crossings}"
+            f"{n} crossings exceed the guard of {max_crossings} (2^{n} states)"
         )
     terms: dict[tuple[int, int, int], int] = {}
-    for state in _all_states(d.crossing_ids):
-        ex = resolve_state(d, state)
-        key = (ex.alpha, ex.beta, ex.delta - 1)
-        terms[key] = terms.get(key, 0) + 1
+    g = state_ribbon_graph(d, all_A_state(d))
+    for (size, _, f, _), count in _subgraph_profiles(g).items():
+        key = (n - size, size, f - 1)
+        terms[key] = terms.get(key, 0) + count
     return Laurent(RING_ABD, terms)
 
 

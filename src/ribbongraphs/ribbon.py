@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DuplicateLabelCount,
+    InvalidLabel,
     ParseError,
     PositionOutOfRange,
     UnknownSign,
@@ -114,7 +115,7 @@ class GraphStats:
 
 def _check_label(label: str) -> str:
     if not label or _LABEL_BAD.search(label):
-        raise ValueError(f"invalid edge label {label!r}")
+        raise InvalidLabel(f"invalid edge label {label!r}")
     return label
 
 
@@ -129,6 +130,7 @@ class SignedRibbonGraph:
     Raises:
         DuplicateLabelCount: a label does not occur exactly twice.
         UnknownSign: an occurring label has no sign, or a sign is not +-1.
+        InvalidLabel: a label is empty or holds a reserved character.
     """
 
     __slots__ = ("circles", "signs")
@@ -141,9 +143,14 @@ class SignedRibbonGraph:
         circles: Iterable[Iterable[Occurrence | tuple[str, bool]]],
         signs: Mapping[str, int],
     ):
+        # tuple() of a list, not of a generator: a generator's tuple is
+        # allocated at a guessed size and resized, and the interpreter's
+        # free lists then keep up to 2000 blocks per circle length.
         fixed = tuple(
-            tuple(Occurrence(_check_label(o[0]), bool(o[1])) for o in circle)
-            for circle in circles
+            [
+                tuple([Occurrence(_check_label(o[0]), bool(o[1])) for o in circle])
+                for circle in circles
+            ]
         )
         counts: dict[str, int] = {}
         for circle in fixed:

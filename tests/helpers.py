@@ -11,8 +11,10 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from ribbongraphs.br import SubgraphStats
 from ribbongraphs.duality import classify_edge
-from ribbongraphs.links import VirtualLinkDiagram, parse_gauss
+from ribbongraphs.links import VirtualLinkDiagram, parse_gauss, resolve_state
+from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XYZ, Laurent
 from ribbongraphs.ribbon import (
     Occurrence,
     SignedRibbonGraph,
@@ -234,6 +236,21 @@ def diagram_corpus(seed: int, count: int, max_crossings: int = 4):
     return [random_diagram(rng, max_crossings) for _ in range(count)]
 
 
+def random_link(
+    rng: random.Random, max_crossings: int = 9, max_strands: int = 4
+) -> VirtualLinkDiagram:
+    """Like ``random_diagram``, with up to ``max_strands`` strands cut at
+    independent points, so strands may be empty."""
+    n = rng.randint(0, max_crossings)
+    tokens = [(str(i + 1), over) for i in range(n) for over in (True, False)]
+    rng.shuffle(tokens)
+    cuts = [rng.randint(0, len(tokens)) for _ in range(rng.randrange(max_strands))]
+    bounds = [0] + sorted(cuts) + [len(tokens)]
+    components = [tokens[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    signs = {str(i + 1): rng.choice((1, -1)) for i in range(n)}
+    return VirtualLinkDiagram(components, signs)
+
+
 # ----------------------------------------------------------------------
 # abstract-graph counting oracles
 # ----------------------------------------------------------------------
@@ -369,3 +386,139 @@ def backtrack_isomorphic(
         return False
 
     return place(0, {}, {}, set())
+
+
+# ----------------------------------------------------------------------
+# state-sum oracles
+# ----------------------------------------------------------------------
+
+
+class SubsetEngine:
+    """Stats of one spanning subgraph per bitmask, rebuilt from scratch:
+    the per-mask reference for the incremental sweep of ``br``.
+
+    Corner ids follow the convention of :mod:`ribbongraphs.ribbon`
+    (2i and 2i+1 for the tail and head of global occurrence i), but
+    only the corners of subset edges take part in a given sweep.
+    """
+
+    def __init__(self, g: SignedRibbonGraph):
+        self.v = g.num_vertices
+        self.labels = g.edge_labels
+        index = {l: i for i, l in enumerate(self.labels)}
+        self.neg_mask = 0
+        for l, i in index.items():
+            if g.signs[l] < 0:
+                self.neg_mask |= 1 << i
+        self.neg_total = bin(self.neg_mask).count("1")
+        # per circle: (global occurrence index, edge index, against)
+        self.circle_occs: list[list[tuple[int, int, bool]]] = []
+        self.edge_ends: list[list[int]] = [[] for _ in self.labels]
+        self.occ_circle: dict[int, int] = {}
+        i = 0
+        for ci, circle in enumerate(g.circles):
+            row = []
+            for occ in circle:
+                ei = index[occ.label]
+                row.append((i, ei, occ.against))
+                self.edge_ends[ei].append(i)
+                self.occ_circle[i] = ci
+                i += 1
+            self.circle_occs.append(row)
+
+    def sweep(self, mask: int) -> SubgraphStats:
+        """Stats of the spanning subgraph selected by ``mask`` bits."""
+        e_f = bin(mask).count("1")
+        s2 = 2 * bin(mask & self.neg_mask).count("1") - self.neg_total
+        k_f = _components_count(
+            self.v,
+            [
+                (self.occ_circle[ends[0]], self.occ_circle[ends[1]])
+                for ei, ends in enumerate(self.edge_ends)
+                if mask >> ei & 1
+            ],
+        )
+        link: dict[int, int] = {}
+        empty_circles = 0
+        for row in self.circle_occs:
+            sel = [t for t in row if mask >> t[1] & 1]
+            if not sel:
+                empty_circles += 1
+                continue
+            m = len(sel)
+            for which, (gi, _, against) in enumerate(sel):
+                gj, _, against_j = sel[(which + 1) % m]
+                src = 2 * gi + (0 if against else 1)
+                dst = 2 * gj + (1 if against_j else 0)
+                link[src] = dst
+                link[dst] = src
+        # boundary cycles: arcs in `link`, sides from edge ends
+        side: dict[int, int] = {}
+        for ei, ends in enumerate(self.edge_ends):
+            if mask >> ei & 1:
+                i1, i2 = ends
+                side[2 * i1 + 1] = 2 * i2
+                side[2 * i2] = 2 * i1 + 1
+                side[2 * i2 + 1] = 2 * i1
+                side[2 * i1] = 2 * i2 + 1
+        cycles = 0
+        seen: set[int] = set()
+        for start in link:
+            if start in seen:
+                continue
+            cycles += 1
+            at = start
+            use_arc = True
+            while True:
+                seen.add(at)
+                at = link[at] if use_arc else side[at]
+                use_arc = not use_arc
+                if at == start:
+                    break
+        r_f = self.v - k_f
+        return SubgraphStats(
+            k=k_f, r=r_f, n=e_f - r_f, f=cycles + empty_circles, s2=s2
+        )
+
+
+def subset_sum_br(g: SignedRibbonGraph) -> Laurent:
+    """R(x, y, z) by one :class:`SubsetEngine` rebuild per subset."""
+    engine = SubsetEngine(g)
+    g_stats = stats(g)
+    terms: dict[tuple[int, int, int], int] = {}
+    for mask in range(1 << g.num_edges):
+        st = engine.sweep(mask)
+        key = (
+            2 * (g_stats.r - st.r) + st.s2,
+            2 * st.n - st.s2,
+            st.k - st.f + st.n,
+        )
+        terms[key] = terms.get(key, 0) + 1
+    return Laurent(RING_XYZ, terms)
+
+
+def all_states(d: VirtualLinkDiagram):
+    """Every splitting state of ``d``, by bitmask over the sorted ids."""
+    ids = d.crossing_ids
+    for mask in range(1 << len(ids)):
+        yield {cid: ("B" if mask >> i & 1 else "A") for i, cid in enumerate(ids)}
+
+
+def state_sum_bracket(d: VirtualLinkDiagram) -> Laurent:
+    """Kauffman bracket by tracing the curves of every state."""
+    terms: dict[tuple[int, int, int], int] = {}
+    for state in all_states(d):
+        ex = resolve_state(d, state)
+        key = (ex.alpha, ex.beta, ex.delta - 1)
+        terms[key] = terms.get(key, 0) + 1
+    return Laurent(RING_ABD, terms)
+
+
+def jones_from_bracket(bracket: Laurent, w: int) -> Laurent:
+    """Jones polynomial of a diagram of writhe ``w`` from its bracket:
+    A=t^(-1/4), B=t^(1/4), d=-t^(1/2)-t^(-1/2), times (-1)^w t^(3w/4)."""
+    loop = Laurent(RING_T, {(2,): -1, (-2,): -1})
+    total = Laurent.zero(RING_T)
+    for (a, b, dd), coeff in bracket.terms.items():
+        total = total + Laurent(RING_T, {(b - a,): coeff}) * loop**dd
+    return total * Laurent(RING_T, {(3 * w,): (-1) ** (w & 1)})

@@ -15,9 +15,20 @@ from ribbongraphs.br import (
 from ribbongraphs.duality import delete_edge, partial_dual
 from ribbongraphs.errors import FractionalExponent, TooManyEdges
 from ribbongraphs.polynomial import RING_XY, RING_XYZ, Laurent, monomial, parse_poly
-from ribbongraphs.ribbon import SignedRibbonGraph, disjoint_union, one_point_join, stats
+from ribbongraphs.ribbon import (
+    SignedRibbonGraph,
+    components,
+    disjoint_union,
+    one_point_join,
+    stats,
+)
 
-from .helpers import all_subsets, graph_corpus, load_graph
+from .helpers import (
+    all_subsets,
+    graph_corpus,
+    load_graph,
+    subset_sum_br,
+)
 
 
 def theta():
@@ -125,6 +136,19 @@ class TestBollobasRiordan:
                 (ch, rng.randint(0, len(h.circles[ch]))),
             )
             assert bollobas_riordan(join) == rg * rh
+
+    def test_matches_subset_engine_oracle(self):
+        # The incremental sweep against one rebuild per subset, on graphs
+        # larger than the other tests use.
+        corpus = graph_corpus(73, 300, max_edges=10)
+        sizes = [g.num_edges for g in corpus]
+        assert 0 in sizes and 10 in sizes
+        assert any(() in g.circles for g in corpus)
+        assert any(len(components(g)) >= 3 for g in corpus)
+        for g in corpus:
+            fast, slow = bollobas_riordan(g), subset_sum_br(g)
+            assert fast == slow, g
+            assert fast.render() == slow.render()
 
     def test_term_count_bound(self):
         g = load_graph("klein.rg")

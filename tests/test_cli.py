@@ -92,6 +92,18 @@ class TestPolynomials:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["poly", "tutte", "invariant"])
+    def test_guard_exit_3(self, capsys, tmp_path, command):
+        labels = [f"e{i}" for i in range(25)]
+        decl = " ".join(f"{l}:+" for l in labels)
+        circle = " ".join(l for l in labels for _ in range(1, 3))
+        path = tmp_path / "big.rg"
+        path.write_text(f"edges: {decl}\ncircle: {circle}\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 3
+        assert out == ""
+        assert "25 edges exceed the state-sum guard of 24 (2^25 subsets)" in err
+
 
 class TestDuals:
     def test_torus_classes(self, capsys):
@@ -118,6 +130,7 @@ class TestDuals:
         assert code == 3
         assert out == ""
         assert "exceed" in err
+        assert "21 edges exceed the orbit guard of 20 (2^21 partial duals)" in err
 
 
 class TestVerify:
@@ -228,9 +241,10 @@ class TestLinksCommands:
             tokens.append(f"U{i}+")
         path = tmp_path / "big.gauss"
         path.write_text("component: " + " ".join(tokens) + "\n")
-        code, out, _ = run(capsys, "bracket", str(path))
+        code, out, err = run(capsys, "bracket", str(path))
         assert code == 3
         assert out == ""
+        assert "21 crossings exceed the guard of 20 (2^21 states)" in err
 
 
 class TestErrorPlumbing:

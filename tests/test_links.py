@@ -1,5 +1,6 @@
 """Gauss codes, bracket and Jones, state ribbon graphs."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,10 @@ from ribbongraphs.br import bollobas_riordan, subgraph_stats, tutte_via_br
 from ribbongraphs.duality import partial_dual
 from ribbongraphs.errors import (
     DanglingCrossing,
+    InvalidLabel,
+    InvalidState,
     ParseError,
+    RibbonGraphError,
     RoleConflict,
     TooManyCrossings,
     UnknownSign,
@@ -37,7 +41,14 @@ from ribbongraphs.polynomial import (
 )
 from ribbongraphs.ribbon import SignedRibbonGraph, is_isomorphic, stats
 
-from .helpers import diagram_corpus, load_diagram
+from .helpers import (
+    all_states,
+    diagram_corpus,
+    jones_from_bracket,
+    load_diagram,
+    random_link,
+    state_sum_bracket,
+)
 
 A = monomial(RING_ABD, (1, 0, 0))
 B = monomial(RING_ABD, (0, 1, 0))
@@ -47,12 +58,6 @@ d = monomial(RING_ABD, (0, 0, 1))
 def tq(q: int) -> Laurent:
     """Monomial t^(q/4)."""
     return monomial(RING_T, (q,))
-
-
-def all_states(diag):
-    ids = diag.crossing_ids
-    for mask in range(1 << len(ids)):
-        yield {c: ("B" if mask >> i & 1 else "A") for i, c in enumerate(ids)}
 
 
 def bracket_via_graph(diag, state):
@@ -112,6 +117,12 @@ class TestParsing:
             parse_gauss("component: O1+ Q2*")
         assert (err.value.line, err.value.col) == (1, 16)
 
+    def test_bad_crossing_id_is_a_package_error(self):
+        with pytest.raises(InvalidLabel) as err:
+            VirtualLinkDiagram([[Pass("a b", True), Pass("a b", False)]], {"a b": 1})
+        assert isinstance(err.value, RibbonGraphError)
+        assert isinstance(err.value, ValueError)
+
     def test_constructor_needs_signs(self):
         with pytest.raises(UnknownSign):
             VirtualLinkDiagram([[Pass("1", True), Pass("1", False)]], {})
@@ -136,6 +147,14 @@ class TestStates:
         assert (ex.alpha, ex.beta, ex.delta) == (1, 0, 2)
         ex = resolve_state(kink, {"1": "B"})
         assert (ex.alpha, ex.beta, ex.delta) == (0, 1, 1)
+
+    def test_bad_state_is_a_package_error(self):
+        kink = load_diagram("kink.gauss")
+        for state in ({}, {"1": "C"}):
+            with pytest.raises(InvalidState) as err:
+                resolve_state(kink, state)
+            assert isinstance(err.value, RibbonGraphError)
+            assert isinstance(err.value, ValueError)
 
     def test_empty_component_counts_as_circle(self):
         diag = parse_gauss("")
@@ -206,6 +225,25 @@ class TestBracket:
         assert worked == (
             A**3 * d + 3 * A * A * B + 2 * A * B * B + A * B * B * d + B**3 * d
         )
+
+    def test_matches_state_sum_oracle(self):
+        # The bracket through the subset sweep of the all-A state graph
+        # against one traced state at a time, and Jones from each.
+        rng = random.Random(79)
+        corpus = [parse_gauss("")] + [random_link(rng, 9) for _ in range(300)]
+        assert max(diag.num_crossings for diag in corpus) == 9
+        assert any(len(diag.components) >= 3 for diag in corpus)
+        assert sum(() in diag.components for diag in corpus) > 10
+        for diag in corpus:
+            fast, slow = kauffman_bracket(diag), state_sum_bracket(diag)
+            assert fast == slow, diag
+            assert fast.render() == slow.render()
+            slow_jones = jones_from_bracket(slow, writhe(diag))
+            assert jones(diag).render() == slow_jones.render(), diag
+
+    def test_no_strands(self):
+        diag = VirtualLinkDiagram([], {})
+        assert kauffman_bracket(diag) == state_sum_bracket(diag) == d**-1
 
     def test_guard(self):
         with pytest.raises(TooManyCrossings):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribbongraphs.duality import partial_dual
-from ribbongraphs.errors import DuplicateLabelCount, ParseError, UnknownSign
+from ribbongraphs.errors import (
+    DuplicateLabelCount,
+    InvalidLabel,
+    ParseError,
+    RibbonGraphError,
+    UnknownSign,
+)
 from ribbongraphs.ribbon import (
     Occurrence,
     SignedRibbonGraph,
@@ -77,6 +83,12 @@ class TestConstruction:
                 SignedRibbonGraph(
                     [[(label, False), (label, False)]], {label: 1}
                 )
+
+    def test_bad_label_is_a_package_error(self):
+        with pytest.raises(InvalidLabel) as err:
+            SignedRibbonGraph([[("a b", False), ("a b", False)]], {"a b": 1})
+        assert isinstance(err.value, RibbonGraphError)
+        assert isinstance(err.value, ValueError)
 
     def test_immutable(self):
         g = load_graph("torus.rg")
