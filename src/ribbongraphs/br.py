@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .errors import TooManyEdges
 from .polynomial import RING_XY, RING_XYZ, Laurent, restrict_duality_surface
-from .ribbon import SignedRibbonGraph, _corner_links, components, stats
+from .ribbon import SignedRibbonGraph, _arcs, _bands, components, stats
 
 __all__ = [
     "SubgraphStats",
@@ -60,19 +60,17 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
     """Histogram of (|F|, k(F), f(F), negative edges in F) over all 2^e
     spanning subgraphs F, from one depth-first include/exclude sweep.
 
-    Corners are those of :mod:`ribbongraphs.ribbon` (2i and 2i+1 for
-    occurrence i), and the boundary components of F are the cycles of two
-    corner matchings: the fixed arcs ``sigma`` along the circles, and
-    ``tau``, which pairs the two corners of each occurrence of an excluded
-    edge and the corners across the band of an included one.  Including
+    The boundary components of F are the cycles that
+    :func:`ribbongraphs.ribbon._trace` would find over the arc matching
+    ``sigma`` of :func:`ribbongraphs.ribbon._arcs` and the side matching
+    ``tau`` of F's bands.  The sweep never traces them whole: including
     the edge with corners a, b and c, d trades tau's pairs ab, cd for bc,
     da; walking on from b, the first of a, c, d met shows that this joins
     two boundary components, splits one, or neither.  Components of F come
     from a union-find without path compression, undone on backtrack.
     """
-    arc, _ = _corner_links(g)
-    sigma = [arc[c][0] for c in range(len(arc))]
-    tau = [c ^ 1 for c in range(len(arc))]
+    sigma, labels = _arcs(g)
+    tau = _bands(labels, ())
     ends: dict[str, list[tuple[int, int]]] = {}
     for i, ci, _, occ in g.occurrences():
         ends.setdefault(occ.label, []).append((2 * i, ci))
@@ -81,6 +79,9 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
         for label, ((a, u), (c, w)) in ends.items()
     ]
     v = g.num_vertices
+    # Its own roll-back union-find, not ribbon's static one: sharing it
+    # would put a call into the 2^e loop and make the shared code branch
+    # on whether its caller backtracks.
     parent = list(range(v))
     size, k, f, neg = 0, v, v, 0
     hist = {(size, k, f, neg): 1}

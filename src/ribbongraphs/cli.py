@@ -115,8 +115,10 @@ def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
     base = stats(g)
     form = canonical_form(g)
     previous: frozenset[str] | None = None
+    previous_dual = g
     for subset in subsets:
         h = partial_dual(g, subset)
+        h_form = canonical_form(h)
         name = ",".join(sorted(subset)) or "{}"
         if canonical_form(partial_dual(h, subset)) != form:
             ok = False
@@ -124,7 +126,7 @@ def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
         step = g
         for label in sorted(subset):
             step = partial_dual(step, {label})
-        if canonical_form(step) != canonical_form(h):
+        if canonical_form(step) != h_form:
             ok = False
             lines.append(f"FAIL composition subset={name}")
         hs = stats(h)
@@ -135,12 +137,12 @@ def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
             ok = False
             lines.append(f"FAIL orientability subset={name}")
         if previous is not None:
-            chained = partial_dual(partial_dual(g, previous), subset)
+            chained = partial_dual(previous_dual, subset)
             direct = partial_dual(g, previous ^ subset)
             if canonical_form(chained) != canonical_form(direct):
                 ok = False
                 lines.append(f"FAIL symmetric-difference subset={name}")
-        previous = subset
+        previous, previous_dual = subset, h
     return ok, lines
 
 

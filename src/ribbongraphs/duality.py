@@ -2,13 +2,15 @@
 
 The partial dual with respect to an edge subset E' re-glues the vertex
 discs along the boundary of the spanning subgraph carrying only the E'
-ribbons.  Concretely: trace the boundary of that subgraph with the corner
-walk of :func:`ribbongraphs.ribbon.boundary_components`, but let the free
-arcs carry the occurrences of edges outside E' as marks.  Every boundary
-cycle becomes a vertex circle of the dual; marks are re-emitted as they
-are swept (flag flipped when their arc is run backward) and every ribbon
-side of an E' edge emits a fresh occurrence of that edge.  Signs flip on
-E' and survive elsewhere.
+ribbons.  Its circles are the cycles that :func:`ribbongraphs.ribbon._trace`
+finds over two corner matchings: the free arcs along the vertex circles,
+and the band sides of the E' edges, with each occurrence of an edge
+outside E' paired across itself, so that the walk sweeps it as a mark.
+Every cycle becomes a vertex circle of the dual, and every step across an
+occurrence emits one: a mark keeps its flag when swept forward and flips
+it when swept backward, and each ribbon side of an E' edge emits a fresh
+occurrence of that edge.  Circles without E' occurrences survive
+verbatim.  Signs flip on E' and survive elsewhere.
 
 Deletion, contraction, edge classification, and enumeration of the whole
 orbit of duals are built on top.
@@ -20,7 +22,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import TooManyEdges, UnknownEdge
-from .ribbon import Occurrence, SignedRibbonGraph, canonical_form, components
+from .ribbon import (
+    SignedRibbonGraph,
+    _arcs,
+    _bands,
+    _trace,
+    canonical_form,
+    components,
+)
 
 __all__ = [
     "partial_dual",
@@ -49,76 +58,24 @@ def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGrap
 
     Circles containing no subset occurrence pass through verbatim, so the
     dual with respect to the empty set is ``g`` itself.  Traced circles
-    come first, ordered by their smallest corner (corners numbered 2i and
-    2i+1 for the tail and head of global occurrence i); untouched circles
-    follow in their original order.  Subset edge signs are flipped.
+    come first, ordered by their smallest corner of a subset occurrence
+    (corners numbered 2i and 2i+1 for the tail and head of global
+    occurrence i); untouched circles follow in their original order.  Subset edge signs are flipped.
 
     Raises:
         UnknownEdge: a requested edge is not in the graph.
     """
     subset = _require_edges(g, edges)
-
-    # arc/side adjacency on the corners of subset occurrences only
-    arc: dict[int, tuple[int, tuple[Occurrence, ...], bool]] = {}
-    side: dict[int, tuple[int, str, bool]] = {}
-    touched: set[int] = set()
-    ends: dict[str, list[int]] = {}
-    base = 0
-    for ci, circle in enumerate(g.circles):
-        m = len(circle)
-        sel = [pos for pos, o in enumerate(circle) if o.label in subset]
-        if sel:
-            touched.add(ci)
-            for which, pos in enumerate(sel):
-                occ = circle[pos]
-                ends.setdefault(occ.label, []).append(base + pos)
-                nxt_pos = sel[(which + 1) % len(sel)]
-                nxt = circle[nxt_pos]
-                src = 2 * (base + pos) + (0 if occ.against else 1)
-                dst = 2 * (base + nxt_pos) + (1 if nxt.against else 0)
-                marks: list[Occurrence] = []
-                q = (pos + 1) % m
-                while q != nxt_pos:
-                    marks.append(circle[q])
-                    q = (q + 1) % m
-                arc[src] = (dst, tuple(marks), True)
-                arc[dst] = (src, tuple(marks), False)
-        base += m
-    for label, (i1, i2) in ends.items():
-        # new-arrow direction runs head corner -> tail corner
-        for h, t in ((2 * i1 + 1, 2 * i2), (2 * i2 + 1, 2 * i1)):
-            side[h] = (t, label, True)
-            side[t] = (h, label, False)
-
-    new_circles: list[tuple[Occurrence, ...]] = []
-    seen: set[int] = set()
-    for start in sorted(arc):
-        if start in seen:
-            continue
-        out: list[Occurrence] = []
-        at = start
-        use_arc = True
-        while True:
-            seen.add(at)
-            if use_arc:
-                nxt, marks, forward = arc[at]
-                if forward:
-                    out.extend(marks)
-                else:
-                    out.extend(
-                        Occurrence(o.label, not o.against) for o in reversed(marks)
-                    )
-            else:
-                nxt, label, agrees = side[at]
-                out.append(Occurrence(label, not agrees))
-            at = nxt
-            use_arc = not use_arc
-            if at == start:
-                break
-        new_circles.append(tuple(out))
-    for ci, circle in enumerate(g.circles):
-        if ci not in touched:
-            new_circles.append(circle)
+    sigma, labels = _arcs(g)
+    inside = [label in subset for label in labels]
+    starts = [c for c in range(len(sigma)) if inside[c >> 1]]
+    new_circles = [
+        [(labels[c >> 1], (c & 1) != inside[c >> 1]) for c in cycle[1::2]]
+        for cycle in _trace(sigma, _bands(labels, subset), starts)
+    ]
+    new_circles += [
+        circle for circle in g.circles if all(o.label not in subset for o in circle)
+    ]
     signs = {l: -s if l in subset else s for l, s in g.signs.items()}
     return SignedRibbonGraph(new_circles, signs)
 

@@ -32,7 +32,7 @@ from .errors import (
     UnknownSign,
 )
 from .polynomial import RING_ABD, RING_T, Laurent
-from .ribbon import Occurrence, SignedRibbonGraph, _LABEL_BAD, _TOKEN_RE
+from .ribbon import Occurrence, SignedRibbonGraph, _LABEL_BAD, _TOKEN_RE, _trace
 
 __all__ = [
     "Pass",
@@ -197,7 +197,11 @@ def resolve_state(
     incoming strand end to an outgoing one; the other choice joins the
     two incoming ends together.  Band arrows run from the under-strand
     end to the over-strand end on both arcs of an A-splitting, and from
-    over to under for B.
+    over to under for B.  The curves are the cycles
+    (:func:`ribbongraphs.ribbon._trace`) of the strand matching, which
+    joins each crossing exit to the next entry along its strand, and the
+    splitting matching; each splitting passed from end c adds its
+    crossing, flagged Against when the band arrow points at c.
 
     Raises:
         InvalidState: ``state`` does not choose A or B at some crossing.
@@ -207,55 +211,27 @@ def resolve_state(
         if state.get(cid) not in ("A", "B"):
             raise InvalidState(f"state does not choose A or B at {cid!r}")
     strand, empties = _strand_edges(d)
-    smooth: dict[int, int] = {}
-    arrow: dict[tuple[int, int], bool] = {}  # (from, to) -> True if arrow runs so
-    alpha = beta = 0
-    for j, cid in enumerate(ids):
-        choice = state[cid]
-        if choice == "A":
-            alpha += 1
-        else:
-            beta += 1
-        o_in, o_out, u_in, u_out = 4 * j, 4 * j + 1, 4 * j + 2, 4 * j + 3
-        respects = (d.signs[cid] > 0) == (choice == "A")
-        if respects:
-            arcs = ((o_in, u_out), (u_in, o_out))
-        else:
-            arcs = ((o_in, u_in), (o_out, u_out))
-        for p, q in arcs:
-            smooth[p] = q
-            smooth[q] = p
-            over_end = p if p in (o_in, o_out) else q
-            under_end = q if over_end == p else p
-            if choice == "A":
-                arrow[(under_end, over_end)] = True
-                arrow[(over_end, under_end)] = False
-            else:
-                arrow[(over_end, under_end)] = True
-                arrow[(under_end, over_end)] = False
-    circles: list[tuple[Occurrence, ...]] = []
-    seen: set[int] = set()
-    for start in sorted(strand):
-        if start in seen:
-            continue
-        curve: list[Occurrence] = []
-        at = start
-        use_strand = True
-        while True:
-            seen.add(at)
-            if use_strand:
-                at = strand[at]
-            else:
-                nxt = smooth[at]
-                curve.append(Occurrence(ids[at // 4], not arrow[(at, nxt)]))
-                at = nxt
-            use_strand = not use_strand
-            if at == start and use_strand:
-                break
-        circles.append(tuple(curve))
+    # ends 4j..4j+3 are over-in, over-out, under-in, under-out: the
+    # orientation-respecting splitting pairs end c with c ^ 3, the other
+    # with c ^ 2
+    is_a = [state[cid] == "A" for cid in ids]
+    smooth = [
+        c ^ (3 if (d.signs[ids[c >> 2]] > 0) == is_a[c >> 2] else 2)
+        for c in range(4 * len(ids))
+    ]
+    circles = [
+        tuple(
+            [
+                Occurrence(ids[c >> 2], (c & 2 == 0) == is_a[c >> 2])
+                for c in cycle[1::2]
+            ]
+        )
+        for cycle in _trace(strand, smooth, sorted(strand))
+    ]
     circles.extend(() for _ in range(empties))
+    alpha = sum(is_a)
     return StateExpansion(
-        alpha=alpha, beta=beta, delta=len(circles), circles=tuple(circles)
+        alpha=alpha, beta=len(ids) - alpha, delta=len(circles), circles=tuple(circles)
     )
 
 
@@ -289,12 +265,18 @@ def jones(
     d: VirtualLinkDiagram, max_crossings: int = BRACKET_MAX_CROSSINGS
 ) -> Laurent:
     """Jones polynomial in t: the bracket at A=t^(-1/4), B=t^(1/4),
-    d=-t^(1/2)-t^(-1/2), times the writhe factor (-1)^w t^(3w/4)."""
+    d=-t^(1/2)-t^(-1/2), times the writhe factor (-1)^w t^(3w/4).  The
+    bracket's terms are grouped by their power of d, so each power of
+    the loop value is computed once."""
     bracket = kauffman_bracket(d, max_crossings)
+    by_loops: dict[int, dict[tuple[int], int]] = {}
+    for (a, b, dd), coeff in bracket.terms.items():
+        row = by_loops.setdefault(dd, {})
+        row[(b - a,)] = row.get((b - a,), 0) + coeff
     loop = Laurent(RING_T, {(2,): -1, (-2,): -1})
     total = Laurent.zero(RING_T)
-    for (a, b, dd), coeff in bracket.terms.items():
-        total = total + Laurent(RING_T, {(b - a,): coeff}) * loop**dd
+    for dd, row in by_loops.items():
+        total = total + Laurent(RING_T, row) * loop**dd
     w = writhe(d)
     return total * Laurent(RING_T, {(3 * w,): (-1) ** (w & 1)})
 

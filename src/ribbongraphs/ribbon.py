@@ -287,149 +287,169 @@ class SignedRibbonGraph:
 # ----------------------------------------------------------------------
 
 
-def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
-    """Partition circle indices into connected components.
+def _circle_union(g: SignedRibbonGraph) -> tuple[list[int], bool]:
+    """Root circle of each circle's component, and orientability.
 
-    Circles are connected when a chain of shared edge labels joins them;
-    the component count k is the length of the returned partition.
-    """
-    parent = list(range(len(g.circles)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    where: dict[str, int] = {}
-    for _, ci, _, occ in g.occurrences():
-        if occ.label in where:
-            ra, rb = find(where[occ.label]), find(ci)
-            if ra != rb:
-                parent[ra] = rb
-        else:
-            where[occ.label] = ci
-    groups: dict[int, list[int]] = {}
-    for ci in range(len(g.circles)):
-        groups.setdefault(find(ci), []).append(ci)
-    return tuple(tuple(v) for _, v in sorted(groups.items()))
-
-
-def _corner_links(
-    g: SignedRibbonGraph,
-) -> tuple[dict[int, tuple[int, tuple[str, int | str]]], ...]:
-    """Arc and side adjacency on corner ids (2i tail, 2i+1 head).
-
-    Returns (arc, side) dicts mapping each corner id to its partner and
-    the traversed element.  Each corner appears in exactly one arc and
-    one side, so the union is 2-regular.
-    """
-    arc: dict[int, tuple[int, tuple[str, int | str]]] = {}
-    side: dict[int, tuple[int, tuple[str, int | str]]] = {}
-    base = 0
-    for ci, circle in enumerate(g.circles):
-        m = len(circle)
-        for pos, occ in enumerate(circle):
-            nxt = circle[(pos + 1) % m]
-            i = base + pos
-            j = base + (pos + 1) % m
-            # after-corner of occ -> before-corner of the next occurrence
-            a = 2 * i + (0 if occ.against else 1)
-            b = 2 * j + (1 if nxt.against else 0)
-            elem = ("arc", ci)
-            arc[a] = (b, elem)
-            arc[b] = (a, elem)
-        base += m
-    ends: dict[str, list[int]] = {}
-    for i, _, _, occ in g.occurrences():
-        ends.setdefault(occ.label, []).append(i)
-    for label, (i1, i2) in ends.items():
-        elem = ("side", label)
-        for a, b in ((2 * i1 + 1, 2 * i2), (2 * i2 + 1, 2 * i1)):
-            side[a] = (b, elem)
-            side[b] = (a, elem)
-    return arc, side
-
-
-def _corner_of(corner_id: int) -> Corner:
-    return Corner(corner_id // 2, TAIL if corner_id % 2 == 0 else HEAD)
-
-
-def boundary_components(g: SignedRibbonGraph) -> tuple[BoundaryWalk, ...]:
-    """Trace the boundary of the surface; one walk per component.
-
-    The corner graph alternates free arcs (along circles) with ribbon
-    sides (along edge bands); its cycles are the boundary components.
-    Walks start at their smallest corner and leave it along the arc.
-    Isolated vertices append their own cornerless walks.
-    """
-    arc, side = _corner_links(g)
-    seen: set[int] = set()
-    walks: list[BoundaryWalk] = []
-    for start in sorted(arc):
-        if start in seen:
-            continue
-        corners: list[Corner] = []
-        elements: list[tuple[str, int | str]] = []
-        at = start
-        use_arc = True
-        while True:
-            seen.add(at)
-            corners.append(_corner_of(at))
-            nxt, elem = (arc if use_arc else side)[at]
-            elements.append(elem)
-            at = nxt
-            use_arc = not use_arc
-            if at == start:
-                break
-        walks.append(BoundaryWalk(tuple(corners), tuple(elements)))
-    for ci, circle in enumerate(g.circles):
-        if not circle:
-            walks.append(BoundaryWalk((), (("vertex", ci),)))
-    return tuple(walks)
-
-
-def is_orientable(g: SignedRibbonGraph) -> bool:
-    """Whether all circle arrows can be chosen coherently.
-
-    Seeks a reversal assignment o on circles with, for every edge,
-    d1 xor d2 xor o(c1) xor o(c2) = 0 where d are the Against flags;
-    a parity union-find detects the obstruction.
+    A parity union-find over circles joins the two circles of every edge
+    and seeks a reversal o per circle with d1 xor d2 xor o(c1) xor o(c2)
+    = 0 for every edge, where d are its Against flags; an edge closing a
+    cycle of the wrong parity is the obstruction to orientability.
     """
     parent = list(range(len(g.circles)))
     parity = [0] * len(g.circles)
 
     def find(a: int) -> tuple[int, int]:
         p = 0
-        while parent[a] != a:
+        while parent[a] != a:  # path halving, parity carried along
+            up = parent[a]
+            parity[a] ^= parity[up]
+            parent[a] = parent[up]
             p ^= parity[a]
             a = parent[a]
         return a, p
 
+    orientable = True
     first: dict[str, tuple[int, bool]] = {}
-    for _, ci, _, occ in g.occurrences():
-        if occ.label not in first:
-            first[occ.label] = (ci, occ.against)
+    for ci, circle in enumerate(g.circles):
+        for label, against in circle:
+            if label not in first:
+                first[label] = (ci, against)
+                continue
+            cj, dj = first[label]
+            ra, pa = find(ci)
+            rb, pb = find(cj)
+            if ra != rb:
+                parent[ra] = rb
+                parity[ra] = pa ^ pb ^ dj ^ against
+            elif pa ^ pb != dj ^ against:
+                orientable = False
+    return [find(ci)[0] for ci in range(len(g.circles))], orientable
+
+
+def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
+    """Partition circle indices into connected components.
+
+    Circles are connected when a chain of shared edge labels joins them;
+    the component count k is the length of the returned partition.  The
+    groups are listed by their smallest circle, each in ascending order.
+    """
+    groups: dict[int, list[int]] = {}
+    for ci, root in enumerate(_circle_union(g)[0]):
+        groups.setdefault(root, []).append(ci)
+    return tuple(tuple(v) for v in groups.values())
+
+
+def is_orientable(g: SignedRibbonGraph) -> bool:
+    """Whether all circle arrows can be chosen coherently (see
+    :func:`_circle_union`)."""
+    return _circle_union(g)[1]
+
+
+def _trace(first, second, starts) -> list[list[int]]:
+    """Cycles of the alternating walk over two perfect matchings.
+
+    ``first`` and ``second`` map each point to its partner (lists or
+    dicts).  Each cycle starts at the first point of ``starts`` not yet
+    seen, leaves it along ``first``, and is returned as its list of
+    points: even positions step along ``first``, odd ones along
+    ``second``.  Boundary components, partial duals and state curves are
+    all traced here.
+    """
+    seen: set[int] = set()
+    cycles: list[list[int]] = []
+    for start in starts:
+        if start in seen:
             continue
-        cj, dj = first[occ.label]
-        want = dj ^ occ.against
-        ra, pa = find(ci)
-        rb, pb = find(cj)
-        if ra == rb:
-            if pa ^ pb != want:
-                return False
-        else:
-            parent[ra] = rb
-            parity[ra] = pa ^ pb ^ want
-    return True
+        cycle: list[int] = []
+        at = start
+        while True:
+            nxt = first[at]
+            cycle += (at, nxt)
+            at = second[nxt]
+            if at == start:
+                break
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
+def _arcs(g: SignedRibbonGraph) -> tuple[list[int], list[str]]:
+    """The arc matching on corners, and the label of each occurrence.
+
+    Occurrence i (in circle-major order) has corners 2i (tail) and 2i+1
+    (head).  The arc matching ``sigma`` pairs the corner after each
+    occurrence with the corner before the next one on its circle, along
+    the free arc of the vertex disc between them.
+    """
+    sigma: list[int] = []
+    labels: list[str] = []
+    for circle in g.circles:
+        base = len(labels)
+        m = len(circle)
+        sigma += [0] * (2 * m)
+        for pos, occ in enumerate(circle):
+            nxt = circle[(pos + 1) % m]
+            a = 2 * (base + pos) + (0 if occ.against else 1)
+            b = 2 * (base + (pos + 1) % m) + (1 if nxt.against else 0)
+            sigma[a], sigma[b] = b, a
+            labels.append(occ.label)
+    return sigma, labels
+
+
+def _bands(labels: list[str], subset) -> list[int]:
+    """The side matching on corners for the edges in ``subset``.
+
+    Across the band of a subset edge with occurrences i1 and i2 it pairs
+    2i1+1 with 2i2 and 2i2+1 with 2i1; at every other occurrence it pairs
+    the occurrence's own two corners.
+    """
+    tau = [c ^ 1 for c in range(2 * len(labels))]
+    other: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        if label in subset:
+            j = other.setdefault(label, i)
+            if j != i:
+                tau[2 * j + 1], tau[2 * i] = 2 * i, 2 * j + 1
+                tau[2 * i + 1], tau[2 * j] = 2 * j, 2 * i + 1
+    return tau
+
+
+def boundary_components(g: SignedRibbonGraph) -> tuple[BoundaryWalk, ...]:
+    """Trace the boundary of the surface; one walk per component.
+
+    The boundary components are the cycles (:func:`_trace`) of the arc
+    matching, along the circles, and the side matching, along the edge
+    bands.  Walks start at their smallest corner and leave it along the
+    arc.  Isolated vertices append their own cornerless walks.
+    """
+    sigma, labels = _arcs(g)
+    circle_of = [ci for ci, circle in enumerate(g.circles) for _ in circle]
+    walks = [
+        BoundaryWalk(
+            tuple([Corner(c >> 1, HEAD if c & 1 else TAIL) for c in cycle]),
+            tuple(
+                [
+                    ("side", labels[c >> 1]) if step & 1 else ("arc", circle_of[c >> 1])
+                    for step, c in enumerate(cycle)
+                ]
+            ),
+        )
+        for cycle in _trace(sigma, _bands(labels, g.signs), range(len(sigma)))
+    ]
+    for ci, circle in enumerate(g.circles):
+        if not circle:
+            walks.append(BoundaryWalk((), (("vertex", ci),)))
+    return tuple(walks)
 
 
 def stats(g: SignedRibbonGraph) -> GraphStats:
     v = g.num_vertices
     e = g.num_edges
-    k = len(components(g))
-    f = len(boundary_components(g))
-    orientable = is_orientable(g)
+    roots, orientable = _circle_union(g)
+    k = len(set(roots))
+    sigma, labels = _arcs(g)
+    f = len(_trace(sigma, _bands(labels, g.signs), range(len(sigma))))
+    f += g.circles.count(())
     chi = v - e + f
     return GraphStats(
         v=v,

@@ -389,6 +389,80 @@ def backtrack_isomorphic(
 
 
 # ----------------------------------------------------------------------
+# partial-duality oracle
+# ----------------------------------------------------------------------
+
+
+def arc_partial_dual(g: SignedRibbonGraph, edges) -> SignedRibbonGraph:
+    """Partial dual by walking reduced arcs: each arc runs from one subset
+    occurrence to the next on its circle and carries the occurrences in
+    between as marks.  The reference for ``duality.partial_dual``, with
+    the same circle order and arrow flags."""
+    subset = set(edges)
+    arc: dict[int, tuple[int, tuple[Occurrence, ...], bool]] = {}
+    side: dict[int, tuple[int, str, bool]] = {}
+    touched: set[int] = set()
+    ends: dict[str, list[int]] = {}
+    base = 0
+    for ci, circle in enumerate(g.circles):
+        m = len(circle)
+        sel = [pos for pos, o in enumerate(circle) if o.label in subset]
+        if sel:
+            touched.add(ci)
+            for which, pos in enumerate(sel):
+                occ = circle[pos]
+                ends.setdefault(occ.label, []).append(base + pos)
+                nxt_pos = sel[(which + 1) % len(sel)]
+                nxt = circle[nxt_pos]
+                src = 2 * (base + pos) + (0 if occ.against else 1)
+                dst = 2 * (base + nxt_pos) + (1 if nxt.against else 0)
+                marks: list[Occurrence] = []
+                q = (pos + 1) % m
+                while q != nxt_pos:
+                    marks.append(circle[q])
+                    q = (q + 1) % m
+                arc[src] = (dst, tuple(marks), True)
+                arc[dst] = (src, tuple(marks), False)
+        base += m
+    for label, (i1, i2) in ends.items():
+        # new-arrow direction runs head corner -> tail corner
+        for h, t in ((2 * i1 + 1, 2 * i2), (2 * i2 + 1, 2 * i1)):
+            side[h] = (t, label, True)
+            side[t] = (h, label, False)
+    new_circles: list[tuple[Occurrence, ...]] = []
+    seen: set[int] = set()
+    for start in sorted(arc):
+        if start in seen:
+            continue
+        out: list[Occurrence] = []
+        at = start
+        use_arc = True
+        while True:
+            seen.add(at)
+            if use_arc:
+                nxt, marks, forward = arc[at]
+                if forward:
+                    out.extend(marks)
+                else:
+                    out.extend(
+                        Occurrence(o.label, not o.against) for o in reversed(marks)
+                    )
+            else:
+                nxt, label, agrees = side[at]
+                out.append(Occurrence(label, not agrees))
+            at = nxt
+            use_arc = not use_arc
+            if at == start:
+                break
+        new_circles.append(tuple(out))
+    for ci, circle in enumerate(g.circles):
+        if ci not in touched:
+            new_circles.append(circle)
+    signs = {l: -s if l in subset else s for l, s in g.signs.items()}
+    return SignedRibbonGraph(new_circles, signs)
+
+
+# ----------------------------------------------------------------------
 # state-sum oracles
 # ----------------------------------------------------------------------
 

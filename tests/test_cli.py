@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -24,6 +25,10 @@ def run(capsys, *argv):
 
 def fixture(name: str) -> str:
     return str(FIXTURES / name)
+
+
+GOLDENS = FIXTURES.parent / "tests" / "goldens"
+GOLDEN_CASES = json.loads((GOLDENS / "cases.json").read_text(encoding="utf-8"))
 
 
 class TestStats:
@@ -298,3 +303,15 @@ class TestErrorPlumbing:
         )
         assert proc.returncode == 0
         assert "f=2" in proc.stdout
+
+
+class TestGoldens:
+    """Every subcommand on every fixture, against the stdout and exit
+    code recorded by ``scripts/write_goldens.py``."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_stdout_byte_identical(self, case, capsys, monkeypatch):
+        monkeypatch.chdir(FIXTURES)
+        code, out, _ = run(capsys, *GOLDEN_CASES[case]["argv"])
+        assert code == GOLDEN_CASES[case]["exit"]
+        assert out.encode("utf-8") == (GOLDENS / f"{case}.out").read_bytes()

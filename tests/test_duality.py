@@ -18,11 +18,13 @@ from ribbongraphs.errors import TooManyEdges, UnknownEdge
 from ribbongraphs.ribbon import (
     SignedRibbonGraph,
     is_isomorphic,
+    serialize_ribbon_graph,
     stats,
 )
 
 from .helpers import (
     all_subsets,
+    arc_partial_dual,
     graph_corpus,
     load_graph,
     with_bridge,
@@ -36,6 +38,22 @@ class TestPartialDual:
     def test_empty_subset_is_identity(self):
         for g in graph_corpus(3, 25):
             assert partial_dual(g, set()) == g
+
+    def test_matches_reduced_arc_oracle(self):
+        rng = random.Random(2024)
+        seen = set()
+        for g in graph_corpus(77, 3000, max_edges=8):
+            labels = g.edge_labels
+            subset = [l for l in labels if rng.random() < 0.5]
+            got, want = partial_dual(g, subset), arc_partial_dual(g, subset)
+            assert serialize_ribbon_graph(got) == serialize_ribbon_graph(want)
+            assert got == want
+            seen.add("e=0" if not labels else "e>0")
+            if labels:
+                seen.add({0: "empty", len(labels): "full"}.get(len(subset), "part"))
+            if any(not circle for circle in g.circles):
+                seen.add("empty circle")
+        assert seen == {"e=0", "e>0", "empty", "full", "part", "empty circle"}
 
     def test_torus_single_edge(self):
         g = load_graph("torus.rg")

@@ -159,6 +159,13 @@ class TestStats:
             {"a": 1, "b": -1},
         )
         assert components(g) == ((0,), (1, 2))
+        # groups by smallest circle, each ascending; union-find roots
+        # would list the lone circle 1 first
+        g = SignedRibbonGraph(
+            [[("a", False)], [("b", False), ("b", True)], [("a", True)]],
+            {"a": 1, "b": -1},
+        )
+        assert components(g) == ((0, 2), (1,))
 
 
 class TestBoundary:
