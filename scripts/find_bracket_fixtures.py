@@ -35,7 +35,8 @@ import os
 import sys
 from itertools import permutations, product
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from ribbongraphs.links import (
     VirtualLinkDiagram,
@@ -44,12 +45,13 @@ from ribbongraphs.links import (
     serialize_gauss,
     state_ribbon_graph,
 )
-from ribbongraphs.polynomial import RING_ABD, RING_T, Laurent, monomial, parse_poly
+from ribbongraphs.polynomial import RING_ABD, RING_T, Laurent
 from ribbongraphs.ribbon import is_isomorphic, parse_ribbon_graph
+from tests.helpers import parse_poly
 
-A = monomial(RING_ABD, (1, 0, 0))
-B = monomial(RING_ABD, (0, 1, 0))
-d = monomial(RING_ABD, (0, 0, 1))
+A = Laurent.monomial(RING_ABD, (1, 0, 0))
+B = Laurent.monomial(RING_ABD, (0, 1, 0))
+d = Laurent.monomial(RING_ABD, (0, 0, 1))
 
 TARGET_2 = A * A * d + 2 * A * B + B * B
 COMPANION_JONES_2 = parse_poly("t^(-3/2) + t^(-1) - t^(-1/2)", RING_T)

@@ -19,11 +19,13 @@ import os
 import sys
 from itertools import permutations
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
-from ribbongraphs.br import bollobas_riordan, subgraph_stats
+from ribbongraphs.br import bollobas_riordan
 from ribbongraphs.duality import dual_orbit
 from ribbongraphs.ribbon import SignedRibbonGraph, canonical_form, serialize_ribbon_graph
+from tests.helpers import subgraph_stats
 
 SIGNS = {"1": 1, "2": -1, "3": -1}
 

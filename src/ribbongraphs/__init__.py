@@ -1,149 +1,25 @@
 """Exact arithmetic for signed ribbon graphs: generalized partial duality,
 the signed topological transition polynomial with its Tutte and duality
-specializations, and state ribbon graphs of virtual link diagrams."""
+specializations, and state ribbon graphs of virtual link diagrams.
 
-from .br import (
-    BR_MAX_EDGES,
-    SubgraphStats,
-    bollobas_riordan,
-    duality_invariant,
-    subgraph_stats,
-    tutte_via_br,
-)
-from .duality import (
-    DUAL_ORBIT_MAX_EDGES,
-    EdgeClass,
-    OrbitClass,
-    classify_edge,
-    contract_edge,
-    delete_edge,
-    dual_orbit,
-    partial_dual,
-)
-from .errors import (
-    DanglingCrossing,
-    DuplicateLabelCount,
-    FractionalExponent,
-    InvalidLabel,
-    InvalidState,
-    NegativeExponentNonUnit,
-    ParseError,
-    PositionOutOfRange,
-    RibbonGraphError,
-    RoleConflict,
-    TooManyCrossings,
-    TooManyEdges,
-    UnknownEdge,
-    UnknownSign,
-)
-from .links import (
-    BRACKET_MAX_CROSSINGS,
-    Pass,
-    StateExpansion,
-    VirtualLinkDiagram,
-    all_A_state,
-    all_B_state,
-    jones,
-    kauffman_bracket,
-    parse_gauss,
-    resolve_state,
-    seifert_state,
-    serialize_gauss,
-    state_ribbon_graph,
-    writhe,
-)
-from .polynomial import (
-    RING_ABD,
-    RING_T,
-    RING_XY,
-    RING_XYZ,
-    Laurent,
-    Ring,
-    monomial,
-    parse_poly,
-    restrict_duality_surface,
-)
-from .ribbon import (
-    BoundaryWalk,
-    GraphStats,
-    Occurrence,
-    SignedRibbonGraph,
-    boundary_components,
-    components,
-    disjoint_union,
-    is_isomorphic,
-    is_orientable,
-    one_point_join,
-    parse_ribbon_graph,
-    serialize_ribbon_graph,
-    stats,
-)
+The package root re-exports the ``__all__`` of each module; the README's
+"Public names" table lists them."""
+
+from . import br, duality, errors, links, polynomial, ribbon
+from .br import *
+from .duality import *
+from .errors import *
+from .links import *
+from .polynomial import *
+from .ribbon import *
 
 __all__ = [
-    "BR_MAX_EDGES",
-    "BRACKET_MAX_CROSSINGS",
-    "BoundaryWalk",
-    "DUAL_ORBIT_MAX_EDGES",
-    "DanglingCrossing",
-    "DuplicateLabelCount",
-    "EdgeClass",
-    "FractionalExponent",
-    "GraphStats",
-    "InvalidLabel",
-    "InvalidState",
-    "Laurent",
-    "NegativeExponentNonUnit",
-    "Occurrence",
-    "OrbitClass",
-    "ParseError",
-    "Pass",
-    "PositionOutOfRange",
-    "RING_ABD",
-    "RING_T",
-    "RING_XY",
-    "RING_XYZ",
-    "RibbonGraphError",
-    "Ring",
-    "RoleConflict",
-    "SignedRibbonGraph",
-    "StateExpansion",
-    "SubgraphStats",
-    "TooManyCrossings",
-    "TooManyEdges",
-    "UnknownEdge",
-    "UnknownSign",
-    "VirtualLinkDiagram",
-    "all_A_state",
-    "all_B_state",
-    "bollobas_riordan",
-    "boundary_components",
-    "classify_edge",
-    "components",
-    "contract_edge",
-    "delete_edge",
-    "disjoint_union",
-    "dual_orbit",
-    "duality_invariant",
-    "is_isomorphic",
-    "is_orientable",
-    "jones",
-    "kauffman_bracket",
-    "monomial",
-    "one_point_join",
-    "parse_gauss",
-    "parse_poly",
-    "parse_ribbon_graph",
-    "partial_dual",
-    "resolve_state",
-    "restrict_duality_surface",
-    "seifert_state",
-    "serialize_gauss",
-    "serialize_ribbon_graph",
-    "state_ribbon_graph",
-    "stats",
-    "subgraph_stats",
-    "tutte_via_br",
-    "writhe",
+    *ribbon.__all__,
+    *duality.__all__,
+    *polynomial.__all__,
+    *br.__all__,
+    *links.__all__,
+    *errors.__all__,
 ]
 
 __version__ = "0.1.0"

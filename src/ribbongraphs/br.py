@@ -22,16 +22,11 @@ reduction identities are exercised by the test suite instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
-from .errors import TooManyEdges
+from .errors import FractionalExponent, NegativeExponentNonUnit, TooManyEdges
 from .polynomial import RING_XY, RING_XYZ, Laurent, restrict_duality_surface
 from .ribbon import SignedRibbonGraph, _arcs, _bands, components, stats
 
 __all__ = [
-    "SubgraphStats",
-    "subgraph_stats",
     "bollobas_riordan",
     "tutte_via_br",
     "duality_invariant",
@@ -39,21 +34,6 @@ __all__ = [
 ]
 
 BR_MAX_EDGES = 24
-
-
-@dataclass(frozen=True)
-class SubgraphStats:
-    """Profile of one spanning subgraph.
-
-    ``s2`` is twice the sign correction s(F), always an integer:
-    the count of negative edges inside F minus the count outside.
-    """
-
-    k: int
-    r: int
-    n: int
-    f: int
-    s2: int
 
 
 def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
@@ -117,19 +97,6 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
         j += 1
 
 
-def subgraph_stats(g: SignedRibbonGraph, subset: Iterable[str]) -> SubgraphStats:
-    """Stats of the spanning subgraph keeping only ``subset`` edges."""
-    keep = set(subset)
-    sub = stats(
-        SignedRibbonGraph(
-            [[o for o in circle if o.label in keep] for circle in g.circles],
-            {label: g.signs[label] for label in keep},
-        )
-    )
-    s2 = sum(1 if l in keep else -1 for l, sign in g.signs.items() if sign < 0)
-    return SubgraphStats(k=sub.k, r=sub.r, n=sub.n, f=sub.f, s2=s2)
-
-
 def bollobas_riordan(
     g: SignedRibbonGraph, max_edges: int = BR_MAX_EDGES
 ) -> Laurent:
@@ -159,17 +126,30 @@ def bollobas_riordan(
 def tutte_via_br(g: SignedRibbonGraph, max_edges: int = BR_MAX_EDGES) -> Laurent:
     """Tutte polynomial of the underlying signed graph: R(x-1, y-1, 1).
 
-    Only meaningful when the shifted substitution stays polynomial; for
-    graphs whose sign pattern produces half-integer or negative powers
-    of x or y the underlying exceptions propagate.
+    The shift needs nonnegative integer powers of x and y in R, which
+    every all-positive graph has.  Negative edges can give half-integer
+    or negative powers; some sign patterns still shift cleanly.
+
+    Raises:
+        FractionalExponent, NegativeExponentNonUnit: R has a power of x
+            or y the shift cannot take; the message names the negative
+            edges.
     """
     p = bollobas_riordan(g, max_edges)
     one = Laurent.const(RING_XYZ, 1)
     p = p.substitute("z", one)
     x = Laurent.monomial(RING_XYZ, (2, 0, 0))
     y = Laurent.monomial(RING_XYZ, (0, 2, 0))
-    p = p.substitute("x", x - 1)
-    p = p.substitute("y", y - 1)
+    try:
+        p = p.substitute("x", x - 1)
+        p = p.substitute("y", y - 1)
+    except (FractionalExponent, NegativeExponentNonUnit) as err:
+        negative = " ".join(l for l in g.edge_labels if g.signs[l] < 0)
+        raise type(err)(
+            "the Tutte shift R(x-1, y-1, 1) needs nonnegative integer "
+            f"exponents of x and y, and the negative edges {negative} "
+            f"break it: {err}"
+        ) from err
     return p.project(RING_XY, (0, 1))
 
 

@@ -2,6 +2,23 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "RibbonGraphError",
+    "ParseError",
+    "DuplicateLabelCount",
+    "InvalidLabel",
+    "InvalidState",
+    "UnknownSign",
+    "UnknownEdge",
+    "PositionOutOfRange",
+    "TooManyEdges",
+    "TooManyCrossings",
+    "DanglingCrossing",
+    "RoleConflict",
+    "FractionalExponent",
+    "NegativeExponentNonUnit",
+]
+
 
 class RibbonGraphError(Exception):
     """Base class for all errors raised by this package."""

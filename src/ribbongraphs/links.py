@@ -18,7 +18,6 @@ graph whose edges are the crossings (sign +1 for A, -1 for B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .br import _subgraph_profiles
@@ -37,7 +36,6 @@ from .ribbon import Occurrence, SignedRibbonGraph, _LABEL_BAD, _TOKEN_RE, _trace
 __all__ = [
     "Pass",
     "VirtualLinkDiagram",
-    "StateExpansion",
     "parse_gauss",
     "serialize_gauss",
     "writhe",
@@ -151,23 +149,6 @@ def writhe(d: VirtualLinkDiagram) -> int:
     return sum(d.signs.values())
 
 
-@dataclass(frozen=True)
-class StateExpansion:
-    """Outcome of splitting every crossing of a diagram.
-
-    ``circles`` holds the traced state curves: per curve, the cyclic
-    sequence of crossings passed, each as an ``Occurrence`` whose flag
-    records the band arrow against the curve's traversal (retained so a
-    ribbon graph can be assembled without re-tracing).  Components with
-    no crossings contribute empty curves.
-    """
-
-    alpha: int
-    beta: int
-    delta: int
-    circles: tuple[tuple[Occurrence, ...], ...]
-
-
 def _strand_edges(d: VirtualLinkDiagram) -> tuple[dict[int, int], int]:
     """Pair strand ends; ends are numbered 4j.. 4j+3 per sorted crossing:
     over-in, over-out, under-in, under-out."""
@@ -189,8 +170,13 @@ def _strand_edges(d: VirtualLinkDiagram) -> tuple[dict[int, int], int]:
 
 def resolve_state(
     d: VirtualLinkDiagram, state: Mapping[str, str]
-) -> StateExpansion:
+) -> tuple[tuple[Occurrence, ...], ...]:
     """Split every crossing per ``state`` and trace the closed curves.
+
+    Returns the state's closed curves, each the cyclic sequence of
+    crossings it passes, as ``Occurrence``s whose flags record the band
+    arrow against the curve's traversal.  A component with no crossings
+    is an empty curve.
 
     ``state`` maps each crossing id to "A" or "B".  The A-splitting at a
     positive crossing (and the B-splitting at a negative one) joins each
@@ -229,10 +215,7 @@ def resolve_state(
         for cycle in _trace(strand, smooth, sorted(strand))
     ]
     circles.extend(() for _ in range(empties))
-    alpha = sum(is_a)
-    return StateExpansion(
-        alpha=alpha, beta=len(ids) - alpha, delta=len(circles), circles=tuple(circles)
-    )
+    return tuple(circles)
 
 
 def kauffman_bracket(
@@ -300,9 +283,8 @@ def state_ribbon_graph(
 ) -> SignedRibbonGraph:
     """Ribbon graph of a state: state curves become vertices, crossings
     become edges signed +1 for an A-splitting and -1 for B."""
-    ex = resolve_state(d, state)
     signs = {cid: (1 if state[cid] == "A" else -1) for cid in d.crossing_ids}
-    return SignedRibbonGraph(ex.circles, signs)
+    return SignedRibbonGraph(resolve_state(d, state), signs)
 
 
 # ----------------------------------------------------------------------

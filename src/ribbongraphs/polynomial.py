@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-import re
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence
 
-from .errors import FractionalExponent, NegativeExponentNonUnit, ParseError
+from .errors import FractionalExponent, NegativeExponentNonUnit
 
 __all__ = [
     "Ring",
@@ -29,9 +28,7 @@ __all__ = [
     "RING_ABD",
     "RING_T",
     "Laurent",
-    "monomial",
     "restrict_duality_surface",
-    "parse_poly",
 ]
 
 
@@ -48,7 +45,6 @@ RING_ABD = Ring(("A", "B", "d"), (1, 1, 1))
 RING_T = Ring(("t",), (4,))
 
 Key = tuple[int, ...]
-MonomialImage = tuple[int, Sequence[Union[int, Fraction]]]
 
 
 class Laurent:
@@ -220,62 +216,6 @@ class Laurent:
             result = result + Laurent(self.ring, bucket) * power
         return result
 
-    def monomial_map(
-        self, target: Ring, images: Sequence[MonomialImage]
-    ) -> "Laurent":
-        """Apply a multiplicative substitution sending each variable to a
-        signed monomial of ``target``.
-
-        ``images[i]`` is ``(coeff, exponents)`` with ``coeff`` +-1 and actual
-        (unscaled) exponents per target variable.  Exponent arithmetic is done
-        in exact fractions; the result must land on the target lattice.
-        """
-        for coeff, _ in images:
-            if coeff not in (1, -1):
-                raise ValueError("monomial images must have coefficient +1 or -1")
-        out: dict[Key, int] = {}
-        width = len(target.names)
-        for key, coeff in self.terms.items():
-            src = [Fraction(u, s) for u, s in zip(key, self.ring.scales)]
-            dst = [Fraction(0)] * width
-            sign = 1
-            for e, (im_coeff, im_exps) in zip(src, images):
-                if e == 0:
-                    continue
-                if im_coeff == -1:
-                    if e.denominator != 1:
-                        raise FractionalExponent(
-                            f"cannot raise a negative monomial to power {e}"
-                        )
-                    if e.numerator % 2:
-                        sign = -sign
-                for j, im_e in enumerate(im_exps):
-                    dst[j] += e * Fraction(im_e)
-            new_key = []
-            for j, e in enumerate(dst):
-                scaled = e * target.scales[j]
-                if scaled.denominator != 1:
-                    raise FractionalExponent(
-                        f"image exponent {e} of {target.names[j]} is off-lattice"
-                    )
-                new_key.append(int(scaled))
-            k = tuple(new_key)
-            new = out.get(k, 0) + sign * coeff
-            if new:
-                out[k] = new
-            else:
-                out.pop(k, None)
-        return Laurent(target, out)
-
-    def permute_vars(self, perm: Sequence[int]) -> "Laurent":
-        """Move the exponent of old variable ``perm[i]`` into slot i."""
-        if tuple(self.ring.scales[i] for i in perm) != self.ring.scales:
-            raise ValueError("permutation must preserve exponent scales")
-        return Laurent(
-            self.ring,
-            {tuple(key[i] for i in perm): c for key, c in self.terms.items()},
-        )
-
     def project(self, target: Ring, keep: Sequence[int]) -> "Laurent":
         """Drop variables not listed in ``keep``; they must not occur."""
         for key in self.terms:
@@ -339,7 +279,10 @@ class Laurent:
         return sorted(self.terms.items(), key=rank, reverse=True)
 
     def render(self) -> str:
-        """Deterministic text form; see :func:`parse_poly` for the grammar."""
+        """Deterministic text form: per term a coefficient and factors
+        joined by ``*``, each power other than 1 written ``^p``, ``^(-p)``
+        or ``^(p/q)``.  Terms run by ascending exponent in one variable,
+        by descending total degree otherwise."""
         parts: list[str] = []
         for key, coeff in self._ordered_terms():
             factors = []
@@ -370,155 +313,17 @@ class Laurent:
         return " ".join(parts) if parts else "0"
 
 
-def monomial(ring: Ring, key: Sequence[int], coeff: int = 1) -> Laurent:
-    """Single-term polynomial from a scaled exponent tuple."""
-    return Laurent.monomial(ring, key, coeff)
-
-
-_RESTRICT_IMAGES: list[MonomialImage] = [
-    (1, (1, 0)),
-    (1, (0, 1)),
-    (1, (Fraction(-1, 2), Fraction(-1, 2))),
-]
-
-
 def restrict_duality_surface(p: Laurent) -> Laurent:
     """Restrict a three-variable polynomial to the surface x*y*z^2 = 1.
 
     Eliminates z via z = x^(-1/2) y^(-1/2), mapping each term
-    x^a y^b z^c to x^(a - c/2) y^(b - c/2).
+    x^a y^b z^c to x^(a - c/2) y^(b - c/2): the scaled key (2a, 2b, c)
+    becomes (2a - c, 2b - c).  Terms whose images meet are summed.
     """
     if p.ring != RING_XYZ:
         raise ValueError("restriction is defined on the (x, y, z) ring")
-    return p.monomial_map(RING_XY, _RESTRICT_IMAGES)
-
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[\^*+()/-]))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos and not text[pos:].strip():
-            break
-        if not m.group(0).strip():
-            pos = m.end()
-            continue
-        if m.lastgroup is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", 1, pos + 1)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup) + 1))
-        pos = m.end()
-    rest = text[pos:].strip()
-    if rest:
-        raise ParseError(f"unexpected character {rest[0]!r}", 1, pos + 1)
-    return tokens
-
-
-def parse_poly(text: str, ring: Ring) -> Laurent:
-    """Parse the output of :meth:`Laurent.render`.
-
-    Grammar: terms joined by + or -; a term is *-separated factors; a factor
-    is an integer, a variable, or a variable with ^E where E is a bare
-    nonnegative integer or a parenthesized integer or fraction.
-    """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial", 1, 1)
-    idx = 0
-
-    def peek() -> tuple[str, str, int] | None:
-        return tokens[idx] if idx < len(tokens) else None
-
-    def take() -> tuple[str, str, int]:
-        nonlocal idx
-        tok = peek()
-        if tok is None:
-            last = tokens[-1]
-            raise ParseError("unexpected end of input", 1, last[2])
-        idx += 1
-        return tok
-
-    def parse_exponent(col: int) -> Fraction:
-        kind, val, c = take()
-        if kind == "int":
-            return Fraction(int(val))
-        if kind == "op" and val == "(":
-            sign = 1
-            kind, val, c = take()
-            if kind == "op" and val == "-":
-                sign = -1
-                kind, val, c = take()
-            if kind != "int":
-                raise ParseError("expected integer exponent", 1, c)
-            num = int(val)
-            den = 1
-            tok = peek()
-            if tok and tok[0] == "op" and tok[1] == "/":
-                take()
-                kind, val, c = take()
-                if kind != "int":
-                    raise ParseError("expected denominator", 1, c)
-                den = int(val)
-                if den == 0:
-                    raise ParseError("zero denominator", 1, c)
-            kind, val, c = take()
-            if not (kind == "op" and val == ")"):
-                raise ParseError("expected ')'", 1, c)
-            return Fraction(sign * num, den)
-        raise ParseError("expected exponent", 1, col)
-
-    terms: dict[Key, int] = {}
-    width = len(ring.names)
-    while True:
-        sign = 1
-        tok = peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            take()
-            sign = -1 if tok[1] == "-" else 1
-        coeff = sign
-        key = [Fraction(0)] * width
-        saw_int = False
-        while True:
-            kind, val, col = take()
-            if kind == "int":
-                coeff *= int(val)
-                saw_int = True
-            elif kind == "name":
-                if val not in ring.names:
-                    raise ParseError(f"unknown variable {val!r}", 1, col)
-                i = ring.names.index(val)
-                exp = Fraction(1)
-                tok = peek()
-                if tok and tok[0] == "op" and tok[1] == "^":
-                    take()
-                    exp = parse_exponent(col)
-                key[i] += exp
-            else:
-                raise ParseError(f"unexpected token {val!r}", 1, col)
-            tok = peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                take()
-                continue
-            break
-        if not saw_int and all(u == 0 for u in key) and coeff in (1, -1):
-            # a bare sign with no factors is malformed, e.g. "x + "
-            last = tokens[idx - 1] if idx else (None, None, 1)
-            raise ParseError("empty term", 1, last[2])
-        scaled = []
-        for u, s, name in zip(key, ring.scales, ring.names):
-            su = u * s
-            if su.denominator != 1:
-                raise ParseError(f"exponent {u} of {name} is off-lattice", 1, 1)
-            scaled.append(int(su))
-        k = tuple(scaled)
-        terms[k] = terms.get(k, 0) + coeff
-        tok = peek()
-        if tok is None:
-            break
-        if not (tok[0] == "op" and tok[1] in "+-"):
-            raise ParseError(f"unexpected token {tok[1]!r}", 1, tok[2])
-    return Laurent(ring, terms)
+    out: dict[Key, int] = {}
+    for (a, b, c), coeff in p.terms.items():
+        key = (a - c, b - c)
+        out[key] = out.get(key, 0) + coeff
+    return Laurent(RING_XY, out)

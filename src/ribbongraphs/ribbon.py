@@ -32,14 +32,11 @@ from .errors import (
 
 __all__ = [
     "Occurrence",
-    "Corner",
-    "BoundaryWalk",
     "GraphStats",
     "SignedRibbonGraph",
     "parse_ribbon_graph",
     "serialize_ribbon_graph",
     "components",
-    "boundary_components",
     "is_orientable",
     "stats",
     "canonical_form",
@@ -47,9 +44,6 @@ __all__ = [
     "disjoint_union",
     "one_point_join",
 ]
-
-TAIL = "tail"
-HEAD = "head"
 
 _LABEL_BAD = re.compile(r"[\s:'#]")
 
@@ -66,30 +60,6 @@ class Occurrence(NamedTuple):
 
     def token(self) -> str:
         return self.label + ("'" if self.against else "")
-
-
-class Corner(NamedTuple):
-    """Tail or head endpoint of one arrow occurrence.
-
-    ``occurrence`` is the global occurrence index in circle-major order.
-    """
-
-    occurrence: int
-    kind: str  # TAIL or HEAD
-
-
-@dataclass(frozen=True)
-class BoundaryWalk:
-    """One boundary component as an alternating corner/element walk.
-
-    ``elements[i]`` is what is traversed after ``corners[i]``: an
-    ``("arc", circle_index)`` free arc or a ``("side", label)`` ribbon
-    side.  An isolated vertex yields the walk with no corners and the
-    single element ``("vertex", circle_index)``.
-    """
-
-    corners: tuple[Corner, ...]
-    elements: tuple[tuple[str, int | str], ...]
 
 
 @dataclass(frozen=True)
@@ -414,35 +384,10 @@ def _bands(labels: list[str], subset) -> list[int]:
     return tau
 
 
-def boundary_components(g: SignedRibbonGraph) -> tuple[BoundaryWalk, ...]:
-    """Trace the boundary of the surface; one walk per component.
-
-    The boundary components are the cycles (:func:`_trace`) of the arc
-    matching, along the circles, and the side matching, along the edge
-    bands.  Walks start at their smallest corner and leave it along the
-    arc.  Isolated vertices append their own cornerless walks.
-    """
-    sigma, labels = _arcs(g)
-    circle_of = [ci for ci, circle in enumerate(g.circles) for _ in circle]
-    walks = [
-        BoundaryWalk(
-            tuple([Corner(c >> 1, HEAD if c & 1 else TAIL) for c in cycle]),
-            tuple(
-                [
-                    ("side", labels[c >> 1]) if step & 1 else ("arc", circle_of[c >> 1])
-                    for step, c in enumerate(cycle)
-                ]
-            ),
-        )
-        for cycle in _trace(sigma, _bands(labels, g.signs), range(len(sigma)))
-    ]
-    for ci, circle in enumerate(g.circles):
-        if not circle:
-            walks.append(BoundaryWalk((), (("vertex", ci),)))
-    return tuple(walks)
-
-
 def stats(g: SignedRibbonGraph) -> GraphStats:
+    """Numerical profile of ``g``.  Its f counts the boundary components:
+    the cycles (:func:`_trace`) of the arc matching and the sides of all
+    edges, plus one per empty circle."""
     v = g.num_vertices
     e = g.num_edges
     roots, orientable = _circle_union(g)

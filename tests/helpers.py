@@ -4,20 +4,31 @@ Random objects are drawn from explicitly seeded ``random.Random``
 instances so every test run sees the same corpus.  Builders that promise
 an edge of a particular class (bridge, trivial loop, ...) assert the
 promise via ``classify_edge`` at construction time.
+
+The oracles recompute by the slow, obvious route what the package
+computes by a fast one; the scripts under ``scripts/`` import some of
+them too.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, NamedTuple, Sequence, Union
 
-from ribbongraphs.br import SubgraphStats
 from ribbongraphs.duality import classify_edge
+from ribbongraphs.errors import FractionalExponent, ParseError
 from ribbongraphs.links import VirtualLinkDiagram, parse_gauss, resolve_state
-from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XYZ, Laurent
+from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XYZ, Laurent, Ring
 from ribbongraphs.ribbon import (
     Occurrence,
     SignedRibbonGraph,
+    _arcs,
+    _bands,
+    _trace,
     parse_ribbon_graph,
     stats,
 )
@@ -467,6 +478,35 @@ def arc_partial_dual(g: SignedRibbonGraph, edges) -> SignedRibbonGraph:
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class SubgraphStats:
+    """Profile of one spanning subgraph.
+
+    ``s2`` is twice the sign correction s(F), always an integer:
+    the count of negative edges inside F minus the count outside.
+    """
+
+    k: int
+    r: int
+    n: int
+    f: int
+    s2: int
+
+
+def subgraph_stats(g: SignedRibbonGraph, subset: Iterable[str]) -> SubgraphStats:
+    """Stats of the spanning subgraph keeping only ``subset`` edges, by
+    rebuilding it: the per-subset reference for the sweep of ``br``."""
+    keep = set(subset)
+    sub = stats(
+        SignedRibbonGraph(
+            [[o for o in circle if o.label in keep] for circle in g.circles],
+            {label: g.signs[label] for label in keep},
+        )
+    )
+    s2 = sum(1 if l in keep else -1 for l, sign in g.signs.items() if sign < 0)
+    return SubgraphStats(k=sub.k, r=sub.r, n=sub.n, f=sub.f, s2=s2)
+
+
 class SubsetEngine:
     """Stats of one spanning subgraph per bitmask, rebuilt from scratch:
     the per-mask reference for the incremental sweep of ``br``.
@@ -578,12 +618,20 @@ def all_states(d: VirtualLinkDiagram):
         yield {cid: ("B" if mask >> i & 1 else "A") for i, cid in enumerate(ids)}
 
 
+def state_counts(d: VirtualLinkDiagram, state) -> tuple[int, int, int]:
+    """(alpha, beta, delta) of a state: its A- and B-splittings, and the
+    number of curves that :func:`ribbongraphs.links.resolve_state` traces."""
+    alpha = sum(1 for cid in d.crossing_ids if state[cid] == "A")
+    delta = len(resolve_state(d, state))
+    return alpha, d.num_crossings - alpha, delta
+
+
 def state_sum_bracket(d: VirtualLinkDiagram) -> Laurent:
     """Kauffman bracket by tracing the curves of every state."""
     terms: dict[tuple[int, int, int], int] = {}
     for state in all_states(d):
-        ex = resolve_state(d, state)
-        key = (ex.alpha, ex.beta, ex.delta - 1)
+        alpha, beta, delta = state_counts(d, state)
+        key = (alpha, beta, delta - 1)
         terms[key] = terms.get(key, 0) + 1
     return Laurent(RING_ABD, terms)
 
@@ -596,3 +644,266 @@ def jones_from_bracket(bracket: Laurent, w: int) -> Laurent:
     for (a, b, dd), coeff in bracket.terms.items():
         total = total + Laurent(RING_T, {(b - a,): coeff}) * loop**dd
     return total * Laurent(RING_T, {(3 * w,): (-1) ** (w & 1)})
+
+
+# ----------------------------------------------------------------------
+# boundary walks
+# ----------------------------------------------------------------------
+
+TAIL = "tail"
+HEAD = "head"
+
+
+class Corner(NamedTuple):
+    """Tail or head endpoint of one arrow occurrence.
+
+    ``occurrence`` is the global occurrence index in circle-major order.
+    """
+
+    occurrence: int
+    kind: str  # TAIL or HEAD
+
+
+@dataclass(frozen=True)
+class BoundaryWalk:
+    """One boundary component as an alternating corner/element walk.
+
+    ``elements[i]`` is what is traversed after ``corners[i]``: an
+    ``("arc", circle_index)`` free arc or a ``("side", label)`` ribbon
+    side.  An isolated vertex yields the walk with no corners and the
+    single element ``("vertex", circle_index)``.
+    """
+
+    corners: tuple[Corner, ...]
+    elements: tuple[tuple[str, int | str], ...]
+
+
+def boundary_components(g: SignedRibbonGraph) -> tuple[BoundaryWalk, ...]:
+    """Trace the boundary of the surface; one walk per component.
+
+    The boundary components are the cycles (``ribbon._trace``) of the
+    arc matching, along the circles, and the side matching, along the
+    edge bands: the cycles whose number is f in ``stats``.  Walks start
+    at their smallest corner and leave it along the arc.  Isolated
+    vertices append their own cornerless walks.
+    """
+    sigma, labels = _arcs(g)
+    circle_of = [ci for ci, circle in enumerate(g.circles) for _ in circle]
+    walks = [
+        BoundaryWalk(
+            tuple([Corner(c >> 1, HEAD if c & 1 else TAIL) for c in cycle]),
+            tuple(
+                [
+                    ("side", labels[c >> 1]) if step & 1 else ("arc", circle_of[c >> 1])
+                    for step, c in enumerate(cycle)
+                ]
+            ),
+        )
+        for cycle in _trace(sigma, _bands(labels, g.signs), range(len(sigma)))
+    ]
+    for ci, circle in enumerate(g.circles):
+        if not circle:
+            walks.append(BoundaryWalk((), (("vertex", ci),)))
+    return tuple(walks)
+
+
+# ----------------------------------------------------------------------
+# polynomial text and variable maps
+# ----------------------------------------------------------------------
+
+MonomialImage = tuple[int, Sequence[Union[int, Fraction]]]
+
+# x -> x, y -> y, z -> x^(-1/2) y^(-1/2): the restriction to x*y*z^2 = 1
+# as a monomial map, the reference for ``restrict_duality_surface``
+SURFACE_IMAGES: list[MonomialImage] = [
+    (1, (1, 0)),
+    (1, (0, 1)),
+    (1, (Fraction(-1, 2), Fraction(-1, 2))),
+]
+
+
+def monomial_map(
+    p: Laurent, target: Ring, images: Sequence[MonomialImage]
+) -> Laurent:
+    """Apply a multiplicative substitution sending each variable of
+    ``p`` to a signed monomial of ``target``.
+
+    ``images[i]`` is ``(coeff, exponents)`` with ``coeff`` +-1 and actual
+    (unscaled) exponents per target variable.  Exponent arithmetic is done
+    in exact fractions; the result must land on the target lattice.
+    """
+    for coeff, _ in images:
+        if coeff not in (1, -1):
+            raise ValueError("monomial images must have coefficient +1 or -1")
+    out: dict[tuple[int, ...], int] = {}
+    width = len(target.names)
+    for key, coeff in p.terms.items():
+        src = [Fraction(u, s) for u, s in zip(key, p.ring.scales)]
+        dst = [Fraction(0)] * width
+        sign = 1
+        for e, (im_coeff, im_exps) in zip(src, images):
+            if e == 0:
+                continue
+            if im_coeff == -1:
+                if e.denominator != 1:
+                    raise FractionalExponent(
+                        f"cannot raise a negative monomial to power {e}"
+                    )
+                if e.numerator % 2:
+                    sign = -sign
+            for j, im_e in enumerate(im_exps):
+                dst[j] += e * Fraction(im_e)
+        new_key = []
+        for j, e in enumerate(dst):
+            scaled = e * target.scales[j]
+            if scaled.denominator != 1:
+                raise FractionalExponent(
+                    f"image exponent {e} of {target.names[j]} is off-lattice"
+                )
+            new_key.append(int(scaled))
+        k = tuple(new_key)
+        new = out.get(k, 0) + sign * coeff
+        if new:
+            out[k] = new
+        else:
+            out.pop(k, None)
+    return Laurent(target, out)
+
+
+def permute_vars(p: Laurent, perm: Sequence[int]) -> Laurent:
+    """Move the exponent of old variable ``perm[i]`` into slot i."""
+    if tuple(p.ring.scales[i] for i in perm) != p.ring.scales:
+        raise ValueError("permutation must preserve exponent scales")
+    return Laurent(
+        p.ring,
+        {tuple(key[i] for i in perm): c for key, c in p.terms.items()},
+    )
+
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[\^*+()/-]))"
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m or m.end() == pos and not text[pos:].strip():
+            break
+        if not m.group(0).strip():
+            pos = m.end()
+            continue
+        if m.lastgroup is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", 1, pos + 1)
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup) + 1))
+        pos = m.end()
+    rest = text[pos:].strip()
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r}", 1, pos + 1)
+    return tokens
+def parse_poly(text: str, ring: Ring) -> Laurent:
+    """Parse the output of :meth:`Laurent.render`.
+
+    Grammar: terms joined by + or -; a term is *-separated factors; a factor
+    is an integer, a variable, or a variable with ^E where E is a bare
+    nonnegative integer or a parenthesized integer or fraction.
+    """
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial", 1, 1)
+    idx = 0
+
+    def peek() -> tuple[str, str, int] | None:
+        return tokens[idx] if idx < len(tokens) else None
+
+    def take() -> tuple[str, str, int]:
+        nonlocal idx
+        tok = peek()
+        if tok is None:
+            last = tokens[-1]
+            raise ParseError("unexpected end of input", 1, last[2])
+        idx += 1
+        return tok
+
+    def parse_exponent(col: int) -> Fraction:
+        kind, val, c = take()
+        if kind == "int":
+            return Fraction(int(val))
+        if kind == "op" and val == "(":
+            sign = 1
+            kind, val, c = take()
+            if kind == "op" and val == "-":
+                sign = -1
+                kind, val, c = take()
+            if kind != "int":
+                raise ParseError("expected integer exponent", 1, c)
+            num = int(val)
+            den = 1
+            tok = peek()
+            if tok and tok[0] == "op" and tok[1] == "/":
+                take()
+                kind, val, c = take()
+                if kind != "int":
+                    raise ParseError("expected denominator", 1, c)
+                den = int(val)
+                if den == 0:
+                    raise ParseError("zero denominator", 1, c)
+            kind, val, c = take()
+            if not (kind == "op" and val == ")"):
+                raise ParseError("expected ')'", 1, c)
+            return Fraction(sign * num, den)
+        raise ParseError("expected exponent", 1, col)
+
+    terms: dict[tuple[int, ...], int] = {}
+    width = len(ring.names)
+    while True:
+        sign = 1
+        tok = peek()
+        if tok and tok[0] == "op" and tok[1] in "+-":
+            take()
+            sign = -1 if tok[1] == "-" else 1
+        coeff = sign
+        key = [Fraction(0)] * width
+        saw_int = False
+        while True:
+            kind, val, col = take()
+            if kind == "int":
+                coeff *= int(val)
+                saw_int = True
+            elif kind == "name":
+                if val not in ring.names:
+                    raise ParseError(f"unknown variable {val!r}", 1, col)
+                i = ring.names.index(val)
+                exp = Fraction(1)
+                tok = peek()
+                if tok and tok[0] == "op" and tok[1] == "^":
+                    take()
+                    exp = parse_exponent(col)
+                key[i] += exp
+            else:
+                raise ParseError(f"unexpected token {val!r}", 1, col)
+            tok = peek()
+            if tok and tok[0] == "op" and tok[1] == "*":
+                take()
+                continue
+            break
+        if not saw_int and all(u == 0 for u in key) and coeff in (1, -1):
+            # a bare sign with no factors is malformed, e.g. "x + "
+            last = tokens[idx - 1] if idx else (None, None, 1)
+            raise ParseError("empty term", 1, last[2])
+        scaled = []
+        for u, s, name in zip(key, ring.scales, ring.names):
+            su = u * s
+            if su.denominator != 1:
+                raise ParseError(f"exponent {u} of {name} is off-lattice", 1, 1)
+            scaled.append(int(su))
+        k = tuple(scaled)
+        terms[k] = terms.get(k, 0) + coeff
+        tok = peek()
+        if tok is None:
+            break
+        if not (tok[0] == "op" and tok[1] in "+-"):
+            raise ParseError(f"unexpected token {tok[1]!r}", 1, tok[2])
+    return Laurent(ring, terms)

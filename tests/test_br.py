@@ -6,15 +6,18 @@ import pytest
 
 from ribbongraphs.br import (
     BR_MAX_EDGES,
-    SubgraphStats,
     bollobas_riordan,
     duality_invariant,
-    subgraph_stats,
     tutte_via_br,
 )
 from ribbongraphs.duality import delete_edge, partial_dual
 from ribbongraphs.errors import FractionalExponent, TooManyEdges
-from ribbongraphs.polynomial import RING_XY, RING_XYZ, Laurent, monomial, parse_poly
+from ribbongraphs.polynomial import (
+    RING_XY,
+    RING_XYZ,
+    Laurent,
+    restrict_duality_surface,
+)
 from ribbongraphs.ribbon import (
     SignedRibbonGraph,
     components,
@@ -24,9 +27,12 @@ from ribbongraphs.ribbon import (
 )
 
 from .helpers import (
+    SURFACE_IMAGES,
     all_subsets,
     graph_corpus,
     load_graph,
+    monomial_map,
+    subgraph_stats,
     subset_sum_br,
 )
 
@@ -178,6 +184,26 @@ class TestDualityInvariant:
     )
     def test_goldens(self, name, expected):
         assert duality_invariant(load_graph(name)).render() == expected
+
+    def test_direct_restriction_matches_monomial_map(self):
+        # The key map (a, b, c) -> (a - c, b - c) against the general
+        # Fraction-based monomial map, on R and on the shifted R that
+        # duality_invariant restricts.
+        collisions = 0
+        corpus = graph_corpus(83, 300, max_edges=10)
+        assert max(g.num_edges for g in corpus) == 10
+        for g in corpus:
+            s = stats(g)
+            r = bollobas_riordan(g)
+            shift = Laurent.monomial(RING_XYZ, (2 * s.k, 2 * s.v, s.v + 1))
+            for p in (r, shift * r):
+                fast = restrict_duality_surface(p)
+                slow = monomial_map(p, RING_XY, SURFACE_IMAGES)
+                assert fast == slow, g
+                assert fast.render() == slow.render()
+                # R has positive coefficients, so fewer terms means keys met
+                collisions += len(fast.terms) < len(p.terms)
+        assert collisions > 0
 
     def test_stable_under_partial_duals(self):
         for name in ("torus.rg", "klein.rg", "mobius.rg"):

@@ -97,6 +97,19 @@ class TestPolynomials:
         assert code == 2
         assert out == ""
 
+    def test_tutte_names_negative_edges(self, capsys, tmp_path):
+        # One negative edge puts s(F) = +-1/2 into every power of x in R,
+        # so the shift x -> x - 1 has no integer power to take.
+        path = tmp_path / "one_negative.rg"
+        path.write_text(
+            "edges: a:+ knot7:- c:+\ncircle: a knot7 c\ncircle: c knot7 a\n"
+        )
+        code, out, err = run(capsys, "tutte", str(path))
+        assert code == 2
+        assert out == ""
+        assert "nonnegative integer exponents" in err
+        assert "negative edges knot7 " in err
+
     @pytest.mark.parametrize("command", ["poly", "tutte", "invariant"])
     def test_guard_exit_3(self, capsys, tmp_path, command):
         labels = [f"e{i}" for i in range(25)]

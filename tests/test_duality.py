@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from ribbongraphs.br import subgraph_stats
 from ribbongraphs.duality import (
     DUAL_ORBIT_MAX_EDGES,
     EdgeClass,
@@ -27,6 +26,7 @@ from .helpers import (
     arc_partial_dual,
     graph_corpus,
     load_graph,
+    subgraph_stats,
     with_bridge,
     with_nontrivial_loop,
     with_ordinary,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ribbongraphs.br import bollobas_riordan, subgraph_stats, tutte_via_br
+from ribbongraphs.br import bollobas_riordan, tutte_via_br
 from ribbongraphs.duality import partial_dual
 from ribbongraphs.errors import (
     DanglingCrossing,
@@ -32,13 +32,7 @@ from ribbongraphs.links import (
     state_ribbon_graph,
     writhe,
 )
-from ribbongraphs.polynomial import (
-    RING_ABD,
-    RING_T,
-    RING_XYZ,
-    Laurent,
-    monomial,
-)
+from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XYZ, Laurent
 from ribbongraphs.ribbon import SignedRibbonGraph, is_isomorphic, stats
 
 from .helpers import (
@@ -46,31 +40,38 @@ from .helpers import (
     diagram_corpus,
     jones_from_bracket,
     load_diagram,
+    monomial_map,
     random_link,
+    state_counts,
     state_sum_bracket,
+    subgraph_stats,
 )
 
-A = monomial(RING_ABD, (1, 0, 0))
-B = monomial(RING_ABD, (0, 1, 0))
-d = monomial(RING_ABD, (0, 0, 1))
+A = Laurent.monomial(RING_ABD, (1, 0, 0))
+B = Laurent.monomial(RING_ABD, (0, 1, 0))
+d = Laurent.monomial(RING_ABD, (0, 0, 1))
 
 
 def tq(q: int) -> Laurent:
     """Monomial t^(q/4)."""
-    return monomial(RING_T, (q,))
+    return Laurent.monomial(RING_T, (q,))
 
 
 def bracket_via_graph(diag, state):
     """Right side of the bracket identity, from the state graph."""
     g = state_ribbon_graph(diag, state)
     s = stats(g)
-    shifted = monomial(RING_XYZ, (2 * s.k, 2 * s.v, s.v + 1)) * bollobas_riordan(g)
+    shifted = Laurent.monomial(
+        RING_XYZ, (2 * s.k, 2 * s.v, s.v + 1)
+    ) * bollobas_riordan(g)
     images = [
         (1, (Fraction(1), Fraction(-1), Fraction(1))),  # x -> A d / B
         (1, (Fraction(-1), Fraction(1), Fraction(1))),  # y -> B d / A
         (1, (Fraction(0), Fraction(0), Fraction(-1))),  # z -> 1 / d
     ]
-    return monomial(RING_ABD, (s.e, 0, 0)) * shifted.monomial_map(RING_ABD, images)
+    return Laurent.monomial(RING_ABD, (s.e, 0, 0)) * monomial_map(
+        shifted, RING_ABD, images
+    )
 
 
 class TestParsing:
@@ -143,10 +144,8 @@ class TestStates:
 
     def test_resolve_counts(self):
         kink = load_diagram("kink.gauss")
-        ex = resolve_state(kink, {"1": "A"})
-        assert (ex.alpha, ex.beta, ex.delta) == (1, 0, 2)
-        ex = resolve_state(kink, {"1": "B"})
-        assert (ex.alpha, ex.beta, ex.delta) == (0, 1, 1)
+        assert state_counts(kink, {"1": "A"}) == (1, 0, 2)
+        assert state_counts(kink, {"1": "B"}) == (0, 1, 1)
 
     def test_bad_state_is_a_package_error(self):
         kink = load_diagram("kink.gauss")
@@ -158,8 +157,7 @@ class TestStates:
 
     def test_empty_component_counts_as_circle(self):
         diag = parse_gauss("")
-        ex = resolve_state(diag, {})
-        assert (ex.alpha, ex.beta, ex.delta) == (0, 0, 1)
+        assert state_counts(diag, {}) == (0, 0, 1)
 
 
 class TestStateRibbonGraphs:
@@ -191,7 +189,7 @@ class TestStateRibbonGraphs:
                     c: (("B" if base[c] == "A" else "A") if c in subset else base[c])
                     for c in ids
                 }
-                assert resolve_state(diag, flipped).delta == subgraph_stats(g, subset).f
+                assert len(resolve_state(diag, flipped)) == subgraph_stats(g, subset).f
 
     def test_state_graphs_are_partial_duals(self):
         for name in ("two_crossing", "trefoil", "hopf", "worked_example"):
@@ -347,7 +345,7 @@ class TestClassicalReducedBracket:
             for (alpha, beta, delta), coeff in bracket.terms.items():
                 lhs += (
                     coeff
-                    * monomial(RING_ABD, (alpha - beta, 0, 0))
+                    * Laurent.monomial(RING_ABD, (alpha - beta, 0, 0))
                     * E ** (delta + gamma)
                 )
             x_img = Laurent(RING_ABD, {(4, 0, 0): -1}) - Laurent.const(RING_ABD, 1)
@@ -361,7 +359,7 @@ class TestClassicalReducedBracket:
                     * y_img ** (b2 // 2)
                     * E ** (gamma - c)
                 )
-            rhs *= monomial(
+            rhs *= Laurent.monomial(
                 RING_ABD, (diag.num_crossings + 2 - 2 * gstats.v, 0, 0)
             )
             assert lhs == rhs, name

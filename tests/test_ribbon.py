@@ -18,7 +18,6 @@ from ribbongraphs.errors import (
 from ribbongraphs.ribbon import (
     Occurrence,
     SignedRibbonGraph,
-    boundary_components,
     canonical_form,
     components,
     disjoint_union,
@@ -34,6 +33,7 @@ from ribbongraphs.errors import PositionOutOfRange
 from .helpers import (
     FIXTURES,
     backtrack_isomorphic,
+    boundary_components,
     graph_corpus,
     load_graph,
     random_graph,

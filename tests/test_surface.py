@@ -1,0 +1,77 @@
+"""The public surface: the README's table, each module's ``__all__`` and
+the package root agree, and names moved into the tests stay out of the
+package."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import ribbongraphs
+from ribbongraphs.polynomial import Laurent
+
+from . import helpers
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# (old home, name, its name in tests.helpers, or None when callers use
+# a replacement: Laurent.monomial, and the tuple of state curves that
+# resolve_state now returns)
+REMOVED = [
+    ("polynomial", "monomial", None),
+    ("polynomial", "parse_poly", "parse_poly"),
+    ("polynomial", "_TOKEN", "_TOKEN"),
+    ("polynomial", "_tokenize", "_tokenize"),
+    ("polynomial", "_RESTRICT_IMAGES", "SURFACE_IMAGES"),
+    ("polynomial", "MonomialImage", "MonomialImage"),
+    ("polynomial.Laurent", "monomial_map", "monomial_map"),
+    ("polynomial.Laurent", "permute_vars", "permute_vars"),
+    ("br", "subgraph_stats", "subgraph_stats"),
+    ("br", "SubgraphStats", "SubgraphStats"),
+    ("links", "StateExpansion", None),
+    ("ribbon", "boundary_components", "boundary_components"),
+    ("ribbon", "BoundaryWalk", "BoundaryWalk"),
+    ("ribbon", "Corner", "Corner"),
+    ("ribbon", "TAIL", "TAIL"),
+    ("ribbon", "HEAD", "HEAD"),
+]
+
+
+def readme_rows() -> list[tuple[str, list[str]]]:
+    """(module, names) per row of the README's "Public names" table."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Public names\n", 1)[1].split("\n#", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        m = re.fullmatch(r"\| `(\w+)` \| (.+) \|", line)
+        if m:
+            rows.append((m.group(1), re.findall(r"`(\w+)`", m.group(2))))
+    return rows
+
+
+def test_root_all_is_readme_list():
+    rows = readme_rows()
+    modules = ["ribbon", "duality", "polynomial", "br", "links", "errors"]
+    assert [module for module, _ in rows] == modules
+    assert ribbongraphs.__all__ == [name for _, names in rows for name in names]
+
+
+@pytest.mark.parametrize("module, names", readme_rows())
+def test_readme_names_resolve(module, names):
+    home = importlib.import_module(f"ribbongraphs.{module}")
+    assert home.__all__ == names
+    for name in names:
+        assert getattr(ribbongraphs, name) is getattr(home, name)
+
+
+@pytest.mark.parametrize("home, name, moved_to", REMOVED)
+def test_removed_names_are_gone(home, name, moved_to):
+    if home == "polynomial.Laurent":
+        owner = Laurent
+    else:
+        owner = importlib.import_module(f"ribbongraphs.{home}")
+    assert not hasattr(owner, name)
+    assert not hasattr(ribbongraphs, name)
+    if moved_to is not None:
+        assert hasattr(helpers, moved_to)
