@@ -97,18 +97,16 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
         j += 1
 
 
-def bollobas_riordan(
-    g: SignedRibbonGraph, max_edges: int = BR_MAX_EDGES
-) -> Laurent:
+def bollobas_riordan(g: SignedRibbonGraph) -> Laurent:
     """The signed three-variable polynomial of ``g`` by state sum.
 
     Raises:
-        TooManyEdges: more than ``max_edges`` edges.
+        TooManyEdges: more than ``BR_MAX_EDGES`` edges.
     """
     e = g.num_edges
-    if e > max_edges:
+    if e > BR_MAX_EDGES:
         raise TooManyEdges(
-            f"{e} edges exceed the state-sum guard of {max_edges} (2^{e} subsets)"
+            f"{e} edges exceed the state-sum guard of {BR_MAX_EDGES} (2^{e} subsets)"
         )
     v = g.num_vertices
     r_g = v - len(components(g))
@@ -123,7 +121,7 @@ def bollobas_riordan(
     return Laurent(RING_XYZ, terms)
 
 
-def tutte_via_br(g: SignedRibbonGraph, max_edges: int = BR_MAX_EDGES) -> Laurent:
+def tutte_via_br(g: SignedRibbonGraph) -> Laurent:
     """Tutte polynomial of the underlying signed graph: R(x-1, y-1, 1).
 
     The shift needs nonnegative integer powers of x and y in R, which
@@ -135,7 +133,7 @@ def tutte_via_br(g: SignedRibbonGraph, max_edges: int = BR_MAX_EDGES) -> Laurent
             or y the shift cannot take; the message names the negative
             edges.
     """
-    p = bollobas_riordan(g, max_edges)
+    p = bollobas_riordan(g)
     one = Laurent.const(RING_XYZ, 1)
     p = p.substitute("z", one)
     x = Laurent.monomial(RING_XYZ, (2, 0, 0))
@@ -153,9 +151,7 @@ def tutte_via_br(g: SignedRibbonGraph, max_edges: int = BR_MAX_EDGES) -> Laurent
     return p.project(RING_XY, (0, 1))
 
 
-def duality_invariant(
-    g: SignedRibbonGraph, max_edges: int = BR_MAX_EDGES
-) -> Laurent:
+def duality_invariant(g: SignedRibbonGraph) -> Laurent:
     """The duality-stable transform: restrict x^k y^v z^(v+1) R to xyz²=1.
 
     Partial duals of ``g`` with respect to any edge subset share this
@@ -165,4 +161,4 @@ def duality_invariant(
     prefactor = Laurent.monomial(
         RING_XYZ, (2 * st.k, 2 * st.v, st.v + 1)
     )
-    return restrict_duality_surface(prefactor * bollobas_riordan(g, max_edges))
+    return restrict_duality_surface(prefactor * bollobas_riordan(g))

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .br import bollobas_riordan, duality_invariant, tutte_via_br
+from .br import BR_MAX_EDGES, bollobas_riordan, duality_invariant, tutte_via_br
 from .duality import dual_orbit, partial_dual
 from .errors import RibbonGraphError, TooManyCrossings, TooManyEdges, UnknownEdge
 from .links import (
@@ -33,7 +33,6 @@ from .ribbon import (
     stats,
 )
 
-VERIFY_EXHAUSTIVE_MAX_EDGES = 12
 VERIFY_DEFAULT_SAMPLES = 200
 
 
@@ -78,16 +77,16 @@ def cmd_dual(args: argparse.Namespace) -> tuple[int, str]:
     return 0, serialize_ribbon_graph(partial_dual(g, subset))
 
 
-def cmd_poly(args: argparse.Namespace) -> tuple[int, str]:
-    return 0, bollobas_riordan(_load_graph(args.file)).render() + "\n"
+def _polynomial(parse, compute):
+    """The subcommand printing ``compute`` of the parsed input file."""
+    return lambda args: (0, compute(parse(_read_text(args.file))).render() + "\n")
 
 
-def cmd_tutte(args: argparse.Namespace) -> tuple[int, str]:
-    return 0, tutte_via_br(_load_graph(args.file)).render() + "\n"
-
-
-def cmd_invariant(args: argparse.Namespace) -> tuple[int, str]:
-    return 0, duality_invariant(_load_graph(args.file)).render() + "\n"
+cmd_poly = _polynomial(parse_ribbon_graph, bollobas_riordan)
+cmd_tutte = _polynomial(parse_ribbon_graph, tutte_via_br)
+cmd_invariant = _polynomial(parse_ribbon_graph, duality_invariant)
+cmd_bracket = _polynomial(parse_gauss, kauffman_bracket)
+cmd_jones = _polynomial(parse_gauss, jones)
 
 
 def cmd_duals(args: argparse.Namespace) -> tuple[int, str]:
@@ -110,89 +109,96 @@ def _verify_duality(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
 
 
 def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
-    lines: list[str] = []
-    ok = True
     base = stats(g)
     form = canonical_form(g)
+    # The composition chain of a subset dualises g on one edge at a time,
+    # in sorted label order.  It extends the stored chain of its longest
+    # stored prefix, in mask order the one a label shorter: one call per
+    # subset.  Chains that can grow, those without the last label, are
+    # stored while they hold fewer edges than the largest exhaustive run
+    # stores, 2^(h-1) chains of h = BR_MAX_EDGES / 2 edges.
+    chains = {frozenset(): g}
+    last = max(g.signs, default="")
+    half = BR_MAX_EDGES // 2
+    room = (half << half - 1) // max(g.num_edges, 1)
+    lines: list[str] = []
     previous: frozenset[str] | None = None
     previous_dual = g
     for subset in subsets:
+        missing, prefix = [], subset
+        while prefix not in chains:
+            missing.append(max(prefix))
+            prefix = prefix - {missing[-1]}
+        chain = chains[prefix]
+        for label in reversed(missing):
+            prefix = prefix | {label}
+            chain = partial_dual(chain, {label})
+            if label != last and len(chains) < room:
+                chains[prefix] = chain
         h = partial_dual(g, subset)
-        h_form = canonical_form(h)
-        name = ",".join(sorted(subset)) or "{}"
-        if canonical_form(partial_dual(h, subset)) != form:
-            ok = False
-            lines.append(f"FAIL involution subset={name}")
-        step = g
-        for label in sorted(subset):
-            step = partial_dual(step, {label})
-        if canonical_form(step) != h_form:
-            ok = False
-            lines.append(f"FAIL composition subset={name}")
         hs = stats(h)
-        if hs.k != base.k:
-            ok = False
-            lines.append(f"FAIL components subset={name}")
-        if hs.orientable != base.orientable:
-            ok = False
-            lines.append(f"FAIL orientability subset={name}")
+        checks = {
+            "involution": canonical_form(partial_dual(h, subset)) == form,
+            "composition": canonical_form(chain) == canonical_form(h),
+            "components": hs.k == base.k,
+            "orientability": hs.orientable == base.orientable,
+        }
         if previous is not None:
-            chained = partial_dual(previous_dual, subset)
-            direct = partial_dual(g, previous ^ subset)
-            if canonical_form(chained) != canonical_form(direct):
-                ok = False
-                lines.append(f"FAIL symmetric-difference subset={name}")
+            chained = canonical_form(partial_dual(previous_dual, subset))
+            direct = canonical_form(partial_dual(g, previous ^ subset))
+            checks["symmetric-difference"] = chained == direct
+        name = ",".join(sorted(subset)) or "{}"
+        lines += [f"FAIL {c} subset={name}" for c, ok in checks.items() if not ok]
         previous, previous_dual = subset, h
-    return ok, lines
+    return not lines, lines
 
 
-def _subset_pool(g: SignedRibbonGraph, samples: int, seed: int):
-    labels = sorted(g.signs)
-    if len(labels) <= VERIFY_EXHAUSTIVE_MAX_EDGES:
-        for mask in range(1 << len(labels)):
-            yield frozenset(l for i, l in enumerate(labels) if mask >> i & 1)
-        return
+def _subset_pool(
+    g: SignedRibbonGraph, samples: int, seed: int
+) -> tuple[int, Iterator[frozenset[str]]]:
+    """How many subsets ``verify`` checks, and a lazy iterator over them:
+    all 2^e in mask order when 2e <= ``BR_MAX_EDGES``, otherwise
+    ``samples`` seeded draws."""
+    labels = g.edge_labels
+    if 2 * len(labels) <= BR_MAX_EDGES:
+        masks = range(1 << len(labels))
+        return len(masks), (
+            frozenset(l for i, l in enumerate(labels) if m >> i & 1) for m in masks
+        )
     rng = random.Random(seed)
-    for _ in range(samples):
-        yield frozenset(l for l in labels if rng.random() < 0.5)
+    draws = (frozenset(l for l in labels if rng.random() < 0.5) for _ in range(samples))
+    return samples, draws
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+def _sample_count(text: str) -> int:
+    most = 1 << BR_MAX_EDGES // 2  # the subsets of the largest exhaustive run
+    if not 1 <= int(text) <= most:
+        raise argparse.ArgumentTypeError(f"must be from 1 to {most}, got {text}")
     return int(text)
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     g = _load_graph(args.file)
-    subsets = list(_subset_pool(g, args.samples, args.seed))
-    if args.mode == "duality":
-        ok, lines = _verify_duality(g, subsets)
-        label = "duality"
-    else:
-        ok, lines = _verify_lemmas(g, subsets)
-        label = "lemmas"
-    lines.append(f"{'PASS' if ok else 'FAIL'} {label} checked={len(subsets)}")
+    count, subsets = _subset_pool(g, args.samples, args.seed)
+    e = g.num_edges
+    # duality mode sweeps all 2^e subgraphs of each checked dual
+    if args.mode == "duality" and count << e > 1 << BR_MAX_EDGES:
+        raise TooManyEdges(
+            f"{count} subsets × 2^{e} subgraphs exceed the state-sum guard "
+            f"of 2^{BR_MAX_EDGES}"
+        )
+    check = _verify_duality if args.mode == "duality" else _verify_lemmas
+    ok, lines = check(g, subsets)
+    lines.append(f"{'PASS' if ok else 'FAIL'} {args.mode} checked={count}")
     return (0 if ok else 1), "\n".join(lines) + "\n"
-
-
-def cmd_bracket(args: argparse.Namespace) -> tuple[int, str]:
-    return 0, kauffman_bracket(parse_gauss(_read_text(args.file))).render() + "\n"
-
-
-def cmd_jones(args: argparse.Namespace) -> tuple[int, str]:
-    return 0, jones(parse_gauss(_read_text(args.file))).render() + "\n"
 
 
 def cmd_stategraph(args: argparse.Namespace) -> tuple[int, str]:
     d = parse_gauss(_read_text(args.file))
     selector = args.state
-    if selector == "seifert":
-        state = seifert_state(d)
-    elif selector == "all-A":
-        state = all_A_state(d)
-    elif selector == "all-B":
-        state = all_B_state(d)
+    named = {"seifert": seifert_state, "all-A": all_A_state, "all-B": all_B_state}
+    if selector in named:
+        state = named[selector](d)
     else:
         ids = d.crossing_ids
         if len(selector) != len(ids) or set(selector) - {"0", "1"}:
@@ -233,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("duality", "lemmas"), default="duality")
     p.add_argument(
         "--samples",
-        type=_positive_int,
+        type=_sample_count,
         default=VERIFY_DEFAULT_SAMPLES,
-        help="random subsets to draw when the graph has more than "
-        f"{VERIFY_EXHAUSTIVE_MAX_EDGES} edges",
+        help=f"random subsets to draw, 1 to {1 << BR_MAX_EDGES // 2}, when the "
+        f"graph has more than {BR_MAX_EDGES // 2} edges",
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     add("bracket", cmd_bracket, "Kauffman bracket of a Gauss-code diagram")

@@ -155,9 +155,7 @@ class OrbitClass:
     size: int
 
 
-def dual_orbit(
-    g: SignedRibbonGraph, max_edges: int = DUAL_ORBIT_MAX_EDGES
-) -> tuple[OrbitClass, ...]:
+def dual_orbit(g: SignedRibbonGraph) -> tuple[OrbitClass, ...]:
     """Partial duals over all edge subsets, up to unsigned isomorphism.
 
     Returns one class per isomorphism type, in first-seen bitmask order
@@ -166,13 +164,14 @@ def dual_orbit(
     their unsigned :func:`ribbongraphs.ribbon.canonical_form`.
 
     Raises:
-        TooManyEdges: more than ``max_edges`` edges.
+        TooManyEdges: more than ``DUAL_ORBIT_MAX_EDGES`` edges.
     """
     labels = g.edge_labels
     e = len(labels)
-    if e > max_edges:
+    if e > DUAL_ORBIT_MAX_EDGES:
         raise TooManyEdges(
-            f"{e} edges exceed the orbit guard of {max_edges} (2^{e} partial duals)"
+            f"{e} edges exceed the orbit guard of {DUAL_ORBIT_MAX_EDGES} "
+            f"(2^{e} partial duals)"
         )
     classes: dict[tuple, OrbitClass] = {}
     for mask in range(1 << e):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple
 
-from .br import _subgraph_profiles
+from .br import BR_MAX_EDGES, _subgraph_profiles
 from .errors import (
     DanglingCrossing,
     InvalidLabel,
@@ -46,10 +46,7 @@ __all__ = [
     "all_A_state",
     "all_B_state",
     "state_ribbon_graph",
-    "BRACKET_MAX_CROSSINGS",
 ]
-
-BRACKET_MAX_CROSSINGS = 20
 
 
 class Pass(NamedTuple):
@@ -218,9 +215,7 @@ def resolve_state(
     return tuple(circles)
 
 
-def kauffman_bracket(
-    d: VirtualLinkDiagram, max_crossings: int = BRACKET_MAX_CROSSINGS
-) -> Laurent:
+def kauffman_bracket(d: VirtualLinkDiagram) -> Laurent:
     """State sum of A^alpha B^beta d^(delta-1) over all splittings.
 
     Computed through the all-A state graph G: the state that splits the
@@ -229,12 +224,14 @@ def kauffman_bracket(
     over the same subset sweep as R(G), as A^(n-|F|) B^|F| d^(f(F)-1).
 
     Raises:
-        TooManyCrossings: more than ``max_crossings`` crossings.
+        TooManyCrossings: more than ``BR_MAX_EDGES`` crossings, the
+            limit of that sweep.
     """
     n = d.num_crossings
-    if n > max_crossings:
+    if n > BR_MAX_EDGES:
         raise TooManyCrossings(
-            f"{n} crossings exceed the guard of {max_crossings} (2^{n} states)"
+            f"{n} crossings exceed the state-sum guard of {BR_MAX_EDGES} "
+            f"(2^{n} states)"
         )
     terms: dict[tuple[int, int, int], int] = {}
     g = state_ribbon_graph(d, all_A_state(d))
@@ -244,14 +241,12 @@ def kauffman_bracket(
     return Laurent(RING_ABD, terms)
 
 
-def jones(
-    d: VirtualLinkDiagram, max_crossings: int = BRACKET_MAX_CROSSINGS
-) -> Laurent:
+def jones(d: VirtualLinkDiagram) -> Laurent:
     """Jones polynomial in t: the bracket at A=t^(-1/4), B=t^(1/4),
     d=-t^(1/2)-t^(-1/2), times the writhe factor (-1)^w t^(3w/4).  The
     bracket's terms are grouped by their power of d, so each power of
     the loop value is computed once."""
-    bracket = kauffman_bracket(d, max_crossings)
+    bracket = kauffman_bracket(d)
     by_loops: dict[int, dict[tuple[int], int]] = {}
     for (a, b, dd), coeff in bracket.terms.items():
         row = by_loops.setdefault(dd, {})

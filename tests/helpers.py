@@ -72,6 +72,15 @@ def graph_corpus(seed: int, count: int, max_edges: int = 6):
     return [random_graph(rng, max_edges) for _ in range(count)]
 
 
+def bouquet(e: int) -> SignedRibbonGraph:
+    """One circle carrying ``e`` positive trivial loops, each the two
+    adjacent occurrences of its edge."""
+    labels = [f"e{i}" for i in range(e)]
+    return SignedRibbonGraph(
+        [[(l, False) for l in labels for _ in range(2)]], dict.fromkeys(labels, 1)
+    )
+
+
 # ----------------------------------------------------------------------
 # guaranteed edge classes
 # ----------------------------------------------------------------------
@@ -245,6 +254,50 @@ def random_diagram(rng: random.Random, max_crossings: int = 4) -> VirtualLinkDia
 def diagram_corpus(seed: int, count: int, max_crossings: int = 4):
     rng = random.Random(seed)
     return [random_diagram(rng, max_crossings) for _ in range(count)]
+
+
+def braid_closure(
+    rng: random.Random, max_crossings: int = 6, max_strands: int = 3
+) -> VirtualLinkDiagram:
+    """Closure of a random braid word: a classical diagram.
+
+    Letter i crosses the strands at positions i and i + 1, the left one
+    passing over for a positive letter (sign +1) and under for a
+    negative one (sign -1); closing up joins each end to the start at
+    its position, so the components are the cycles of the braid's
+    permutation.  A strand no letter touches is an empty component."""
+    strands = rng.randint(1, max_strands)
+    at = list(range(strands))  # the strand at each position
+    passes: list[list[tuple[str, bool]]] = [[] for _ in range(strands)]
+    signs = {}
+    for n in range(rng.randint(0, max_crossings) if strands > 1 else 0):
+        i, sign = rng.randrange(strands - 1), rng.choice((1, -1))
+        cid = str(n + 1)
+        passes[at[i]].append((cid, sign > 0))
+        passes[at[i + 1]].append((cid, sign < 0))
+        at[i], at[i + 1] = at[i + 1], at[i]
+        signs[cid] = sign
+    ends = {s: p for p, s in enumerate(at)}  # strand s ends where s' starts
+    components, seen = [], set()
+    for start in range(strands):
+        if start in seen:
+            continue
+        comp, s = [], start
+        while s not in seen:
+            seen.add(s)
+            comp += passes[s]
+            s = ends[s]
+        components.append(comp)
+    return VirtualLinkDiagram(components, signs)
+
+
+def over_then_under(n: int) -> VirtualLinkDiagram:
+    """One strand passing over crossings 0..n-1, then under them in the
+    same order, every crossing positive."""
+    ids = [str(i) for i in range(n)]
+    return VirtualLinkDiagram(
+        [[(c, True) for c in ids] + [(c, False) for c in ids]], dict.fromkeys(ids, 1)
+    )
 
 
 def random_link(

@@ -29,6 +29,7 @@ from ribbongraphs.ribbon import (
 from .helpers import (
     SURFACE_IMAGES,
     all_subsets,
+    bouquet,
     graph_corpus,
     load_graph,
     monomial_map,
@@ -162,8 +163,9 @@ class TestBollobasRiordan:
         assert sum(p.terms.values()) == 2**g.num_edges
 
     def test_guard(self):
-        with pytest.raises(TooManyEdges):
-            bollobas_riordan(load_graph("klein.rg"), max_edges=2)
+        # one edge over the constant; the guard trips before the sweep
+        with pytest.raises(TooManyEdges, match=r"^25 edges .* \(2\^25 subsets\)$"):
+            bollobas_riordan(bouquet(BR_MAX_EDGES + 1))
         assert BR_MAX_EDGES == 24
 
 
@@ -250,6 +252,37 @@ class TestTutte:
         g = SignedRibbonGraph([[("b", False)], [("b", False)]], {"b": -1})
         with pytest.raises(FractionalExponent):
             tutte_via_br(g)
+
+    def test_matches_networkx(self):
+        # networkx computes T of the underlying multigraph, circles as
+        # vertices and edge labels as edges, by its own recursion.
+        nx = pytest.importorskip("networkx")
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        seen = set()
+        for g in graph_corpus(89, 100, max_edges=10):
+            g = SignedRibbonGraph(g.circles, dict.fromkeys(g.signs, 1))
+            multigraph = nx.MultiGraph()
+            multigraph.add_nodes_from(range(g.num_vertices))
+            ends: dict[str, list[int]] = {}
+            for _, ci, _, occ in g.occurrences():
+                ends.setdefault(occ.label, []).append(ci)
+            multigraph.add_edges_from(ends.values())
+            expected = sympy.Poly(nx.tutte_polynomial(multigraph), x, y).as_dict()
+            got = {
+                (i // 2, j // 2): coeff
+                for (i, j), coeff in tutte_via_br(g).terms.items()
+            }
+            assert got == {key: int(c) for key, c in expected.items()}, g
+            if any(u == w for u, w in ends.values()):
+                seen.add("loop")
+            if len(set(map(frozenset, ends.values()))) < len(ends):
+                seen.add("parallel")
+            if nx.number_connected_components(multigraph) > 1:
+                seen.add("components")
+            if () in g.circles:
+                seen.add("empty circle")
+        assert seen == {"loop", "parallel", "components", "empty circle"}
 
 
 class TestMainDualityTheorem:

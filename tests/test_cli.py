@@ -188,9 +188,10 @@ class TestVerify:
         )
         assert code == 0  # 2 edges: exhaustive, flags are inert
 
-    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("samples", ["0", "-3", "4097"])
     def test_samples_below_one_exit_2(self, capsys, tmp_path, samples):
-        # Above 12 edges verify samples subsets; none would pass vacuously.
+        # Above 12 edges verify samples subsets; none would pass
+        # vacuously, and no more than the 2^12 of an exhaustive run.
         labels = [f"e{i}" for i in range(13)]
         decl = " ".join(f"{l}:+" for l in labels)
         path = tmp_path / "big.rg"
@@ -201,6 +202,18 @@ class TestVerify:
         assert exc.value.code == 2
         assert captured.out == ""
         assert "--samples" in captured.err
+
+    def test_duality_guard_exit_3(self, capsys, tmp_path):
+        # 200 samples, each one 2^17 sweep, exceed 2^24 subgraphs; the
+        # guard trips before any subset is drawn or checked.
+        labels = [f"e{i}" for i in range(17)]
+        decl = " ".join(f"{l}:+" for l in labels)
+        path = tmp_path / "big.rg"
+        path.write_text(f"edges: {decl}\ncircle: {' '.join(labels * 2)}\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 3
+        assert out == ""
+        assert "200 subsets × 2^17 subgraphs exceed the state-sum guard of 2^24" in err
 
 
 class TestLinksCommands:
@@ -253,16 +266,16 @@ class TestLinksCommands:
 
     def test_bracket_guard_exit_3(self, capsys, tmp_path):
         tokens = []
-        for i in range(21):
+        for i in range(25):
             tokens.append(f"O{i}+")
-        for i in range(21):
+        for i in range(25):
             tokens.append(f"U{i}+")
         path = tmp_path / "big.gauss"
         path.write_text("component: " + " ".join(tokens) + "\n")
         code, out, err = run(capsys, "bracket", str(path))
         assert code == 3
         assert out == ""
-        assert "21 crossings exceed the guard of 20 (2^21 states)" in err
+        assert "25 crossings exceed the state-sum guard of 24 (2^25 states)" in err
 
 
 class TestErrorPlumbing:

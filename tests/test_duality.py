@@ -24,6 +24,7 @@ from ribbongraphs.ribbon import (
 from .helpers import (
     all_subsets,
     arc_partial_dual,
+    bouquet,
     graph_corpus,
     load_graph,
     subgraph_stats,
@@ -267,7 +268,7 @@ class TestDualOrbit:
             assert partial_dual(g, cls.subset) == cls.graph
 
     def test_guard(self):
-        g = load_graph("torus.rg")
-        with pytest.raises(TooManyEdges):
-            dual_orbit(g, max_edges=1)
+        # one edge over the constant; the guard trips before any dual
+        with pytest.raises(TooManyEdges, match=r"\(2\^21 partial duals\)$"):
+            dual_orbit(bouquet(DUAL_ORBIT_MAX_EDGES + 1))
         assert DUAL_ORBIT_MAX_EDGES == 20

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ribbongraphs.br import bollobas_riordan, tutte_via_br
+from ribbongraphs.br import BR_MAX_EDGES, bollobas_riordan, tutte_via_br
 from ribbongraphs.duality import partial_dual
 from ribbongraphs.errors import (
     DanglingCrossing,
@@ -18,7 +18,6 @@ from ribbongraphs.errors import (
     UnknownSign,
 )
 from ribbongraphs.links import (
-    BRACKET_MAX_CROSSINGS,
     Pass,
     VirtualLinkDiagram,
     all_A_state,
@@ -37,10 +36,12 @@ from ribbongraphs.ribbon import SignedRibbonGraph, is_isomorphic, stats
 
 from .helpers import (
     all_states,
+    braid_closure,
     diagram_corpus,
     jones_from_bracket,
     load_diagram,
     monomial_map,
+    over_then_under,
     random_link,
     state_counts,
     state_sum_bracket,
@@ -55,6 +56,43 @@ d = Laurent.monomial(RING_ABD, (0, 0, 1))
 def tq(q: int) -> Laurent:
     """Monomial t^(q/4)."""
     return Laurent.monomial(RING_T, (q,))
+
+
+def _insert(diag, spots, signs):
+    """``diag`` with each (strand, position, passes) of ``spots`` spliced
+    in, positions counted in the original strand, and ``signs`` added."""
+    components = [list(comp) for comp in diag.components]
+    for strand, pos, passes in sorted(spots, key=lambda s: s[:2], reverse=True):
+        components[strand][pos:pos] = passes
+    return VirtualLinkDiagram(components, {**diag.signs, **signs})
+
+
+def _spot(diag, rng):
+    strand = rng.randrange(len(diag.components))
+    return strand, rng.randint(0, len(diag.components[strand]))
+
+
+def reidemeister_1(diag, rng):
+    """Add a kink: over and under passes of a fresh crossing next to each
+    other, in either order, with either sign."""
+    over_first, sign = rng.random() < 0.5, rng.choice((1, -1))
+    strand, pos = _spot(diag, rng)
+    passes = [("k", over_first), ("k", not over_first)]
+    moved = _insert(diag, [(strand, pos, passes)], {"k": sign})
+    return moved, ("R1", over_first, sign)
+
+
+def reidemeister_2(diag, rng):
+    """Push one arc over another: fresh crossings a, b of opposite signs,
+    passed over next to each other at one spot and under next to each
+    other, in either order, at another."""
+    same_order, sign = rng.random() < 0.5, rng.choice((1, -1))
+    (s1, p1), (s2, p2) = _spot(diag, rng), _spot(diag, rng)
+    over = [("a", True), ("b", True)]
+    under = [("a", False), ("b", False)][:: 1 if same_order else -1]
+    spots = [(s1, p1, over), (s2, p2, under)]
+    moved = _insert(diag, rng.sample(spots, 2), {"a": sign, "b": -sign})
+    return moved, ("R2", same_order, s1 == s2)
 
 
 def bracket_via_graph(diag, state):
@@ -244,9 +282,11 @@ class TestBracket:
         assert kauffman_bracket(diag) == state_sum_bracket(diag) == d**-1
 
     def test_guard(self):
-        with pytest.raises(TooManyCrossings):
-            kauffman_bracket(load_diagram("trefoil.gauss"), max_crossings=2)
-        assert BRACKET_MAX_CROSSINGS == 20
+        # the bracket runs R's subset sweep, so R's constant limits it
+        message = r"^25 crossings exceed the state-sum guard of 24 \(2\^25 states\)$"
+        with pytest.raises(TooManyCrossings, match=message):
+            kauffman_bracket(over_then_under(BR_MAX_EDGES + 1))
+        assert BR_MAX_EDGES == 24
 
 
 class TestJones:
@@ -269,6 +309,24 @@ class TestJones:
         # A single positive kink must cancel exactly (Jones of unknot).
         kinked = parse_gauss("component: O1+ U1+ O2+ U2+")
         assert jones(kinked) == Laurent.const(RING_T, 1)
+
+    def test_reidemeister_invariance(self):
+        # Jones is unchanged by a seeded R1 or R2 move, on braid closures
+        # (classical) and random codes (mostly virtual), n <= 8 after.
+        rng = random.Random(2718)
+        bases = [braid_closure(rng, 6, 3) for _ in range(110)]
+        bases += [random_link(rng, 6, 3) for _ in range(110)]
+        seen = set()
+        for base in bases:
+            for move in (reidemeister_1, reidemeister_2):
+                moved, kind = move(base, rng)
+                assert moved.num_crossings <= 8
+                assert jones(moved) == jones(base), (base, moved)
+                seen.add(kind)
+        both = (True, False)
+        r1 = {("R1", over_first, sign) for over_first in both for sign in (1, -1)}
+        r2 = {("R2", same, one_strand) for same in both for one_strand in both}
+        assert seen == r1 | r2
 
 
 class TestBracketIdentity:

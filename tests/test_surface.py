@@ -16,8 +16,8 @@ from . import helpers
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # (old home, name, its name in tests.helpers, or None when callers use
-# a replacement: Laurent.monomial, and the tuple of state curves that
-# resolve_state now returns)
+# a replacement: Laurent.monomial, the tuple of state curves that
+# resolve_state now returns, and BR_MAX_EDGES for the bracket)
 REMOVED = [
     ("polynomial", "monomial", None),
     ("polynomial", "parse_poly", "parse_poly"),
@@ -30,6 +30,7 @@ REMOVED = [
     ("br", "subgraph_stats", "subgraph_stats"),
     ("br", "SubgraphStats", "SubgraphStats"),
     ("links", "StateExpansion", None),
+    ("links", "BRACKET_MAX_CROSSINGS", None),
     ("ribbon", "boundary_components", "boundary_components"),
     ("ribbon", "BoundaryWalk", "BoundaryWalk"),
     ("ribbon", "Corner", "Corner"),
