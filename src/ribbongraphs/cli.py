@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from itertools import count, islice
 from typing import Iterator, Sequence
 
 from .br import BR_MAX_EDGES, bollobas_riordan, duality_invariant, tutte_via_br
@@ -121,6 +122,10 @@ def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
     last = max(g.signs, default="")
     half = BR_MAX_EDGES // 2
     room = (half << half - 1) // max(g.num_edges, 1)
+    # Forms (never empty) of the duals on the e + 1 initial runs of the sorted
+    # labels: in mask order, each previous △ subset is such a run.
+    labels = g.edge_labels
+    run_forms = dict.fromkeys(frozenset(labels[:i]) for i in range(len(labels) + 1))
     lines: list[str] = []
     previous: frozenset[str] | None = None
     previous_dual = g
@@ -137,15 +142,19 @@ def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
                 chains[prefix] = chain
         h = partial_dual(g, subset)
         hs = stats(h)
+        h_form = canonical_form(h)
+        if subset in run_forms:
+            run_forms[subset] = h_form
         checks = {
             "involution": canonical_form(partial_dual(h, subset)) == form,
-            "composition": canonical_form(chain) == canonical_form(h),
+            "composition": canonical_form(chain) == h_form,
             "components": hs.k == base.k,
             "orientability": hs.orientable == base.orientable,
         }
         if previous is not None:
             chained = canonical_form(partial_dual(previous_dual, subset))
-            direct = canonical_form(partial_dual(g, previous ^ subset))
+            diff = previous ^ subset
+            direct = run_forms.get(diff) or canonical_form(partial_dual(g, diff))
             checks["symmetric-difference"] = chained == direct
         name = ",".join(sorted(subset)) or "{}"
         lines += [f"FAIL {c} subset={name}" for c, ok in checks.items() if not ok]
@@ -157,8 +166,8 @@ def _subset_pool(
     g: SignedRibbonGraph, samples: int, seed: int
 ) -> tuple[int, Iterator[frozenset[str]]]:
     """How many subsets ``verify`` checks, and a lazy iterator over them:
-    all 2^e in mask order when 2e <= ``BR_MAX_EDGES``, otherwise
-    ``samples`` seeded draws."""
+    all 2^e in mask order when 2e <= ``BR_MAX_EDGES``, otherwise the first
+    ``samples`` distinct seeded draws (fewer than the 2^e > 2^12 subsets)."""
     labels = g.edge_labels
     if 2 * len(labels) <= BR_MAX_EDGES:
         masks = range(1 << len(labels))
@@ -166,8 +175,10 @@ def _subset_pool(
             frozenset(l for i, l in enumerate(labels) if m >> i & 1) for m in masks
         )
     rng = random.Random(seed)
-    draws = (frozenset(l for l in labels if rng.random() < 0.5) for _ in range(samples))
-    return samples, draws
+    draws = (frozenset(l for l in labels if rng.random() < 0.5) for _ in count())
+    seen: set[frozenset[str]] = set()  # set.add returns None: repeats are skipped
+    fresh = (s for s in draws if s not in seen and not seen.add(s))
+    return samples, islice(fresh, samples)
 
 
 def _sample_count(text: str) -> int:

@@ -8,6 +8,8 @@ __all__ = [
     "DuplicateLabelCount",
     "InvalidLabel",
     "InvalidState",
+    "InvalidMove",
+    "RingMismatch",
     "UnknownSign",
     "UnknownEdge",
     "PositionOutOfRange",
@@ -45,6 +47,14 @@ class InvalidLabel(RibbonGraphError, ValueError):
 
 class InvalidState(RibbonGraphError, ValueError):
     """A splitting state does not choose A or B at some crossing."""
+
+
+class InvalidMove(RibbonGraphError, ValueError):
+    """A presentation move was given a map that is not a bijection."""
+
+
+class RingMismatch(RibbonGraphError, ValueError):
+    """A term key or an operand does not fit the ring of a polynomial."""
 
 
 class UnknownSign(RibbonGraphError):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import FractionalExponent, NegativeExponentNonUnit
+from .errors import FractionalExponent, NegativeExponentNonUnit, RingMismatch
 
 __all__ = [
     "Ring",
@@ -65,7 +65,7 @@ class Laurent:
                 if coeff == 0:
                     continue
                 if len(key) != width:
-                    raise ValueError(f"key {key!r} does not fit ring {ring.names}")
+                    raise RingMismatch(f"key {key!r} does not fit ring {ring.names}")
                 clean[tuple(key)] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
@@ -96,7 +96,7 @@ class Laurent:
 
     def _same_ring(self, other: "Laurent") -> None:
         if self.ring != other.ring:
-            raise ValueError(f"ring mismatch: {self.ring.names} vs {other.ring.names}")
+            raise RingMismatch(f"ring mismatch: {self.ring.names} vs {other.ring.names}")
 
     def __add__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
@@ -221,13 +221,13 @@ class Laurent:
         for key in self.terms:
             for i, u in enumerate(key):
                 if i not in keep and u != 0:
-                    raise ValueError(
+                    raise RingMismatch(
                         f"cannot project out {self.ring.names[i]} with exponent"
                         f" {Fraction(u, self.ring.scales[i])}"
                     )
         for pos, i in enumerate(keep):
             if self.ring.scales[i] != target.scales[pos]:
-                raise ValueError("projection must preserve exponent scales")
+                raise RingMismatch("projection must preserve exponent scales")
         return Laurent(
             target, {tuple(key[i] for i in keep): c for key, c in self.terms.items()}
         )
@@ -321,7 +321,7 @@ def restrict_duality_surface(p: Laurent) -> Laurent:
     becomes (2a - c, 2b - c).  Terms whose images meet are summed.
     """
     if p.ring != RING_XYZ:
-        raise ValueError("restriction is defined on the (x, y, z) ring")
+        raise RingMismatch("restriction is defined on the (x, y, z) ring")
     out: dict[Key, int] = {}
     for (a, b, c), coeff in p.terms.items():
         key = (a - c, b - c)

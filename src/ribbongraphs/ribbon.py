@@ -17,14 +17,13 @@ single edge (move M2).
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DuplicateLabelCount,
     InvalidLabel,
+    InvalidMove,
     ParseError,
     PositionOutOfRange,
     UnknownSign,
@@ -98,9 +97,9 @@ class SignedRibbonGraph:
         signs: map from edge label to +1 or -1.
 
     Raises:
+        InvalidLabel: a label is empty or holds a reserved character.
         DuplicateLabelCount: a label does not occur exactly twice.
         UnknownSign: an occurring label has no sign, or a sign is not +-1.
-        InvalidLabel: a label is empty or holds a reserved character.
     """
 
     __slots__ = ("circles", "signs")
@@ -117,15 +116,14 @@ class SignedRibbonGraph:
         # allocated at a guessed size and resized, and the interpreter's
         # free lists then keep up to 2000 blocks per circle length.
         fixed = tuple(
-            [
-                tuple([Occurrence(_check_label(o[0]), bool(o[1])) for o in circle])
-                for circle in circles
-            ]
+            [tuple([Occurrence(o[0], bool(o[1])) for o in c]) for c in circles]
         )
         counts: dict[str, int] = {}
         for circle in fixed:
-            for occ in circle:
-                counts[occ.label] = counts.get(occ.label, 0) + 1
+            for label, _ in circle:
+                counts[label] = counts.get(label, 0) + 1
+        for label in counts:  # once per label, in first-seen order
+            _check_label(label)
         for label, count in counts.items():
             if count != 2:
                 raise DuplicateLabelCount(
@@ -233,7 +231,7 @@ class SignedRibbonGraph:
     def permute_circles(self, order: Sequence[int]) -> "SignedRibbonGraph":
         """Reorder circles; ``order[i]`` is the old index placed at i."""
         if sorted(order) != list(range(len(self.circles))):
-            raise ValueError("not a permutation of circle indices")
+            raise InvalidMove("not a permutation of circle indices")
         return SignedRibbonGraph(
             tuple(self.circles[i] for i in order), self.signs
         )
@@ -242,7 +240,7 @@ class SignedRibbonGraph:
         """Rename edges; labels absent from ``mapping`` keep their names."""
         full = {l: mapping.get(l, l) for l in self.signs}
         if len(set(full.values())) != len(full):
-            raise ValueError("relabeling is not injective")
+            raise InvalidMove("relabeling is not injective")
         circles = tuple(
             tuple(Occurrence(full[o.label], o.against) for o in circle)
             for circle in self.circles
@@ -257,8 +255,9 @@ class SignedRibbonGraph:
 # ----------------------------------------------------------------------
 
 
-def _circle_union(g: SignedRibbonGraph) -> tuple[list[int], bool]:
-    """Root circle of each circle's component, and orientability.
+def _circle_union(g: SignedRibbonGraph) -> tuple[list[int], bool, dict]:
+    """Root circle of each circle's component, orientability, and the
+    partner map from each (circle, position) to the other end of its edge.
 
     A parity union-find over circles joins the two circles of every edge
     and seeks a reversal o per circle with d1 xor d2 xor o(c1) xor o(c2)
@@ -279,13 +278,15 @@ def _circle_union(g: SignedRibbonGraph) -> tuple[list[int], bool]:
         return a, p
 
     orientable = True
-    first: dict[str, tuple[int, bool]] = {}
+    first: dict[str, tuple[int, int, bool]] = {}
+    partner: dict[tuple[int, int], tuple[int, int]] = {}
     for ci, circle in enumerate(g.circles):
-        for label, against in circle:
+        for pos, (label, against) in enumerate(circle):
             if label not in first:
-                first[label] = (ci, against)
+                first[label] = (ci, pos, against)
                 continue
-            cj, dj = first[label]
+            cj, pj, dj = first[label]
+            partner[ci, pos], partner[cj, pj] = (cj, pj), (ci, pos)
             ra, pa = find(ci)
             rb, pb = find(cj)
             if ra != rb:
@@ -293,7 +294,7 @@ def _circle_union(g: SignedRibbonGraph) -> tuple[list[int], bool]:
                 parity[ra] = pa ^ pb ^ dj ^ against
             elif pa ^ pb != dj ^ against:
                 orientable = False
-    return [find(ci)[0] for ci in range(len(g.circles))], orientable
+    return [find(ci)[0] for ci in range(len(g.circles))], orientable, partner
 
 
 def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
@@ -390,7 +391,7 @@ def stats(g: SignedRibbonGraph) -> GraphStats:
     edges, plus one per empty circle."""
     v = g.num_vertices
     e = g.num_edges
-    roots, orientable = _circle_union(g)
+    roots, orientable, _ = _circle_union(g)
     k = len(set(roots))
     sigma, labels = _arcs(g)
     f = len(_trace(sigma, _bands(labels, g.signs), range(len(sigma))))
@@ -456,33 +457,36 @@ def canonical_form(
 ) -> tuple[tuple[int, ...], ...]:
     """Complete invariant under relabeling, rotation, permutation, M1 and M2.
 
-    Each connected component is coded from every root occurrence, read
-    in both directions, by a breadth-first walk over its circles.  Edges
-    are numbered in the order they are first seen, and each newly reached
+    Each connected component is coded from each root occurrence, read in
+    both directions, by a breadth-first walk over its circles.  Edges are
+    numbered in the order they are first seen, and each newly reached
     circle is oriented so that the edge it was entered by has flag XOR 0.
     A circle emits ``-len(circle)``, then per occurrence the edge number,
     followed by the sign on the first occurrence (unless ``ignore_signs``)
     and by the XOR of the two flags as read on the second.  A component
     keeps its least code; the form is the sorted tuple of component codes,
-    an empty circle coding as ``()``.  Roots lie only on circles of the
-    length class holding the fewest occurrences (ties to the longer), and
-    a root is abandoned once its code exceeds the best; both prunings are
-    invariant under isomorphism.
+    an empty circle coding as ``()``.  An occurrence's key is the length m
+    of its circle, the length of its partner's circle, min(d, m - d) for a
+    loop with ends d apart (else -1) and its sign (0 under ``ignore_signs``);
+    the roots are the occurrences of the key fewest in the component hold
+    (ties to the least key).  That choice, and abandoning a root once its
+    code exceeds the best, are invariant under isomorphism.
     """
     circles = g.circles
     signs = None if ignore_signs else g.signs
-    ends: dict[str, list[tuple[int, int]]] = {}
-    for _, ci, pos, occ in g.occurrences():
-        ends.setdefault(occ.label, []).append((ci, pos))
-    partner = {a: b for a, b in ends.values()}
-    partner.update((b, a) for a, b in ends.values())
-    codes: list[tuple[int, ...]] = []
-    for comp in components(g):
-        held = Counter(len(circles[ci]) for ci in comp)
-        root_len = min(held, key=lambda m: (held[m] * m, -m))
-        tops = [ci for ci in comp if len(circles[ci]) == root_len]
-        best: list[int] = []  # stays empty for an empty circle
-        for root in product(tops, range(root_len), (0, 1)):
+    component, _, partner = _circle_union(g)
+    comps: dict[int, dict[tuple, list[tuple[int, int]]]] = {}
+    for (ci, pos), (cj, pj) in partner.items():
+        m = len(circles[ci])
+        gap = abs(pj - pos) if ci == cj else -1
+        sign = signs[circles[ci][pos][0]] if signs else 0
+        key = (m, len(circles[cj]), min(gap, m - gap), sign)
+        comps.setdefault(component[ci], {}).setdefault(key, []).append((ci, pos))
+    codes = [()] * circles.count(())
+    for keyed in comps.values():
+        _, tops = min(keyed.items(), key=lambda item: (len(item[1]), item[0]))
+        best: list[int] = []
+        for root in [(ci, pos, rev) for ci, pos in tops for rev in (0, 1)]:
             best = _rooted_code(circles, partner, signs, root, best) or best
         codes.append(tuple(best))
     return tuple(sorted(codes))

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -28,7 +30,9 @@ from ribbongraphs.ribbon import (
     SignedRibbonGraph,
     _arcs,
     _bands,
+    _rooted_code,
     _trace,
+    components,
     parse_ribbon_graph,
     stats,
 )
@@ -450,6 +454,58 @@ def backtrack_isomorphic(
         return False
 
     return place(0, {}, {}, set())
+
+
+def length_class_form(
+    g: SignedRibbonGraph, ignore_signs: bool = False
+) -> tuple[tuple[int, ...], ...]:
+    """The canonical form with the earlier root rule: every occurrence on
+    the circles of the length class that holds the fewest occurrences
+    (ties to the longer length) is a root.  The reference for the root
+    rule of ``ribbon.canonical_form``: the codes differ, but the two must
+    split any set of graphs into the same classes."""
+    circles = g.circles
+    signs = None if ignore_signs else g.signs
+    ends: dict[str, list[tuple[int, int]]] = {}
+    for _, ci, pos, occ in g.occurrences():
+        ends.setdefault(occ.label, []).append((ci, pos))
+    partner = {a: b for a, b in ends.values()}
+    partner.update((b, a) for a, b in ends.values())
+    codes: list[tuple[int, ...]] = []
+    for comp in components(g):
+        held = Counter(len(circles[ci]) for ci in comp)
+        root_len = min(held, key=lambda m: (held[m] * m, -m))
+        tops = [ci for ci in comp if len(circles[ci]) == root_len]
+        best: list[int] = []  # stays empty for an empty circle
+        for root in product(tops, range(root_len), (0, 1)):
+            best = _rooted_code(circles, partner, signs, root, best) or best
+        codes.append(tuple(best))
+    return tuple(sorted(codes))
+
+
+def chord_ring(
+    e: int,
+    step: int,
+    reach: int,
+    flags: Sequence[tuple[bool, bool]] = ((False, False),),
+    signs: Sequence[int] = (1,),
+) -> SignedRibbonGraph:
+    """One circle of 2e occurrences where edge i has its ends at
+    positions ``step * i`` and ``step * i + reach`` (mod 2e): with step 2
+    and odd reach, or step 1 and reach e, every position is filled once.
+    Edge i takes the flags and sign at i modulo the lengths of ``flags``
+    and ``signs``, so turning the circle by ``step`` times those lengths
+    maps the graph to itself and whole orbits of occurrences look alike."""
+    m = 2 * e
+    circle: list = [None] * m
+    for i in range(e):
+        first, second = flags[i % len(flags)]
+        circle[step * i % m] = (f"c{i}", first)
+        circle[(step * i + reach) % m] = (f"c{i}", second)
+    assert None not in circle, (e, step, reach)
+    return SignedRibbonGraph(
+        [circle], {f"c{i}": signs[i % len(signs)] for i in range(e)}
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,28 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 import ribbongraphs
 from ribbongraphs import cli
+from ribbongraphs.duality import partial_dual
 from ribbongraphs.polynomial import RING_XY, Laurent
-from ribbongraphs.ribbon import parse_ribbon_graph
+from ribbongraphs.ribbon import (
+    SignedRibbonGraph,
+    parse_ribbon_graph,
+    serialize_ribbon_graph,
+)
 
-from .helpers import FIXTURES
+from .helpers import FIXTURES, graph_corpus
 
 
 def run(capsys, *argv):
@@ -203,6 +211,21 @@ class TestVerify:
         assert captured.out == ""
         assert "--samples" in captured.err
 
+    def test_sampled_subsets_are_distinct(self):
+        # 4096 draws with replacement from the 8192 subsets of 13 edges
+        # hold only 3208 distinct ones at seed 0; the pool skips repeats
+        # and keeps the first-drawn order, so checked= counts distinct
+        # subsets and runs without repeats check what they always did.
+        labels = [f"e{i:02d}" for i in range(13)]
+        circle = [(l, False) for l in labels * 2]
+        g = SignedRibbonGraph([circle], dict.fromkeys(labels, 1))
+        count, subsets = cli._subset_pool(g, 4096, 0)
+        drawn = list(subsets)
+        assert count == len(drawn) == len(set(drawn)) == 4096
+        rng = random.Random(0)
+        raw = [frozenset(l for l in labels if rng.random() < 0.5) for _ in range(8000)]
+        assert drawn == list(dict.fromkeys(raw))[:4096]
+
     def test_duality_guard_exit_3(self, capsys, tmp_path):
         # 200 samples, each one 2^17 sweep, exceed 2^24 subgraphs; the
         # guard trips before any subset is drawn or checked.
@@ -214,6 +237,73 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert "200 subsets × 2^17 subgraphs exceed the state-sum guard of 2^24" in err
+
+
+def faulty_partial_dual(g, edges):
+    """``partial_dual`` with two deterministic faults, each a function of
+    its input alone: on 3-edge subsets the first arrow of the longest
+    circle is flipped, which can change the orientability and the
+    isomorphism class; on 2-edge subsets a longest circle of at least four
+    arrows is cut in half, which can disconnect the dual."""
+    dual = partial_dual(g, edges)
+    size = len(set(edges))
+    longest = max(dual.circles, key=len)
+    at = dual.circles.index(longest)
+    if size == 3:
+        flipped = (longest[0]._replace(against=not longest[0].against),)
+        pieces = (flipped + longest[1:],)
+    elif size == 2 and len(longest) >= 4:
+        pieces = (longest[: len(longest) // 2], longest[len(longest) // 2 :])
+    else:
+        return dual
+    circles = dual.circles[:at] + pieces + dual.circles[at + 1 :]
+    return SignedRibbonGraph(circles, dual.signs)
+
+
+LEMMA_GATE = FIXTURES.parent / "tests" / "lemma_gate.out"
+
+
+def lemma_gate_text() -> str:
+    """``verify --mode lemmas`` with :func:`faulty_partial_dual` on a
+    seeded corpus of graphs with 3 to 7 edges: per graph a ``##`` line,
+    its ``.rg`` text as comments, then the run's exit code and stdout.
+
+    ``tests/lemma_gate.out`` holds this text.  Rewrite it only when the
+    lemma output is meant to change, from the repository root:
+      PYTHONPATH=src python -c "from tests.test_cli import *; ..."
+    with ``LEMMA_GATE.write_text(lemma_gate_text())`` for the dots.
+    """
+    graphs = [g for g in graph_corpus(4071, 40, max_edges=7) if g.num_edges >= 3]
+    blocks = []
+    with mock.patch.object(cli, "partial_dual", faulty_partial_dual):
+        for i, g in enumerate(graphs[:10]):
+            text = serialize_ribbon_graph(g)
+            out = io.StringIO()
+            with mock.patch.object(sys, "stdin", io.StringIO(text)):
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(["verify", "-", "--mode", "lemmas"])
+            comment = "".join(f"# {line}\n" for line in text.splitlines())
+            blocks.append(f"## graph {i} exit={code}\n{comment}{out.getvalue()}")
+    return "".join(blocks)
+
+
+class TestLemmaGate:
+    """The lemma checks of ``verify`` must keep catching a broken
+    ``partial_dual``: the FAIL lines are pinned from the program as it
+    was before the checks reused forms, written by ``lemma_gate_text``."""
+
+    def test_fail_lines_pinned(self):
+        got = lemma_gate_text()
+        assert got == LEMMA_GATE.read_text(encoding="utf-8")
+        fired = {line.split()[1] for line in got.splitlines() if "subset=" in line}
+        assert fired == {
+            "involution",
+            "composition",
+            "components",
+            "orientability",
+            "symmetric-difference",
+        }
+        assert got.count(" exit=1\n") == got.count("## graph")
 
 
 class TestLinksCommands:

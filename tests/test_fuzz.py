@@ -1,4 +1,5 @@
-"""Every subcommand on fuzzed text ends in a handled exit code."""
+"""Every subcommand on fuzzed text ends in a handled exit code, and the
+two parsers either reject fuzzed text or round-trip it."""
 
 import contextlib
 import io
@@ -7,6 +8,9 @@ import sys
 import pytest
 
 from ribbongraphs import cli
+from ribbongraphs.errors import RibbonGraphError
+from ribbongraphs.links import parse_gauss, serialize_gauss
+from ribbongraphs.ribbon import parse_ribbon_graph, serialize_ribbon_graph
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -87,3 +91,89 @@ class TestFuzz:
             sys.stdin = stdin
         assert code in (0, 2, 3), (code, err.getvalue())
         assert code == 0 or out.getvalue() == ""
+
+
+# Labels and crossing ids hold no whitespace, ``:``, ``'`` or ``#``, as
+# the formats require, but may hold NUL, non-ASCII letters and the
+# characters of signs and passes.
+ID_TEXT = st.text(alphabet="abz019_.+-OUé∞Ω\x00", min_size=1, max_size=3)
+
+
+def spliced(text: str, draw) -> str:
+    """``text`` with up to three pieces spliced in or spans cut out."""
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(FUZZ_PIECES)) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 6)) :]
+    return text
+
+
+def cut(draw, items: list, parts: int) -> list[list]:
+    """``items`` in ``parts`` consecutive runs, some of them empty."""
+    bounds = sorted(draw(st.integers(0, len(items))) for _ in range(parts - 1))
+    bounds = [0, *bounds, len(items)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def ribbon_texts(draw):
+    """A valid ``.rg`` text of up to 40 edges with random spacing, header
+    and comments, then possibly damaged; (text, damaged)."""
+    n = draw(st.integers(0, 40))
+    labels = draw(st.lists(ID_TEXT, min_size=n, max_size=n, unique=True))
+    occs = draw(st.permutations(labels * 2))
+    space = st.sampled_from([" ", "  ", "\t", " \t"])
+    edges = "".join(f"{draw(space)}{l}:{draw(st.sampled_from('+-'))}" for l in labels)
+    lines = ["ribbon-graph v1"] if draw(st.booleans()) else []
+    lines.append(f"edges:{edges} # {len(labels)} edges")
+    for circle in cut(draw, occs, draw(st.integers(1, 8))):
+        flags = [draw(st.sampled_from(["", "'"])) for _ in circle]
+        toks = "".join(draw(space) + l + flag for l, flag in zip(circle, flags))
+        lines += [f"circle:{toks}", draw(st.sampled_from(["", "# note", "   "]))]
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    damaged = spliced(text, draw)
+    return damaged, damaged != text
+
+
+@st.composite
+def gauss_texts(draw):
+    """A valid gauss text of up to 40 crossings, then possibly damaged."""
+    n = draw(st.integers(0, 40))
+    ids = draw(st.lists(ID_TEXT, min_size=n, max_size=n, unique=True))
+    signs = {cid: draw(st.sampled_from("+-")) for cid in ids}
+    passes = draw(st.permutations([(cid, r) for cid in ids for r in "OU"]))
+    lines = ["gauss v1"] if draw(st.booleans()) else []
+    for strand in cut(draw, passes, draw(st.integers(1, 6))):
+        lines.append("component: " + " ".join(f"{r}{c}{signs[c]}" for c, r in strand))
+    text = "\n".join(lines)
+    damaged = spliced(text, draw)
+    return damaged, damaged != text
+
+
+class TestParserFuzz:
+    # Each input either raises a package error or parses to an object
+    # that the serializer writes back to text parsing to the same object.
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=ribbon_texts())
+    def test_ribbon_parser_round_trips(self, case):
+        text, damaged = case
+        try:
+            g = parse_ribbon_graph(text)
+        except RibbonGraphError:
+            assert damaged, text
+            return
+        assert parse_ribbon_graph(serialize_ribbon_graph(g)) == g
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=gauss_texts())
+    def test_gauss_parser_round_trips(self, case):
+        text, damaged = case
+        try:
+            d = parse_gauss(text)
+        except RibbonGraphError:
+            assert damaged, text
+            return
+        assert parse_gauss(serialize_gauss(d)) == d

@@ -10,6 +10,8 @@ from ribbongraphs.errors import (
     FractionalExponent,
     NegativeExponentNonUnit,
     ParseError,
+    RibbonGraphError,
+    RingMismatch,
 )
 from ribbongraphs.polynomial import (
     RING_ABD,
@@ -54,6 +56,32 @@ class TestArithmetic:
     def test_product_example(self):
         p = (X + Y) * (X - Y)
         assert p == X * X - Y * Y
+
+    def test_ring_errors_are_package_errors(self):
+        cases = [
+            (
+                lambda: Laurent(RING_XY, {(1, 2, 3): 1}),
+                "key (1, 2, 3) does not fit ring ('x', 'y')",
+            ),
+            (
+                lambda: X + Laurent.const(RING_XY, 1),
+                "ring mismatch: ('x', 'y', 'z') vs ('x', 'y')",
+            ),
+            (
+                lambda: (X * Z).project(RING_XY, (0, 1)),
+                "cannot project out z with exponent 1",
+            ),
+            (
+                lambda: restrict_duality_surface(Laurent.const(RING_T, 1)),
+                "restriction is defined on the (x, y, z) ring",
+            ),
+        ]
+        for bad, message in cases:
+            with pytest.raises(RingMismatch) as err:
+                bad()
+            assert str(err.value) == message
+            assert isinstance(err.value, RibbonGraphError)
+            assert isinstance(err.value, ValueError)
 
     def test_integer_scalars(self):
         assert 2 * X == X + X

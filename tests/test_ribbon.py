@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ribbongraphs import ribbon
 from ribbongraphs.duality import partial_dual
 from ribbongraphs.errors import (
     DuplicateLabelCount,
     InvalidLabel,
+    InvalidMove,
     ParseError,
     RibbonGraphError,
     UnknownSign,
@@ -34,7 +36,10 @@ from .helpers import (
     FIXTURES,
     backtrack_isomorphic,
     boundary_components,
+    bouquet,
+    chord_ring,
     graph_corpus,
+    length_class_form,
     load_graph,
     random_graph,
 )
@@ -89,6 +94,18 @@ class TestConstruction:
             SignedRibbonGraph([[("a b", False), ("a b", False)]], {"a b": 1})
         assert isinstance(err.value, RibbonGraphError)
         assert isinstance(err.value, ValueError)
+
+    def test_label_checked_before_counts(self):
+        # Every label is checked, in first-seen order, before any count or
+        # sign: a bad label wins over a missing occurrence, a missing
+        # sign and a stray sign.
+        circles = [[("a", False)], [("b c", False), ("x y", False), ("b c", False)]]
+        with pytest.raises(InvalidLabel) as err:
+            SignedRibbonGraph(circles, {"a": 1, "b c": 1, "ghost": 1})
+        assert str(err.value) == "invalid edge label 'b c'"
+        with pytest.raises(DuplicateLabelCount) as err:
+            SignedRibbonGraph([[("a", False)], [("b", False)] * 2], {"a": 1, "b": 1})
+        assert str(err.value) == "label 'a' occurs 1 times, expected 2"
 
     def test_immutable(self):
         g = load_graph("torus.rg")
@@ -229,11 +246,16 @@ class TestMoves:
         g = load_graph("bridge.rg")
         with pytest.raises(ValueError):
             g.permute_circles([0, 0])
+        with pytest.raises(InvalidMove, match="^not a permutation of circle indices$"):
+            g.permute_circles([1])
 
     def test_relabel_injective(self):
         g = load_graph("torus.rg")
         with pytest.raises(ValueError):
             g.relabel({"1": "2"})
+        with pytest.raises(InvalidMove, match="^relabeling is not injective$") as err:
+            g.relabel({"2": "1"})
+        assert isinstance(err.value, RibbonGraphError)
         h = g.relabel({"1": "a"})
         assert h.edge_labels == ("2", "a")
         assert h.sign("a") == 1
@@ -296,6 +318,69 @@ class TestIsomorphism:
                 assert is_isomorphic(g, h, ignore_signs) == want, (g, h, ignore_signs)
                 verdicts[want] += 1
         assert min(verdicts.values()) > 1500, verdicts
+
+    def test_symmetric_graphs_match_backtracking_oracle(self, monkeypatch):
+        # Bouquets and one-circle graphs that a turn of the circle maps
+        # to themselves: whole orbits of occurrences share a root key, so
+        # the root class stays large and pruning among equal codes does
+        # the work.  Each is compared with scrambled copies, near misses
+        # and the other rings of its size.
+        rng = random.Random(3490)
+        rings = [bouquet(e) for e in range(1, 7)]
+        for e in range(2, 7):
+            for step, reach in [(2, r) for r in range(1, e + 1, 2)] + [(1, e)]:
+                for flags in (
+                    ((False, False),),
+                    ((False, True),),
+                    ((False, False), (True, False)),
+                ):
+                    for signs in ((1,), (1, -1)):
+                        rings.append(chord_ring(e, step, reach, flags, signs))
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return rooted_code(*args)
+
+        rooted_code = ribbon._rooted_code
+        monkeypatch.setattr(ribbon, "_rooted_code", counted)
+        verdicts = {True: 0, False: 0}
+        for g in rings:
+            # without signs every occurrence has the same key: all 2e
+            # occurrences are roots, each read both ways
+            calls[0] = 0
+            canonical_form(g, ignore_signs=True)
+            assert calls[0] == 4 * g.num_edges, g
+            others = [h for h in rings if h.num_edges == g.num_edges]
+            for h in (
+                scramble(g, rng),
+                _near_miss(scramble(g, rng), rng),
+                scramble(rng.choice(others), rng),
+            ):
+                for ignore_signs in (False, True):
+                    want = backtrack_isomorphic(g, h, ignore_signs)
+                    assert is_isomorphic(g, h, ignore_signs) == want, (g, h)
+                    verdicts[want] += 1
+        assert min(verdicts.values()) > 150, verdicts
+
+    def test_partition_matches_length_class_oracle(self):
+        # The root rule changes the codes but never the classes: on
+        # seeded duals (e <= 8) and scrambled copies, both forms split the
+        # graphs alike, with and without signs.
+        rng = random.Random(711)
+        graphs = []
+        for g in graph_corpus(7110, 60, max_edges=8):
+            for _ in range(6):
+                dual = partial_dual(g, [l for l in g.signs if rng.random() < 0.5])
+                graphs += [dual, scramble(dual, rng), _near_miss(dual, rng)]
+        for ignore_signs in (False, True):
+            pairs = {
+                (canonical_form(h, ignore_signs), length_class_form(h, ignore_signs))
+                for h in graphs
+            }
+            classes = len({new for new, _ in pairs})
+            assert classes == len({old for _, old in pairs}) == len(pairs)
+            assert classes < len(graphs) / 2
 
     def test_form_of_pieces(self):
         torus, mobius = load_graph("torus.rg"), load_graph("mobius.rg")

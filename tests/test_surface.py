@@ -76,3 +76,20 @@ def test_removed_names_are_gone(home, name, moved_to):
     assert not hasattr(ribbongraphs, name)
     if moved_to is not None:
         assert hasattr(helpers, moved_to)
+
+
+def test_errors_are_package_errors():
+    # Every error the package raises is a RibbonGraphError; those raised
+    # for a bad argument value are ValueErrors too, so callers catching
+    # ValueError keep working, and no module raises a bare ValueError.
+    errors = importlib.import_module("ribbongraphs.errors")
+    classes = {name: getattr(errors, name) for name in errors.__all__}
+    assert all(issubclass(cls, errors.RibbonGraphError) for cls in classes.values())
+    assert {name for name, cls in classes.items() if issubclass(cls, ValueError)} == {
+        "InvalidLabel",
+        "InvalidState",
+        "InvalidMove",
+        "RingMismatch",
+    }
+    for path in Path(ribbongraphs.__file__).parent.glob("*.py"):
+        assert "raise ValueError" not in path.read_text(encoding="utf-8"), path.name
