@@ -31,7 +31,8 @@ from .errors import (
     UnknownSign,
 )
 from .polynomial import RING_ABD, RING_T, Laurent
-from .ribbon import Occurrence, SignedRibbonGraph, _LABEL_BAD, _TOKEN_RE, _trace
+from .ribbon import Occurrence, SignedRibbonGraph, _LABEL_BAD, _trace
+from .ribbon import _read_lines, _write_lines
 
 __all__ = [
     "Pass",
@@ -90,9 +91,10 @@ class VirtualLinkDiagram:
         roles: dict[str, list[bool]] = {}
         for comp in fixed:
             for p in comp:
-                if _LABEL_BAD.search(p.crossing) or not p.crossing:
-                    raise InvalidLabel(f"invalid crossing id {p.crossing!r}")
                 roles.setdefault(p.crossing, []).append(p.over)
+        for cid in roles:  # once per id, in first-seen order
+            if not cid or _LABEL_BAD.search(cid):
+                raise InvalidLabel(f"invalid crossing id {cid!r}")
         for cid, seen in roles.items():
             if len(seen) != 2:
                 raise DanglingCrossing(
@@ -301,23 +303,11 @@ def parse_gauss(text: str) -> VirtualLinkDiagram:
     """
     components: list[list[Pass]] = []
     signs: dict[str, int] = {}
-    first_content = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
+    for keyword, lineno, _, tokens in _read_lines(text, "gauss v1", ("component:",)):
+        if keyword != "component:":  # the header
             continue
-        stripped = line.strip()
-        if first_content:
-            first_content = False
-            if stripped == "gauss v1":
-                continue
-        if not stripped.startswith("component:"):
-            col = len(line) - len(line.lstrip()) + 1
-            raise ParseError(f"unrecognized line {stripped.split()[0]!r}", lineno, col)
         comp: list[Pass] = []
-        body_start = line.index("component:") + len("component:")
-        for m in _TOKEN_RE.finditer(line, body_start):
-            tok, col = m.group(), m.start() + 1
+        for tok, col in tokens:
             if len(tok) < 3 or tok[0] not in "OU" or tok[-1] not in "+-":
                 raise ParseError(
                     f"expected (O|U)<id><+|->, got {tok!r}", lineno, col
@@ -342,8 +332,5 @@ def parse_gauss(text: str) -> VirtualLinkDiagram:
 
 def serialize_gauss(d: VirtualLinkDiagram) -> str:
     """Canonical gauss text for a diagram."""
-    lines = ["gauss v1"]
-    for comp in d.components:
-        toks = " ".join(p.token(d.signs[p.crossing]) for p in comp)
-        lines.append("component: " + toks if toks else "component:")
-    return "\n".join(lines) + "\n"
+    comps = [[p.token(d.signs[p.crossing]) for p in comp] for comp in d.components]
+    return _write_lines("gauss v1", [("component:", toks) for toks in comps])

@@ -573,6 +573,35 @@ def one_point_join(
 _TOKEN_RE = re.compile(r"\S+")
 
 
+def _read_lines(text: str, header: str, keywords: tuple[str, ...]) -> Iterator:
+    """Yield (keyword, line, column, tokens) per content line of either text
+    format, each token a (text, 1-based column) pair.  ``#`` starts a
+    comment, blank lines are skipped, the first content line may be
+    ``header`` (yielded with no tokens), and any other line opens with one
+    of ``keywords``.  Lazy, so a caller's error wins over later lines."""
+    first = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        stripped = line.strip()
+        if not stripped:
+            continue
+        col = len(line) - len(line.lstrip()) + 1
+        if first and stripped == header:
+            yield header, lineno, col, []
+        else:
+            keyword = next((k for k in keywords if stripped.startswith(k)), None)
+            if keyword is None:
+                raise ParseError(f"unrecognized line {stripped.split()[0]!r}", lineno, col)
+            body = _TOKEN_RE.finditer(line, col - 1 + len(keyword))
+            yield keyword, lineno, col, [(m.group(), m.start() + 1) for m in body]
+        first = False
+
+
+def _write_lines(header: str, lines: Iterable[tuple[str, list[str]]]) -> str:
+    """``header``, then a ``keyword token ...`` line per (keyword, tokens)."""
+    return "\n".join([header, *(" ".join([k, *toks]) for k, toks in lines)]) + "\n"
+
+
 def parse_ribbon_graph(text: str) -> SignedRibbonGraph:
     """Parse the ``.rg`` text format.
 
@@ -587,45 +616,29 @@ def parse_ribbon_graph(text: str) -> SignedRibbonGraph:
     """
     signs: dict[str, int] | None = None
     circles: list[list[Occurrence]] = []
-    first_content = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        if first_content:
-            first_content = False
-            if stripped == "ribbon-graph v1":
-                continue
-        if stripped.startswith("edges:"):
+    keyword = None
+    lines = _read_lines(text, "ribbon-graph v1", ("edges:", "circle:"))
+    for keyword, lineno, col, tokens in lines:
+        if keyword == "edges:":
             if signs is not None:
-                raise ParseError("second edges: line", lineno, line.index("edges:") + 1)
+                raise ParseError("second edges: line", lineno, col)
             signs = {}
-            body_start = line.index("edges:") + len("edges:")
-            for m in _TOKEN_RE.finditer(line, body_start):
-                tok, col = m.group(), m.start() + 1
+            for tok, col in tokens:
                 label, sep, sign_txt = tok.rpartition(":")
                 if not sep or not label:
                     raise ParseError(f"expected label:sign, got {tok!r}", lineno, col)
-                if sign_txt == "+":
-                    sign = 1
-                elif sign_txt == "-":
-                    sign = -1
-                else:
+                if sign_txt not in ("+", "-"):
                     raise ParseError(f"sign must be + or -, got {sign_txt!r}", lineno, col)
                 if _LABEL_BAD.search(label):
                     raise ParseError(f"invalid edge label {label!r}", lineno, col)
                 if label in signs:
                     raise ParseError(f"edge {label!r} declared twice", lineno, col)
-                signs[label] = sign
-            continue
-        if stripped.startswith("circle:"):
+                signs[label] = 1 if sign_txt == "+" else -1
+        elif keyword == "circle:":
             if signs is None:
-                raise ParseError("circle: before edges:", lineno, line.index("circle:") + 1)
+                raise ParseError("circle: before edges:", lineno, col)
             circle: list[Occurrence] = []
-            body_start = line.index("circle:") + len("circle:")
-            for m in _TOKEN_RE.finditer(line, body_start):
-                tok, col = m.group(), m.start() + 1
+            for tok, col in tokens:
                 against = tok.endswith("'")
                 label = tok[:-1] if against else tok
                 if not label or _LABEL_BAD.search(label):
@@ -634,24 +647,13 @@ def parse_ribbon_graph(text: str) -> SignedRibbonGraph:
                     raise ParseError(f"edge {label!r} not declared", lineno, col)
                 circle.append(Occurrence(label, against))
             circles.append(circle)
-            continue
-        col = len(line) - len(line.lstrip()) + 1
-        raise ParseError(f"unrecognized line {stripped.split()[0]!r}", lineno, col)
-    if signs is None:
-        if circles or not first_content:
-            raise ParseError("missing edges: line", 1, 1)
-        raise ParseError("empty input", 1, 1)
+    if signs is None:  # no line but the header, if that, was read
+        raise ParseError("missing edges: line" if keyword else "empty input", 1, 1)
     return SignedRibbonGraph(circles, signs)
 
 
 def serialize_ribbon_graph(g: SignedRibbonGraph) -> str:
     """Canonical ``.rg`` text; labels sorted, flags as trailing quotes."""
-    lines = ["ribbon-graph v1"]
-    edge_toks = [
-        f"{l}:{'+' if g.signs[l] > 0 else '-'}" for l in g.edge_labels
-    ]
-    lines.append("edges: " + " ".join(edge_toks) if edge_toks else "edges:")
-    for circle in g.circles:
-        toks = " ".join(o.token() for o in circle)
-        lines.append("circle: " + toks if toks else "circle:")
-    return "\n".join(lines) + "\n"
+    edges = [f"{l}:{'+' if g.signs[l] > 0 else '-'}" for l in g.edge_labels]
+    circles = [("circle:", [o.token() for o in circle]) for circle in g.circles]
+    return _write_lines("ribbon-graph v1", [("edges:", edges), *circles])

@@ -260,22 +260,20 @@ def diagram_corpus(seed: int, count: int, max_crossings: int = 4):
     return [random_diagram(rng, max_crossings) for _ in range(count)]
 
 
-def braid_closure(
-    rng: random.Random, max_crossings: int = 6, max_strands: int = 3
-) -> VirtualLinkDiagram:
-    """Closure of a random braid word: a classical diagram.
+def braid_word_closure(strands: int, word: Sequence[int]) -> VirtualLinkDiagram:
+    """Closure of a braid word: a classical diagram.
 
-    Letter i crosses the strands at positions i and i + 1, the left one
-    passing over for a positive letter (sign +1) and under for a
-    negative one (sign -1); closing up joins each end to the start at
-    its position, so the components are the cycles of the braid's
+    Letter +-(i + 1) crosses the strands at positions i and i + 1, the
+    left one passing over for a positive letter (sign +1) and under for
+    a negative one (sign -1); the n-th letter is crossing ``str(n)``,
+    counted from 1.  Closing up joins each end to the start at its
+    position, so the components are the cycles of the braid's
     permutation.  A strand no letter touches is an empty component."""
-    strands = rng.randint(1, max_strands)
     at = list(range(strands))  # the strand at each position
     passes: list[list[tuple[str, bool]]] = [[] for _ in range(strands)]
     signs = {}
-    for n in range(rng.randint(0, max_crossings) if strands > 1 else 0):
-        i, sign = rng.randrange(strands - 1), rng.choice((1, -1))
+    for n, letter in enumerate(word):
+        i, sign = abs(letter) - 1, (1 if letter > 0 else -1)
         cid = str(n + 1)
         passes[at[i]].append((cid, sign > 0))
         passes[at[i + 1]].append((cid, sign < 0))
@@ -293,6 +291,18 @@ def braid_closure(
             s = ends[s]
         components.append(comp)
     return VirtualLinkDiagram(components, signs)
+
+
+def braid_closure(
+    rng: random.Random, max_crossings: int = 6, max_strands: int = 3
+) -> VirtualLinkDiagram:
+    """Closure (:func:`braid_word_closure`) of a random braid word."""
+    strands = rng.randint(1, max_strands)
+    word = []
+    for _ in range(rng.randint(0, max_crossings) if strands > 1 else 0):
+        i, sign = rng.randrange(strands - 1), rng.choice((1, -1))
+        word.append(sign * (i + 1))
+    return braid_word_closure(strands, word)
 
 
 def over_then_under(n: int) -> VirtualLinkDiagram:

@@ -83,6 +83,27 @@ class TestDual:
         assert out == ""
         assert "unknown edge" in err
 
+    def test_least_unknown_edge_named_under_any_hash_seed(self):
+        # Of several unknown labels the least is named, in a fresh
+        # process whatever the seed of string hashing.
+        package_root = os.path.dirname(os.path.dirname(ribbongraphs.__file__))
+        errors = set()
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [package_root, env.get("PYTHONPATH")])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "ribbongraphs.cli", "dual"]
+                + [fixture("torus.rg"), "--edges", "p,q,r,s"],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert (proc.returncode, proc.stdout) == (2, "")
+            errors.add(proc.stderr)
+        assert errors == {"error: unknown edge 'p'\n"}
+
 
 class TestPolynomials:
     def test_poly_golden(self, capsys):

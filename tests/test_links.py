@@ -37,6 +37,7 @@ from ribbongraphs.ribbon import SignedRibbonGraph, is_isomorphic, stats
 from .helpers import (
     all_states,
     braid_closure,
+    braid_word_closure,
     diagram_corpus,
     jones_from_bracket,
     load_diagram,
@@ -161,6 +162,30 @@ class TestParsing:
             VirtualLinkDiagram([[Pass("a b", True), Pass("a b", False)]], {"a b": 1})
         assert isinstance(err.value, RibbonGraphError)
         assert isinstance(err.value, ValueError)
+
+    def test_id_checked_before_counts(self):
+        # Every crossing id is checked, in first-seen order, before any
+        # count, role or sign: a bad id wins over a dangling crossing, a
+        # role conflict, a missing sign and a stray sign.
+        comps = [[("1", True)], [("a b", True), ("x y", True), ("a b", True)]]
+        with pytest.raises(InvalidLabel) as err:
+            VirtualLinkDiagram(comps, {"1": 1, "a b": 1, "ghost": 1})
+        assert str(err.value) == "invalid crossing id 'a b'"
+        with pytest.raises(InvalidLabel) as err:
+            VirtualLinkDiagram([[("1", True), ("", False)]], {"1": 1})
+        assert str(err.value) == "invalid crossing id ''"
+        with pytest.raises(DanglingCrossing) as err:
+            VirtualLinkDiagram([[("1", True)], [("2", True)] * 2], {"1": 1, "2": 1})
+        assert str(err.value) == "crossing '1' met 1 times, expected 2"
+
+    def test_stray_and_bad_signs(self):
+        met = [[("1", True), ("1", False)]]
+        with pytest.raises(DanglingCrossing) as err:
+            VirtualLinkDiagram(met, {"1": 1, "2": -1})
+        assert str(err.value) == "crossing '2' met 0 times, expected 2"
+        with pytest.raises(UnknownSign) as err:
+            VirtualLinkDiagram(met, {"1": 2})
+        assert str(err.value) == "sign of crossing '1' must be +1 or -1"
 
     def test_constructor_needs_signs(self):
         with pytest.raises(UnknownSign):
@@ -327,6 +352,38 @@ class TestJones:
         r1 = {("R1", over_first, sign) for over_first in both for sign in (1, -1)}
         r2 = {("R2", same, one_strand) for same in both for one_strand in both}
         assert seen == r1 | r2
+
+    def test_reidemeister_3(self):
+        # Jones is unchanged by the braid relation s_i s_i+1 s_i =
+        # s_i+1 s_i s_i+1 inside a seeded word u ... v, in its all-positive
+        # and all-negative forms and the mixed form s_i s_i+1 s_i^-1 =
+        # s_i+1^-1 s_i s_i+1.  Letters are +-(i + 1) for s_i^+-1.  As a
+        # control, inverting the last letter of the right side, which is
+        # no relation, changes Jones on most words.
+        forms = [((1, 2, 1), (2, 1, 2)), ((-1, -2, -1), (-2, -1, -2))]
+        forms.append(((1, 2, -1), (-2, 1, 2)))
+        rng = random.Random(31415)
+        changed = [0] * len(forms)
+        for _ in range(150):
+            strands = rng.randint(3, 4)
+            i = rng.randrange(strands - 2)
+            u, v = (
+                [
+                    rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(0, 3))
+                ]
+                for _ in range(2)
+            )
+
+            def close(letters):
+                shifted = [l + i if l > 0 else l - i for l in letters]
+                return braid_word_closure(strands, u + shifted + v)
+
+            for k, (left, right) in enumerate(forms):
+                base = jones(close(left))
+                assert jones(close(right)) == base, (strands, u, i, left, v)
+                changed[k] += jones(close(right[:2] + (-right[2],))) != base
+        assert all(c > 150 // 2 for c in changed), changed
 
 
 class TestBracketIdentity:
