@@ -28,8 +28,8 @@ from .links import (
 )
 from .ribbon import (
     SignedRibbonGraph,
+    _form,
     canonical_form,
-    is_orientable,
     parse_ribbon_graph,
     serialize_ribbon_graph,
     stats,
@@ -111,8 +111,7 @@ def _verify_duality(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
 
 
 def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
-    form = canonical_form(g)
-    orientable = is_orientable(g)
+    form, orientable = _form(g, False)
     # The composition chain of a subset dualises g on one edge at a time,
     # in sorted label order.  It extends the stored chain of its longest
     # stored prefix, in mask order the one a label shorter: one call per
@@ -142,14 +141,14 @@ def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
             if label != last and len(chains) < room:
                 chains[prefix] = chain
         h = partial_dual(g, subset)
-        h_form = canonical_form(h)
+        h_form, h_orientable = _form(h, False)  # one union-find pass for both
         if subset in run_forms:
             run_forms[subset] = h_form
         checks = {
             "involution": canonical_form(partial_dual(h, subset)) == form,
             "composition": canonical_form(chain) == h_form,
             "components": len(h_form) == len(form),  # one code per component
-            "orientability": is_orientable(h) == orientable,
+            "orientability": h_orientable == orientable,
         }
         if previous is not None:
             chained = canonical_form(partial_dual(previous_dual, subset))

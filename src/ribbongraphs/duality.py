@@ -23,6 +23,7 @@ from typing import Iterable
 
 from .errors import TooManyEdges, UnknownEdge
 from .ribbon import (
+    Occurrence,
     SignedRibbonGraph,
     _arcs,
     _bands,
@@ -43,6 +44,10 @@ __all__ = [
 ]
 
 DUAL_ORBIT_MAX_EDGES = 20
+
+# Builds an Occurrence from a (label, flag) pair in C, without the
+# NamedTuple's Python-level __new__, which takes over half as long again.
+_new = tuple.__new__
 
 
 def _require_edges(g: SignedRibbonGraph, edges: Iterable[str]) -> set[str]:
@@ -70,14 +75,19 @@ def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGrap
     inside = [label in subset for label in labels]
     starts = [c for c in range(len(sigma)) if inside[c >> 1]]
     new_circles = [
-        [(labels[c >> 1], (c & 1) != inside[c >> 1]) for c in cycle[1::2]]
+        tuple(
+            [
+                _new(Occurrence, (labels[c >> 1], (c & 1) != inside[c >> 1]))
+                for c in cycle[1::2]
+            ]
+        )
         for cycle in _trace(sigma, _bands(labels, subset), starts)
     ]
     new_circles += [
         circle for circle in g.circles if all(o.label not in subset for o in circle)
     ]
     signs = {l: -s if l in subset else s for l, s in g.signs.items()}
-    return SignedRibbonGraph(new_circles, signs)
+    return SignedRibbonGraph._derived(tuple(new_circles), signs)
 
 
 def delete_edge(g: SignedRibbonGraph, edge: str) -> SignedRibbonGraph:
@@ -86,7 +96,7 @@ def delete_edge(g: SignedRibbonGraph, edge: str) -> SignedRibbonGraph:
     circles = tuple(
         tuple(o for o in circle if o.label != edge) for circle in g.circles
     )
-    return SignedRibbonGraph(
+    return SignedRibbonGraph._derived(
         circles, {l: s for l, s in g.signs.items() if l != edge}
     )
 

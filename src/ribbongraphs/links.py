@@ -281,7 +281,7 @@ def state_ribbon_graph(
     """Ribbon graph of a state: state curves become vertices, crossings
     become edges signed +1 for an A-splitting and -1 for B."""
     signs = {cid: (1 if state[cid] == "A" else -1) for cid in d.crossing_ids}
-    return SignedRibbonGraph(resolve_state(d, state), signs)
+    return SignedRibbonGraph._derived(resolve_state(d, state), signs)
 
 
 # ----------------------------------------------------------------------

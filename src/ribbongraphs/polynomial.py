@@ -233,8 +233,14 @@ class Laurent:
         )
 
     def evaluate(self, values: Sequence[int]) -> int:
-        """Evaluate at integer points.  Exponents must be integers, and
-        nonnegative wherever the value is not +-1 (0**0 counts as 1)."""
+        """Evaluate at integer points, one value per variable of the ring.
+        Exponents must be integers, and nonnegative wherever the value is
+        not +-1 (0**0 counts as 1)."""
+        if len(values) != len(self.ring.names):
+            raise RingMismatch(
+                f"{len(values)} values for the {len(self.ring.names)} variables"
+                f" of ring {self.ring.names}"
+            )
         total = 0
         for key, coeff in self.terms.items():
             prod = coeff

@@ -141,6 +141,21 @@ class SignedRibbonGraph:
         object.__setattr__(self, "circles", fixed)
         object.__setattr__(self, "signs", {l: signs[l] for l in sorted(counts)})
 
+    @classmethod
+    def _derived(
+        cls, circles: tuple[tuple[Occurrence, ...], ...], signs: dict[str, int]
+    ) -> "SignedRibbonGraph":
+        """A graph that an operation on valid graphs built, without the
+        checks: ``circles`` already holds ``Occurrence`` tuples with bool
+        flags, every label twice, and ``signs`` maps each label to +-1 in
+        label order.  Labels and signs come from a checked graph or
+        diagram, and the operation pairs every occurrence it emits, so the
+        checks could not fail; they take nearly as long as the operation."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "circles", circles)
+        object.__setattr__(g, "signs", signs)
+        return g
+
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("SignedRibbonGraph instances are immutable")
 
@@ -255,9 +270,12 @@ class SignedRibbonGraph:
 # ----------------------------------------------------------------------
 
 
-def _circle_union(g: SignedRibbonGraph) -> tuple[list[int], bool, dict]:
-    """Root circle of each circle's component, orientability, and the
-    partner map from each (circle, position) to the other end of its edge.
+def _circle_union(
+    g: SignedRibbonGraph,
+) -> tuple[list[int], bool, list[int], list[int]]:
+    """Root circle of each circle's component, orientability, and per
+    occurrence its circle and its partner, the other end of its edge;
+    occurrences are numbered in circle-major order, as in :func:`_arcs`.
 
     A parity union-find over circles joins the two circles of every edge
     and seeks a reversal o per circle with d1 xor d2 xor o(c1) xor o(c2)
@@ -266,35 +284,43 @@ def _circle_union(g: SignedRibbonGraph) -> tuple[list[int], bool, dict]:
     """
     parent = list(range(len(g.circles)))
     parity = [0] * len(g.circles)
-
-    def find(a: int) -> tuple[int, int]:
-        p = 0
-        while parent[a] != a:  # path halving, parity carried along
-            up = parent[a]
-            parity[a] ^= parity[up]
-            parent[a] = parent[up]
-            p ^= parity[a]
-            a = parent[a]
-        return a, p
-
     orientable = True
-    first: dict[str, tuple[int, int, bool]] = {}
-    partner: dict[tuple[int, int], tuple[int, int]] = {}
+    first: dict[str, tuple[int, bool]] = {}
+    home: list[int] = []
+    partner = [0] * (2 * len(g.signs))
     for ci, circle in enumerate(g.circles):
-        for pos, (label, against) in enumerate(circle):
-            if label not in first:
-                first[label] = (ci, pos, against)
+        start = len(home)
+        home += [ci] * len(circle)
+        for i, (label, against) in enumerate(circle, start):
+            j, dj = first.setdefault(label, (i, against))
+            if j == i:
                 continue
-            cj, pj, dj = first[label]
-            partner[ci, pos], partner[cj, pj] = (cj, pj), (ci, pos)
-            ra, pa = find(ci)
-            rb, pb = find(cj)
+            partner[i], partner[j] = j, i
+            if home[j] == ci:  # a loop: both ends on one circle
+                orientable = orientable and dj == against
+                continue
+            ends: list[int] = []
+            for a in (ci, home[j]):  # find, with path halving carrying parity
+                p = 0
+                while parent[a] != a:
+                    up = parent[a]
+                    parity[a] ^= parity[up]
+                    parent[a] = parent[up]
+                    p ^= parity[a]
+                    a = parent[a]
+                ends += (a, p)
+            ra, pa, rb, pb = ends
             if ra != rb:
                 parent[ra] = rb
                 parity[ra] = pa ^ pb ^ dj ^ against
             elif pa ^ pb != dj ^ against:
                 orientable = False
-    return [find(ci)[0] for ci in range(len(g.circles))], orientable, partner
+    roots = []
+    for a in range(len(parent)):
+        while parent[a] != a:
+            a = parent[a]
+        roots.append(a)
+    return roots, orientable, home, partner
 
 
 def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
@@ -391,7 +417,7 @@ def stats(g: SignedRibbonGraph) -> GraphStats:
     edges, plus one per empty circle."""
     v = g.num_vertices
     e = g.num_edges
-    roots, orientable, _ = _circle_union(g)
+    roots, orientable, _, _ = _circle_union(g)
     k = len(set(roots))
     sigma, labels = _arcs(g)
     f = len(_trace(sigma, _bands(labels, g.signs), range(len(sigma))))
@@ -415,41 +441,83 @@ def stats(g: SignedRibbonGraph) -> GraphStats:
 # ----------------------------------------------------------------------
 
 
-def _rooted_code(circles, partner, signs, root, best):
-    """Code of one component read from ``root``, a (circle, position,
-    reversed) triple, or None as soon as it exceeds ``best``."""
+def _rooted_code(home, rings, flags, partner, signs, root, best):
+    """Code of one component read from ``root``, an (occurrence, reversed)
+    pair, or None as soon as it exceeds ``best``.  Occurrence i lies on
+    circle ``home[i]``, has flag ``flags[i]``, sign ``signs[i]`` (``signs``
+    is None under ``ignore_signs``) and the other end of its edge at
+    ``partner[i]``; ``rings[c]`` lists the occurrences of circle c twice
+    over, so that one slice reads the circle from any start either way."""
     queue = [root]
-    placed = {root[0]}
-    seen: dict[str, tuple[int, int]] = {}  # label -> (number, first flag)
+    placed = {home[root[0]]}
+    first: list = [None] * len(partner)  # (number, flag) left at the unread end
     code: list[int] = []
+    number = 0
     tied = bool(best)
-    for ci, start, rev in queue:
-        circle = circles[ci]
-        m = len(circle)
+    for start, rev in queue:
+        ring = rings[home[start]]
+        m = len(ring) >> 1
+        k = start - ring[0]
         lo = len(code)
         code.append(-m)
-        for step in range(m):
-            pos = (start - step if rev else start + step) % m
-            label, against = circle[pos]
-            flag = against ^ rev
-            hit = seen.get(label)
+        for i in ring[k + m : k : -1] if rev else ring[k : k + m]:
+            flag = flags[i] ^ rev
+            hit = first[i]
             if hit is not None:
                 code += (hit[0], hit[1] ^ flag)
                 continue
-            code.append(len(seen))
-            seen[label] = (len(seen), flag)
+            j = partner[i]
+            first[j] = (number, flag)
+            code.append(number)
+            number += 1
             if signs is not None:
-                code.append(signs[label])
-            cj, pj = partner[ci, pos]
-            if cj not in placed:
-                placed.add(cj)
-                queue.append((cj, pj, circles[cj][pj].against ^ flag))
+                code.append(signs[i])
+            if home[j] not in placed:
+                placed.add(home[j])
+                queue.append((j, flags[j] ^ flag))
         if tied:
             segment, ref = code[lo:], best[lo : len(code)]
             if segment > ref:
                 return None
             tied = segment == ref
     return code
+
+
+def _form(
+    g: SignedRibbonGraph, ignore_signs: bool
+) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """The canonical form of ``g`` and its orientability, from one pass of
+    :func:`_circle_union`."""
+    circles = g.circles
+    component, orientable, home, partner = _circle_union(g)
+    flags = [against for circle in circles for _, against in circle]
+    rings: list[list[int]] = []
+    size: list[int] = []
+    for circle in circles:
+        m = len(circle)
+        rings.append(list(range(len(size), len(size) + m)) * 2)
+        size += [m] * m
+    signs = None
+    if not ignore_signs:
+        signs = [g.signs[label] for circle in circles for label, _ in circle]
+    groups: dict[tuple, list[int]] = {}
+    for i, j in enumerate(partner):
+        m = size[i]
+        gap = abs(j - i) if home[i] == home[j] else -1
+        sign = signs[i] if signs else 0
+        key = (component[home[i]], m, size[j], gap if 2 * gap <= m else m - gap, sign)
+        groups.setdefault(key, []).append(i)
+    tops: dict[int, list[int]] = {}  # component -> its least (count, key) group
+    for _, key, roots in sorted([(len(r), k, r) for k, r in groups.items()]):
+        tops.setdefault(key[0], roots)
+    codes = [()] * circles.count(())
+    for roots in tops.values():
+        best: list[int] = []
+        for root in [(i, rev) for i in roots for rev in (0, 1)]:
+            code = _rooted_code(home, rings, flags, partner, signs, root, best)
+            best = code or best
+        codes.append(tuple(best))
+    return tuple(sorted(codes)), orientable
 
 
 def canonical_form(
@@ -472,24 +540,7 @@ def canonical_form(
     (ties to the least key).  That choice, and abandoning a root once its
     code exceeds the best, are invariant under isomorphism.
     """
-    circles = g.circles
-    signs = None if ignore_signs else g.signs
-    component, _, partner = _circle_union(g)
-    comps: dict[int, dict[tuple, list[tuple[int, int]]]] = {}
-    for (ci, pos), (cj, pj) in partner.items():
-        m = len(circles[ci])
-        gap = abs(pj - pos) if ci == cj else -1
-        sign = signs[circles[ci][pos][0]] if signs else 0
-        key = (m, len(circles[cj]), min(gap, m - gap), sign)
-        comps.setdefault(component[ci], {}).setdefault(key, []).append((ci, pos))
-    codes = [()] * circles.count(())
-    for keyed in comps.values():
-        _, tops = min(keyed.items(), key=lambda item: (len(item[1]), item[0]))
-        best: list[int] = []
-        for root in [(ci, pos, rev) for ci, pos in tops for rev in (0, 1)]:
-            best = _rooted_code(circles, partner, signs, root, best) or best
-        codes.append(tuple(best))
-    return tuple(sorted(codes))
+    return _form(g, ignore_signs)[0]
 
 
 def is_isomorphic(

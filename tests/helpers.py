@@ -30,7 +30,6 @@ from ribbongraphs.ribbon import (
     SignedRibbonGraph,
     _arcs,
     _bands,
-    _rooted_code,
     _trace,
     components,
     parse_ribbon_graph,
@@ -466,6 +465,83 @@ def backtrack_isomorphic(
     return place(0, {}, {}, set())
 
 
+def _tuple_rooted_code(circles, partner, signs, root, best):
+    """Code of one component read from ``root``, a (circle, position,
+    reversed) triple, or None as soon as it exceeds ``best``; ``partner``
+    maps each (circle, position) to the other end of its edge."""
+    queue = [root]
+    placed = {root[0]}
+    seen: dict[str, tuple[int, int]] = {}  # label -> (number, first flag)
+    code: list[int] = []
+    tied = bool(best)
+    for ci, start, rev in queue:
+        circle = circles[ci]
+        m = len(circle)
+        lo = len(code)
+        code.append(-m)
+        for step in range(m):
+            pos = (start - step if rev else start + step) % m
+            label, against = circle[pos]
+            flag = against ^ rev
+            hit = seen.get(label)
+            if hit is not None:
+                code += (hit[0], hit[1] ^ flag)
+                continue
+            code.append(len(seen))
+            seen[label] = (len(seen), flag)
+            if signs is not None:
+                code.append(signs[label])
+            cj, pj = partner[ci, pos]
+            if cj not in placed:
+                placed.add(cj)
+                queue.append((cj, pj, circles[cj][pj].against ^ flag))
+        if tied:
+            segment, ref = code[lo:], best[lo : len(code)]
+            if segment > ref:
+                return None
+            tied = segment == ref
+    return code
+
+
+def _tuple_partners(g: SignedRibbonGraph) -> dict[tuple[int, int], tuple[int, int]]:
+    ends: dict[str, list[tuple[int, int]]] = {}
+    for _, ci, pos, occ in g.occurrences():
+        ends.setdefault(occ.label, []).append((ci, pos))
+    partner = {a: b for a, b in ends.values()}
+    partner.update((b, a) for a, b in ends.values())
+    return partner
+
+
+def tuple_canonical_form(
+    g: SignedRibbonGraph, ignore_signs: bool = False
+) -> tuple[tuple[int, ...], ...]:
+    """``ribbon.canonical_form`` as it was with occurrences keyed by
+    (circle, position) tuples.  The reference for the form over flat
+    occurrence numbers: the two must give equal tuples."""
+    circles = g.circles
+    signs = None if ignore_signs else g.signs
+    partner = _tuple_partners(g)
+    codes = [()] * circles.count(())
+    for comp in components(g):
+        keyed: dict[tuple, list[tuple[int, int]]] = {}
+        for ci in comp:
+            m = len(circles[ci])
+            for pos, (label, _) in enumerate(circles[ci]):
+                cj, pj = partner[ci, pos]
+                gap = abs(pj - pos) if ci == cj else -1
+                sign = signs[label] if signs else 0
+                key = (m, len(circles[cj]), min(gap, m - gap), sign)
+                keyed.setdefault(key, []).append((ci, pos))
+        if not keyed:
+            continue  # an empty circle, coded above
+        _, tops = min(keyed.items(), key=lambda item: (len(item[1]), item[0]))
+        best: list[int] = []
+        for root in [(ci, pos, rev) for ci, pos in tops for rev in (0, 1)]:
+            best = _tuple_rooted_code(circles, partner, signs, root, best) or best
+        codes.append(tuple(best))
+    return tuple(sorted(codes))
+
+
 def length_class_form(
     g: SignedRibbonGraph, ignore_signs: bool = False
 ) -> tuple[tuple[int, ...], ...]:
@@ -476,11 +552,7 @@ def length_class_form(
     split any set of graphs into the same classes."""
     circles = g.circles
     signs = None if ignore_signs else g.signs
-    ends: dict[str, list[tuple[int, int]]] = {}
-    for _, ci, pos, occ in g.occurrences():
-        ends.setdefault(occ.label, []).append((ci, pos))
-    partner = {a: b for a, b in ends.values()}
-    partner.update((b, a) for a, b in ends.values())
+    partner = _tuple_partners(g)
     codes: list[tuple[int, ...]] = []
     for comp in components(g):
         held = Counter(len(circles[ci]) for ci in comp)
@@ -488,7 +560,7 @@ def length_class_form(
         tops = [ci for ci in comp if len(circles[ci]) == root_len]
         best: list[int] = []  # stays empty for an empty circle
         for root in product(tops, range(root_len), (0, 1)):
-            best = _rooted_code(circles, partner, signs, root, best) or best
+            best = _tuple_rooted_code(circles, partner, signs, root, best) or best
         codes.append(tuple(best))
     return tuple(sorted(codes))
 

@@ -14,7 +14,14 @@ from ribbongraphs.duality import (
     partial_dual,
 )
 from ribbongraphs.errors import TooManyEdges, UnknownEdge
+from ribbongraphs.links import (
+    all_A_state,
+    all_B_state,
+    seifert_state,
+    state_ribbon_graph,
+)
 from ribbongraphs.ribbon import (
+    Occurrence,
     SignedRibbonGraph,
     is_isomorphic,
     serialize_ribbon_graph,
@@ -25,6 +32,7 @@ from .helpers import (
     all_subsets,
     arc_partial_dual,
     bouquet,
+    diagram_corpus,
     graph_corpus,
     load_graph,
     subgraph_stats,
@@ -112,6 +120,50 @@ class TestPartialDual:
             for subset in all_subsets(g):
                 d = partial_dual(g, subset)
                 assert d.num_vertices == subgraph_stats(g, subset).f
+
+
+def assert_as_checked(g: SignedRibbonGraph) -> None:
+    """``g``, built without the constructor's checks, equals its rebuild
+    through them: same circles, signs and repr, ``Occurrence`` tuples with
+    bool flags (``==`` takes 1 for True), and signs in the same order."""
+    checked = SignedRibbonGraph(g.circles, g.signs)
+    assert g == checked
+    assert repr(g) == repr(checked)
+    assert list(g.signs.items()) == list(checked.signs.items())
+    assert type(g.circles) is tuple
+    for circle in g.circles:
+        assert type(circle) is tuple
+        for occ in circle:
+            assert type(occ) is Occurrence and type(occ.against) is bool, g
+
+
+class TestDerivedGraphs:
+    def test_partial_duals(self):
+        rng = random.Random(3490)
+        graphs = graph_corpus(3490, 600, max_edges=10)
+        graphs += [bouquet(e) for e in range(1, 9)]
+        assert any(() in g.circles for g in graphs)
+        for g in graphs:
+            for _ in range(3):
+                assert_as_checked(
+                    partial_dual(g, [l for l in g.signs if rng.random() < 0.5])
+                )
+            assert_as_checked(partial_dual(g, g.signs))
+
+    def test_deletions_and_contractions(self):
+        rng = random.Random(3491)
+        for g in graph_corpus(3491, 300, max_edges=10) + [bouquet(4)]:
+            for edge in rng.sample(sorted(g.signs), min(3, g.num_edges)):
+                assert_as_checked(delete_edge(g, edge))
+                assert_as_checked(contract_edge(g, edge))
+
+    def test_state_graphs(self):
+        # ids 1..11 sort as strings ("10" before "2"), as the signs must
+        rng = random.Random(3492)
+        for d in diagram_corpus(3492, 300, max_crossings=11):
+            bits = {cid: rng.choice("AB") for cid in d.crossing_ids}
+            for state in (seifert_state(d), all_A_state(d), all_B_state(d), bits):
+                assert_as_checked(state_ribbon_graph(d, state))
 
 
 class TestDualityLemmas:

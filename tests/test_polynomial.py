@@ -75,6 +75,14 @@ class TestArithmetic:
                 lambda: restrict_duality_surface(Laurent.const(RING_T, 1)),
                 "restriction is defined on the (x, y, z) ring",
             ),
+            (  # zip would stop early and read z as 1
+                lambda: Laurent(RING_XYZ, {(2, 0, 1): 1}).evaluate([2, 2]),
+                "2 values for the 3 variables of ring ('x', 'y', 'z')",
+            ),
+            (
+                lambda: Laurent(RING_XYZ, {(2, 0, 1): 1}).evaluate([2, 2, 2, 2]),
+                "4 values for the 3 variables of ring ('x', 'y', 'z')",
+            ),
         ]
         for bad, message in cases:
             with pytest.raises(RingMismatch) as err:

@@ -42,6 +42,7 @@ from .helpers import (
     length_class_form,
     load_graph,
     random_graph,
+    tuple_canonical_form,
 )
 
 
@@ -381,6 +382,32 @@ class TestIsomorphism:
             classes = len({new for new, _ in pairs})
             assert classes == len({old for _, old in pairs}) == len(pairs)
             assert classes < len(graphs) / 2
+
+    def test_matches_tuple_keyed_form(self):
+        # The form read over flat occurrence numbers is the earlier one
+        # keyed by (circle, position) tuples, value for value and type for
+        # type (repr tells 1 from True): seeded duals (e <= 10), bouquets
+        # and the symmetric rings, with and without signs.
+        rng = random.Random(3491)
+        graphs = [bouquet(e) for e in range(1, 7)]
+        for e in range(2, 7):
+            for step, reach in [(2, r) for r in range(1, e + 1, 2)] + [(1, e)]:
+                for flags in (
+                    ((False, False),),
+                    ((False, True),),
+                    ((False, False), (True, False)),
+                ):
+                    for signs in ((1,), (1, -1)):
+                        graphs.append(chord_ring(e, step, reach, flags, signs))
+        for g in graph_corpus(3491, 1000, max_edges=10):
+            for _ in range(3):
+                graphs.append(partial_dual(g, [l for l in g.signs if rng.random() < 0.5]))
+        assert sum(1 for h in graphs if () in h.circles) > 100
+        for h in graphs:
+            for ignore_signs in (False, True):
+                got = canonical_form(h, ignore_signs)
+                want = tuple_canonical_form(h, ignore_signs)
+                assert repr(got) == repr(want), h
 
     def test_form_of_pieces(self):
         torus, mobius = load_graph("torus.rg"), load_graph("mobius.rg")

@@ -2,6 +2,7 @@
 the package root agree, and names moved into the tests stay out of the
 package."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -93,3 +94,28 @@ def test_errors_are_package_errors():
     }
     for path in Path(ribbongraphs.__file__).parent.glob("*.py"):
         assert "raise ValueError" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_derived_graphs_only_from_operations():
+    # SignedRibbonGraph._derived skips the constructor's checks, so only
+    # operations whose output is valid by construction may reach it; the
+    # parsers, the moves, disjoint_union and one_point_join keep them.
+    sites = []
+    for path in sorted(Path(ribbongraphs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "_derived") or (
+                isinstance(node, ast.Constant) and node.value == "_derived"
+            ):
+                inner = max(
+                    (f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                    key=lambda f: f.lineno,
+                    default=None,
+                )
+                sites.append((path.stem, inner and inner.name))
+    assert sorted(sites, key=str) == [
+        ("duality", "delete_edge"),
+        ("duality", "partial_dual"),
+        ("links", "state_ribbon_graph"),
+    ]
