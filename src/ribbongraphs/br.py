@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import FractionalExponent, NegativeExponentNonUnit, TooManyEdges
 from .polynomial import RING_XY, RING_XYZ, Laurent, restrict_duality_surface
-from .ribbon import SignedRibbonGraph, _arcs, _bands, components, stats
+from .ribbon import SignedRibbonGraph, _arcs, _bands, _circle_union, components, stats
 
 __all__ = [
     "bollobas_riordan",
@@ -51,12 +51,12 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
     """
     sigma, labels = _arcs(g)
     tau = _bands(labels, ())
-    ends: dict[str, list[tuple[int, int]]] = {}
-    for i, ci, _, occ in g.occurrences():
-        ends.setdefault(occ.label, []).append((2 * i, ci))
+    _, _, home, partner = _circle_union(g)
+    # one edge per first occurrence i, so in first-seen label order
     edges = [
-        (a, a + 1, c, c + 1, u, w, int(g.signs[label] < 0))
-        for label, ((a, u), (c, w)) in ends.items()
+        (2 * i, 2 * i + 1, 2 * j, 2 * j + 1, home[i], home[j], int(g.signs[labels[i]] < 0))
+        for i, j in enumerate(partner)
+        if i < j
     ]
     v = g.num_vertices
     # Its own roll-back union-find, not ribbon's static one: sharing it

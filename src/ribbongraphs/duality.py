@@ -12,8 +12,8 @@ it when swept backward, and each ribbon side of an E' edge emits a fresh
 occurrence of that edge.  Circles without E' occurrences survive
 verbatim.  Signs flip on E' and survive elsewhere.
 
-Deletion, contraction, edge classification, and enumeration of the whole
-orbit of duals are built on top.
+Enumeration of the whole orbit of duals, up to isomorphism, is built
+on top.
 """
 
 from __future__ import annotations
@@ -29,15 +29,10 @@ from .ribbon import (
     _bands,
     _trace,
     canonical_form,
-    components,
 )
 
 __all__ = [
     "partial_dual",
-    "delete_edge",
-    "contract_edge",
-    "EdgeClass",
-    "classify_edge",
     "OrbitClass",
     "dual_orbit",
     "DUAL_ORBIT_MAX_EDGES",
@@ -48,14 +43,6 @@ DUAL_ORBIT_MAX_EDGES = 20
 # Builds an Occurrence from a (label, flag) pair in C, without the
 # NamedTuple's Python-level __new__, which takes over half as long again.
 _new = tuple.__new__
-
-
-def _require_edges(g: SignedRibbonGraph, edges: Iterable[str]) -> set[str]:
-    subset = set(edges)
-    unknown = subset - set(g.signs)
-    if unknown:
-        raise UnknownEdge(f"not edges of the graph: {sorted(unknown)}")
-    return subset
 
 
 def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGraph:
@@ -70,7 +57,10 @@ def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGrap
     Raises:
         UnknownEdge: a requested edge is not in the graph.
     """
-    subset = _require_edges(g, edges)
+    subset = set(edges)
+    unknown = subset - set(g.signs)
+    if unknown:
+        raise UnknownEdge(f"not edges of the graph: {sorted(unknown)}")
     sigma, labels = _arcs(g)
     inside = [label in subset for label in labels]
     starts = [c for c in range(len(sigma)) if inside[c >> 1]]
@@ -88,72 +78,6 @@ def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGrap
     ]
     signs = {l: -s if l in subset else s for l, s in g.signs.items()}
     return SignedRibbonGraph._derived(tuple(new_circles), signs)
-
-
-def delete_edge(g: SignedRibbonGraph, edge: str) -> SignedRibbonGraph:
-    """Remove the ribbon of ``edge``; circles keep their other arrows."""
-    _require_edges(g, [edge])
-    circles = tuple(
-        tuple(o for o in circle if o.label != edge) for circle in g.circles
-    )
-    return SignedRibbonGraph._derived(
-        circles, {l: s for l, s in g.signs.items() if l != edge}
-    )
-
-
-def contract_edge(g: SignedRibbonGraph, edge: str) -> SignedRibbonGraph:
-    """Contract ``edge``: dualize on it, then delete it there."""
-    return delete_edge(partial_dual(g, {edge}), edge)
-
-
-@dataclass(frozen=True)
-class EdgeClass:
-    """Classification of one edge.
-
-    ``kind`` is "bridge", "loop", or "ordinary"; for loops the two extra
-    fields say whether the loop is orientable (equal flags) and trivial
-    (cutting its vertex along the chord between its two gaps, after
-    removing the loop, disconnects the graph).
-    """
-
-    kind: str
-    orientable: bool | None = None
-    trivial: bool | None = None
-
-
-def classify_edge(g: SignedRibbonGraph, edge: str) -> EdgeClass:
-    """Sort ``edge`` into bridge / loop / ordinary, with loop refinements.
-
-    Raises:
-        UnknownEdge: the edge is not in the graph.
-    """
-    _require_edges(g, [edge])
-    spots = [
-        (ci, pos)
-        for _, ci, pos, occ in g.occurrences()
-        if occ.label == edge
-    ]
-    (c1, p1), (c2, p2) = spots
-    if c1 == c2:
-        circle = g.circles[c1]
-        inner = circle[p1 + 1 : p2]
-        outer = circle[p2 + 1 :] + circle[:p1]
-        split_circles = (
-            g.circles[:c1]
-            + (inner, outer)
-            + g.circles[c1 + 1 :]
-        )
-        split = SignedRibbonGraph(
-            split_circles, {l: s for l, s in g.signs.items() if l != edge}
-        )
-        return EdgeClass(
-            kind="loop",
-            orientable=circle[p1].against == circle[p2].against,
-            trivial=len(components(split)) > len(components(g)),
-        )
-    if len(components(delete_edge(g, edge))) > len(components(g)):
-        return EdgeClass(kind="bridge")
-    return EdgeClass(kind="ordinary")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ __all__ = [
     "RingMismatch",
     "UnknownSign",
     "UnknownEdge",
-    "PositionOutOfRange",
     "TooManyEdges",
     "TooManyCrossings",
     "DanglingCrossing",
@@ -63,10 +62,6 @@ class UnknownSign(RibbonGraphError):
 
 class UnknownEdge(RibbonGraphError):
     """An operation referenced an edge label the graph does not have."""
-
-
-class PositionOutOfRange(RibbonGraphError):
-    """A circle index or insertion gap fell outside the valid range."""
 
 
 class TooManyEdges(RibbonGraphError):

@@ -184,18 +184,16 @@ class Laurent:
     # structural maps
     # ------------------------------------------------------------------
 
-    def _var_index(self, var: int | str) -> int:
-        if isinstance(var, str):
-            return self.ring.names.index(var)
-        return var
-
-    def substitute(self, var: int | str, value: "Laurent") -> "Laurent":
-        """Replace one variable by a polynomial of the same ring.
+    def substitute(self, var: str, value: "Laurent") -> "Laurent":
+        """Replace the variable named ``var`` by a polynomial of the same
+        ring (else RingMismatch).
 
         The replaced variable must occur with integer exponents, and with
         nonnegative ones unless ``value`` is an invertible monomial.
         """
-        i = self._var_index(var)
+        if var not in self.ring.names:
+            raise RingMismatch(f"no variable {var!r} in ring {self.ring.names}")
+        i = self.ring.names.index(var)
         self._same_ring(value)
         scale = self.ring.scales[i]
         exps: dict[int, dict[Key, int]] = {}
@@ -217,7 +215,14 @@ class Laurent:
         return result
 
     def project(self, target: Ring, keep: Sequence[int]) -> "Laurent":
-        """Drop variables not listed in ``keep``; they must not occur."""
+        """Drop variables not listed in ``keep``; they must not occur.
+        Variable ``keep[pos]`` of this ring becomes variable ``pos`` of
+        ``target``; any other ``keep`` raises RingMismatch."""
+        indices = range(len(self.ring.names))
+        if len(keep) != len(target.names) or any(i not in indices for i in keep):
+            raise RingMismatch(
+                f"cannot map {self.ring.names} onto {target.names} by {tuple(keep)!r}"
+            )
         for key in self.terms:
             for i, u in enumerate(key):
                 if i not in keep and u != 0:

@@ -25,7 +25,7 @@ from .errors import (
     InvalidLabel,
     InvalidMove,
     ParseError,
-    PositionOutOfRange,
+    UnknownEdge,
     UnknownSign,
 )
 
@@ -40,8 +40,6 @@ __all__ = [
     "stats",
     "canonical_form",
     "is_isomorphic",
-    "disjoint_union",
-    "one_point_join",
 ]
 
 _LABEL_BAD = re.compile(r"[\s:'#]")
@@ -179,14 +177,6 @@ class SignedRibbonGraph:
     def sign(self, label: str) -> int:
         return self.signs[label]
 
-    def occurrences(self) -> Iterator[tuple[int, int, int, Occurrence]]:
-        """Yield (global index, circle index, position, occurrence)."""
-        i = 0
-        for ci, circle in enumerate(self.circles):
-            for pos, occ in enumerate(circle):
-                yield i, ci, pos, occ
-                i += 1
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SignedRibbonGraph)
@@ -223,9 +213,13 @@ class SignedRibbonGraph:
         return self._replace_circle(index, flipped)
 
     def m2(self, label: str) -> "SignedRibbonGraph":
-        """Flip both flags of edge ``label``."""
+        """Flip both flags of edge ``label``.
+
+        Raises:
+            UnknownEdge: ``label`` is not an edge of the graph.
+        """
         if label not in self.signs:
-            raise KeyError(label)
+            raise UnknownEdge(f"not an edge of the graph: {label!r}")
         circles = tuple(
             tuple(
                 Occurrence(o.label, not o.against) if o.label == label else o
@@ -553,68 +547,6 @@ def is_isomorphic(
     (:func:`canonical_form`) are equal.
     """
     return canonical_form(g, ignore_signs) == canonical_form(h, ignore_signs)
-
-
-# ----------------------------------------------------------------------
-# composition
-# ----------------------------------------------------------------------
-
-
-def _fresh_relabel(
-    h: SignedRibbonGraph, occupied: set[str]
-) -> SignedRibbonGraph:
-    mapping: dict[str, str] = {}
-    used = set(occupied)
-    for label in h.edge_labels:
-        new = label
-        i = 2
-        while new in used:
-            new = f"{label}.{i}"
-            i += 1
-        mapping[label] = new
-        used.add(new)
-    return h.relabel(mapping)
-
-
-def disjoint_union(
-    g: SignedRibbonGraph, h: SignedRibbonGraph
-) -> SignedRibbonGraph:
-    """Place two graphs side by side, renaming clashing edge labels of h."""
-    h = _fresh_relabel(h, set(g.signs))
-    return SignedRibbonGraph(
-        g.circles + h.circles, {**g.signs, **h.signs}
-    )
-
-
-def one_point_join(
-    g: SignedRibbonGraph,
-    h: SignedRibbonGraph,
-    pos_g: tuple[int, int],
-    pos_h: tuple[int, int],
-) -> SignedRibbonGraph:
-    """Merge one vertex of each graph at chosen insertion gaps.
-
-    ``pos_g`` and ``pos_h`` are (circle index, gap index) pairs; gap i
-    lies before the occurrence at position i, so a circle of length m
-    has gaps 0..m.  Clashing h labels are renamed as in disjoint_union.
-    """
-    cg, gapg = pos_g
-    ch, gaph = pos_h
-    if not (0 <= cg < len(g.circles)) or not (0 <= gapg <= len(g.circles[cg])):
-        raise PositionOutOfRange(f"no gap {pos_g} in the first graph")
-    if not (0 <= ch < len(h.circles)) or not (0 <= gaph <= len(h.circles[ch])):
-        raise PositionOutOfRange(f"no gap {pos_h} in the second graph")
-    h = _fresh_relabel(h, set(g.signs))
-    spliced = h.circles[ch][gaph:] + h.circles[ch][:gaph]
-    joined = g.circles[cg][:gapg] + spliced + g.circles[cg][gapg:]
-    circles = (
-        g.circles[:cg]
-        + (joined,)
-        + g.circles[cg + 1 :]
-        + h.circles[:ch]
-        + h.circles[ch + 1 :]
-    )
-    return SignedRibbonGraph(circles, {**g.signs, **h.signs})
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,10 @@ promise via ``classify_edge`` at construction time.
 
 The oracles recompute by the slow, obvious route what the package
 computes by a fast one; the scripts under ``scripts/`` import some of
-them too.
+them too.  Deletion, contraction, edge classification and the two
+compositions of graphs live here as well: the reduction identities of
+R and its multiplicativity are checked with them, and nothing in the
+package computes by them.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from ribbongraphs.duality import classify_edge
-from ribbongraphs.errors import FractionalExponent, ParseError
+from ribbongraphs.duality import partial_dual
+from ribbongraphs.errors import FractionalExponent, ParseError, UnknownEdge
 from ribbongraphs.links import VirtualLinkDiagram, parse_gauss, resolve_state
 from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XYZ, Laurent, Ring
 from ribbongraphs.ribbon import (
@@ -82,6 +85,129 @@ def bouquet(e: int) -> SignedRibbonGraph:
     return SignedRibbonGraph(
         [[(l, False) for l in labels for _ in range(2)]], dict.fromkeys(labels, 1)
     )
+
+
+# ----------------------------------------------------------------------
+# deletion, contraction, edge classes and compositions
+# ----------------------------------------------------------------------
+
+
+def occurrences(g: SignedRibbonGraph) -> Iterator[tuple[int, int, int, Occurrence]]:
+    """Yield (global index, circle index, position, occurrence)."""
+    i = 0
+    for ci, circle in enumerate(g.circles):
+        for pos, occ in enumerate(circle):
+            yield i, ci, pos, occ
+            i += 1
+
+
+def _require_edge(g: SignedRibbonGraph, edge: str) -> None:
+    if edge not in g.signs:
+        raise UnknownEdge(f"not an edge of the graph: {edge!r}")
+
+
+def delete_edge(g: SignedRibbonGraph, edge: str) -> SignedRibbonGraph:
+    """Remove the ribbon of ``edge``; circles keep their other arrows."""
+    _require_edge(g, edge)
+    circles = [[o for o in circle if o.label != edge] for circle in g.circles]
+    return SignedRibbonGraph(
+        circles, {l: s for l, s in g.signs.items() if l != edge}
+    )
+
+
+def contract_edge(g: SignedRibbonGraph, edge: str) -> SignedRibbonGraph:
+    """Contract ``edge``: dualize on it, then delete it there."""
+    return delete_edge(partial_dual(g, {edge}), edge)
+
+
+@dataclass(frozen=True)
+class EdgeClass:
+    """Classification of one edge.
+
+    ``kind`` is "bridge", "loop", or "ordinary"; for loops the two extra
+    fields say whether the loop is orientable (equal flags) and trivial
+    (cutting its vertex along the chord between its two gaps, after
+    removing the loop, disconnects the graph).
+    """
+
+    kind: str
+    orientable: bool | None = None
+    trivial: bool | None = None
+
+
+def classify_edge(g: SignedRibbonGraph, edge: str) -> EdgeClass:
+    """Sort ``edge`` into bridge / loop / ordinary, with loop refinements."""
+    _require_edge(g, edge)
+    spots = [(ci, pos) for _, ci, pos, occ in occurrences(g) if occ.label == edge]
+    (c1, p1), (c2, p2) = spots
+    if c1 == c2:
+        circle = g.circles[c1]
+        inner = circle[p1 + 1 : p2]
+        outer = circle[p2 + 1 :] + circle[:p1]
+        split = SignedRibbonGraph(
+            g.circles[:c1] + (inner, outer) + g.circles[c1 + 1 :],
+            {l: s for l, s in g.signs.items() if l != edge},
+        )
+        return EdgeClass(
+            kind="loop",
+            orientable=circle[p1].against == circle[p2].against,
+            trivial=len(components(split)) > len(components(g)),
+        )
+    if len(components(delete_edge(g, edge))) > len(components(g)):
+        return EdgeClass(kind="bridge")
+    return EdgeClass(kind="ordinary")
+
+
+def _fresh_relabel(h: SignedRibbonGraph, occupied: set[str]) -> SignedRibbonGraph:
+    mapping: dict[str, str] = {}
+    used = set(occupied)
+    for label in h.edge_labels:
+        new = label
+        i = 2
+        while new in used:
+            new = f"{label}.{i}"
+            i += 1
+        mapping[label] = new
+        used.add(new)
+    return h.relabel(mapping)
+
+
+def disjoint_union(g: SignedRibbonGraph, h: SignedRibbonGraph) -> SignedRibbonGraph:
+    """Place two graphs side by side, renaming clashing edge labels of h."""
+    h = _fresh_relabel(h, set(g.signs))
+    return SignedRibbonGraph(g.circles + h.circles, {**g.signs, **h.signs})
+
+
+def one_point_join(
+    g: SignedRibbonGraph,
+    h: SignedRibbonGraph,
+    pos_g: tuple[int, int],
+    pos_h: tuple[int, int],
+) -> SignedRibbonGraph:
+    """Merge one vertex of each graph at chosen insertion gaps.
+
+    ``pos_g`` and ``pos_h`` are (circle index, gap index) pairs; gap i
+    lies before the occurrence at position i, so a circle of length m
+    has gaps 0..m.  Clashing h labels are renamed as in disjoint_union.
+    A gap outside its graph raises ``IndexError``.
+    """
+    cg, gapg = pos_g
+    ch, gaph = pos_h
+    if not (0 <= cg < len(g.circles)) or not (0 <= gapg <= len(g.circles[cg])):
+        raise IndexError(f"no gap {pos_g} in the first graph")
+    if not (0 <= ch < len(h.circles)) or not (0 <= gaph <= len(h.circles[ch])):
+        raise IndexError(f"no gap {pos_h} in the second graph")
+    h = _fresh_relabel(h, set(g.signs))
+    spliced = h.circles[ch][gaph:] + h.circles[ch][:gaph]
+    joined = g.circles[cg][:gapg] + spliced + g.circles[cg][gapg:]
+    circles = (
+        g.circles[:cg]
+        + (joined,)
+        + g.circles[cg + 1 :]
+        + h.circles[:ch]
+        + h.circles[ch + 1 :]
+    )
+    return SignedRibbonGraph(circles, {**g.signs, **h.signs})
 
 
 # ----------------------------------------------------------------------
@@ -505,7 +631,7 @@ def _tuple_rooted_code(circles, partner, signs, root, best):
 
 def _tuple_partners(g: SignedRibbonGraph) -> dict[tuple[int, int], tuple[int, int]]:
     ends: dict[str, list[tuple[int, int]]] = {}
-    for _, ci, pos, occ in g.occurrences():
+    for _, ci, pos, occ in occurrences(g):
         ends.setdefault(occ.label, []).append((ci, pos))
     partner = {a: b for a, b in ends.values()}
     partner.update((b, a) for a, b in ends.values())

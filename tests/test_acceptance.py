@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from ribbongraphs.br import bollobas_riordan, duality_invariant, tutte_via_br
-from ribbongraphs.duality import contract_edge, delete_edge, dual_orbit, partial_dual
+from ribbongraphs.duality import dual_orbit, partial_dual
 from ribbongraphs.links import jones, kauffman_bracket, state_ribbon_graph
 from ribbongraphs.polynomial import (
     RING_ABD,
@@ -27,7 +27,9 @@ from ribbongraphs.ribbon import SignedRibbonGraph, is_isomorphic, stats
 
 from .helpers import (
     all_subsets,
+    contract_edge,
     count_subgraphs,
+    delete_edge,
     diagram_corpus,
     graph_corpus,
     load_diagram,

@@ -10,7 +10,7 @@ from ribbongraphs.br import (
     duality_invariant,
     tutte_via_br,
 )
-from ribbongraphs.duality import delete_edge, partial_dual
+from ribbongraphs.duality import partial_dual
 from ribbongraphs.errors import FractionalExponent, TooManyEdges
 from ribbongraphs.polynomial import (
     RING_XY,
@@ -18,21 +18,19 @@ from ribbongraphs.polynomial import (
     Laurent,
     restrict_duality_surface,
 )
-from ribbongraphs.ribbon import (
-    SignedRibbonGraph,
-    components,
-    disjoint_union,
-    one_point_join,
-    stats,
-)
+from ribbongraphs.ribbon import SignedRibbonGraph, components, stats
 
 from .helpers import (
     SURFACE_IMAGES,
     all_subsets,
     bouquet,
+    delete_edge,
+    disjoint_union,
     graph_corpus,
     load_graph,
     monomial_map,
+    occurrences,
+    one_point_join,
     subgraph_stats,
     subset_sum_br,
 )
@@ -265,7 +263,7 @@ class TestTutte:
             multigraph = nx.MultiGraph()
             multigraph.add_nodes_from(range(g.num_vertices))
             ends: dict[str, list[int]] = {}
-            for _, ci, _, occ in g.occurrences():
+            for _, ci, _, occ in occurrences(g):
                 ends.setdefault(occ.label, []).append(ci)
             multigraph.add_edges_from(ends.values())
             expected = sympy.Poly(nx.tutte_polynomial(multigraph), x, y).as_dict()

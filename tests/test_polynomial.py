@@ -83,6 +83,30 @@ class TestArithmetic:
                 lambda: Laurent(RING_XYZ, {(2, 0, 1): 1}).evaluate([2, 2, 2, 2]),
                 "4 values for the 3 variables of ring ('x', 'y', 'z')",
             ),
+            (  # an index past the ring
+                lambda: (X * X).project(RING_XY, (0, 5)),
+                "cannot map ('x', 'y', 'z') onto ('x', 'y') by (0, 5)",
+            ),
+            (  # one index more than the target has variables
+                lambda: (X * X).project(RING_XY, (0, 1, 2)),
+                "cannot map ('x', 'y', 'z') onto ('x', 'y') by (0, 1, 2)",
+            ),
+            (  # a negative index would read z from the end
+                lambda: (X * X).project(RING_XY, (0, -1)),
+                "cannot map ('x', 'y', 'z') onto ('x', 'y') by (0, -1)",
+            ),
+            (
+                lambda: X.substitute("w", Y),
+                "no variable 'w' in ring ('x', 'y', 'z')",
+            ),
+            (  # variables are named, not numbered
+                lambda: X.substitute(7, Y),
+                "no variable 7 in ring ('x', 'y', 'z')",
+            ),
+            (  # a negative index would build keys of the wrong width
+                lambda: X.substitute(-1, Y),
+                "no variable -1 in ring ('x', 'y', 'z')",
+            ),
         ]
         for bad, message in cases:
             with pytest.raises(RingMismatch) as err:

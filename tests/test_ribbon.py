@@ -15,6 +15,7 @@ from ribbongraphs.errors import (
     InvalidMove,
     ParseError,
     RibbonGraphError,
+    UnknownEdge,
     UnknownSign,
 )
 from ribbongraphs.ribbon import (
@@ -22,15 +23,12 @@ from ribbongraphs.ribbon import (
     SignedRibbonGraph,
     canonical_form,
     components,
-    disjoint_union,
     is_isomorphic,
     is_orientable,
-    one_point_join,
     parse_ribbon_graph,
     serialize_ribbon_graph,
     stats,
 )
-from ribbongraphs.errors import PositionOutOfRange
 
 from .helpers import (
     FIXTURES,
@@ -38,9 +36,12 @@ from .helpers import (
     boundary_components,
     bouquet,
     chord_ring,
+    disjoint_union,
     graph_corpus,
     length_class_form,
     load_graph,
+    occurrences,
+    one_point_join,
     random_graph,
     tuple_canonical_form,
 )
@@ -120,7 +121,7 @@ class TestConstruction:
         assert g.edge_labels == ("1", "2", "3")
         assert g.sign("1") == 1
         assert g.sign("3") == -1
-        tokens = [occ.token() for _, _, _, occ in g.occurrences()]
+        tokens = [occ.token() for _, _, _, occ in occurrences(g)]
         assert tokens == ["1", "2", "1'", "3", "2", "3"]
 
 
@@ -238,6 +239,8 @@ class TestMoves:
         h = g.m2("1")
         assert [o.token() for o in h.circles[0]] == ["1'", "2", "1'", "2"]
         assert is_isomorphic(g, h)
+        with pytest.raises(UnknownEdge, match="^not an edge of the graph: 'zz'$"):
+            g.m2("zz")
 
     def test_rotate_empty_circle(self):
         g = load_graph("isolated.rg")
@@ -473,7 +476,7 @@ class TestUnions:
 
     def test_one_point_join_position_range(self):
         g = load_graph("annulus.rg")
-        with pytest.raises(PositionOutOfRange):
+        with pytest.raises(IndexError, match=r"^no gap \(0, 5\) in the first graph$"):
             one_point_join(g, g, (0, 5), (0, 0))
 
 

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import ribbongraphs
-from ribbongraphs.polynomial import Laurent
 
 from . import helpers
 
@@ -18,7 +17,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # (old home, name, its name in tests.helpers, or None when callers use
 # a replacement: Laurent.monomial, the tuple of state curves that
-# resolve_state now returns, and BR_MAX_EDGES for the bracket)
+# resolve_state now returns, BR_MAX_EDGES for the bracket, and the
+# builtin IndexError that the helpers' one_point_join raises)
 REMOVED = [
     ("polynomial", "monomial", None),
     ("polynomial", "parse_poly", "parse_poly"),
@@ -37,6 +37,15 @@ REMOVED = [
     ("ribbon", "Corner", "Corner"),
     ("ribbon", "TAIL", "TAIL"),
     ("ribbon", "HEAD", "HEAD"),
+    ("ribbon", "disjoint_union", "disjoint_union"),
+    ("ribbon", "one_point_join", "one_point_join"),
+    ("ribbon", "_fresh_relabel", "_fresh_relabel"),
+    ("ribbon.SignedRibbonGraph", "occurrences", "occurrences"),
+    ("duality", "delete_edge", "delete_edge"),
+    ("duality", "contract_edge", "contract_edge"),
+    ("duality", "EdgeClass", "EdgeClass"),
+    ("duality", "classify_edge", "classify_edge"),
+    ("errors", "PositionOutOfRange", None),
 ]
 
 
@@ -69,10 +78,10 @@ def test_readme_names_resolve(module, names):
 
 @pytest.mark.parametrize("home, name, moved_to", REMOVED)
 def test_removed_names_are_gone(home, name, moved_to):
-    if home == "polynomial.Laurent":
-        owner = Laurent
-    else:
-        owner = importlib.import_module(f"ribbongraphs.{home}")
+    module, _, cls = home.partition(".")
+    owner = importlib.import_module(f"ribbongraphs.{module}")
+    if cls:
+        owner = getattr(owner, cls)
     assert not hasattr(owner, name)
     assert not hasattr(ribbongraphs, name)
     if moved_to is not None:
@@ -82,7 +91,8 @@ def test_removed_names_are_gone(home, name, moved_to):
 def test_errors_are_package_errors():
     # Every error the package raises is a RibbonGraphError; those raised
     # for a bad argument value are ValueErrors too, so callers catching
-    # ValueError keep working, and no module raises a bare ValueError.
+    # ValueError keep working, and no module raises a bare ValueError,
+    # KeyError or IndexError.
     errors = importlib.import_module("ribbongraphs.errors")
     classes = {name: getattr(errors, name) for name in errors.__all__}
     assert all(issubclass(cls, errors.RibbonGraphError) for cls in classes.values())
@@ -93,13 +103,15 @@ def test_errors_are_package_errors():
         "RingMismatch",
     }
     for path in Path(ribbongraphs.__file__).parent.glob("*.py"):
-        assert "raise ValueError" not in path.read_text(encoding="utf-8"), path.name
+        text = path.read_text(encoding="utf-8")
+        for bare in ("ValueError", "KeyError", "IndexError"):
+            assert f"raise {bare}" not in text, (path.name, bare)
 
 
 def test_derived_graphs_only_from_operations():
     # SignedRibbonGraph._derived skips the constructor's checks, so only
     # operations whose output is valid by construction may reach it; the
-    # parsers, the moves, disjoint_union and one_point_join keep them.
+    # parsers and the presentation moves keep them.
     sites = []
     for path in sorted(Path(ribbongraphs.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -115,7 +127,6 @@ def test_derived_graphs_only_from_operations():
                 )
                 sites.append((path.stem, inner and inner.name))
     assert sorted(sites, key=str) == [
-        ("duality", "delete_edge"),
         ("duality", "partial_dual"),
         ("links", "state_ribbon_graph"),
     ]
