@@ -8,7 +8,12 @@ file; ``bracket``, ``jones`` and ``stategraph`` with each selector kind
 (seifert, all-A, all-B and the bitstring 1010...) on each ``.gauss``
 file.  Each case's stdout is written byte for byte to ``<case>.out``,
 and ``cases.json`` records its arguments and exit code.
-``tests/test_cli.py::TestGoldens`` replays the cases and compares.
+
+``corpus.json`` holds, per run of the seeded corpus
+``tests.helpers.cli_corpus`` (about 1400 runs on standard input), the
+sha256 of its exit code and stdout, so that a refactor can show its
+output byte-identical on far more inputs than the fixtures.
+``tests/test_cli.py::TestGoldens`` replays both and compares.
 
 Regenerate only when a change of output is intended, from the
 repository root:
@@ -18,6 +23,7 @@ repository root:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -25,11 +31,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from ribbongraphs import cli  # noqa: E402
 from ribbongraphs.links import parse_gauss  # noqa: E402
 from ribbongraphs.ribbon import parse_ribbon_graph  # noqa: E402
+from tests.helpers import cli_corpus  # noqa: E402
 
 FIXTURES = ROOT / "fixtures"
 GOLDENS = ROOT / "tests" / "goldens"
@@ -58,17 +65,25 @@ def cases() -> list[tuple[str, list[str]]]:
     return out
 
 
-def run_case(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of ``cli.main`` run from the fixtures folder."""
+def run_case(argv: list[str], stdin: str = "") -> tuple[int, str]:
+    """Exit code and stdout of ``cli.main`` run from the fixtures folder
+    with ``stdin`` as standard input."""
     stdout = io.StringIO()
-    here = os.getcwd()
+    here, saved = os.getcwd(), sys.stdin
     os.chdir(FIXTURES)
+    sys.stdin = io.StringIO(stdin)
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
     finally:
         os.chdir(here)
+        sys.stdin = saved
     return code, stdout.getvalue()
+
+
+def digest(code: int, out: str) -> str:
+    """sha256 of a run's exit code line followed by its stdout."""
+    return hashlib.sha256(f"{code}\n{out}".encode("utf-8")).hexdigest()
 
 
 def main() -> None:
@@ -79,7 +94,9 @@ def main() -> None:
         (GOLDENS / f"{case}.out").write_bytes(out.encode("utf-8"))
         index[case] = {"argv": argv, "exit": code}
     (GOLDENS / "cases.json").write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(index)} cases to {GOLDENS.relative_to(ROOT)}")
+    corpus = {case: digest(*run_case(argv, text)) for case, argv, text in cli_corpus()}
+    (GOLDENS / "corpus.json").write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(index)} cases and {len(corpus)} digests to {GOLDENS.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":

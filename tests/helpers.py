@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from ribbongraphs.duality import partial_dual
 from ribbongraphs.errors import FractionalExponent, ParseError, UnknownEdge
-from ribbongraphs.links import VirtualLinkDiagram, parse_gauss, resolve_state
+from ribbongraphs.links import VirtualLinkDiagram, parse_gauss, resolve_state, serialize_gauss
 from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XYZ, Laurent, Ring
 from ribbongraphs.ribbon import (
     Occurrence,
@@ -36,6 +36,7 @@ from ribbongraphs.ribbon import (
     _trace,
     components,
     parse_ribbon_graph,
+    serialize_ribbon_graph,
     stats,
 )
 
@@ -383,6 +384,33 @@ def random_diagram(rng: random.Random, max_crossings: int = 4) -> VirtualLinkDia
 def diagram_corpus(seed: int, count: int, max_crossings: int = 4):
     rng = random.Random(seed)
     return [random_diagram(rng, max_crossings) for _ in range(count)]
+
+
+def cli_corpus() -> list[tuple[str, list[str], str]]:
+    """(case name, argv reading standard input, input text) for the seeded
+    stdout corpus of ``scripts/write_goldens.py``: ``stats``, ``dual`` on
+    every other sorted edge label, ``duals``, ``poly``, ``invariant`` and
+    ``verify --mode lemmas`` on 200 graphs with at most 7 edges (empty
+    circles included), and ``bracket`` and ``stategraph`` on 100 diagrams
+    with at most 6 crossings."""
+    runs = []
+    for gi, g in enumerate(graph_corpus(2026, 200, max_edges=7)):
+        text = serialize_ribbon_graph(g)
+        commands = [
+            ["stats"],
+            ["dual", "--edges", ",".join(g.edge_labels[::2])],
+            ["duals"],
+            ["poly"],
+            ["invariant"],
+            ["verify", "--mode", "lemmas"],
+        ]
+        for command in commands:
+            runs.append((f"g{gi:03}.{command[0]}", [command[0], "-", *command[1:]], text))
+    for di, d in enumerate(diagram_corpus(2026, 100, max_crossings=6)):
+        text = serialize_gauss(d)
+        for command in ("bracket", "stategraph"):
+            runs.append((f"d{di:03}.{command}", [command, "-"], text))
+    return runs
 
 
 def braid_word_closure(strands: int, word: Sequence[int]) -> VirtualLinkDiagram:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,7 +23,7 @@ from ribbongraphs.ribbon import (
     serialize_ribbon_graph,
 )
 
-from .helpers import FIXTURES, graph_corpus
+from .helpers import FIXTURES, cli_corpus, graph_corpus
 
 
 def run(capsys, *argv):
@@ -452,3 +453,18 @@ class TestGoldens:
         code, out, _ = run(capsys, *GOLDEN_CASES[case]["argv"])
         assert code == GOLDEN_CASES[case]["exit"]
         assert out.encode("utf-8") == (GOLDENS / f"{case}.out").read_bytes()
+
+    def test_seeded_corpus_digests(self, capsys, monkeypatch):
+        # The sha256 of exit code and stdout of every run of the seeded
+        # corpus.  The parser is built once: argparse would take over half
+        # of the time, and it reads no state between calls.
+        want = json.loads((GOLDENS / "corpus.json").read_text(encoding="utf-8"))
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        got = {}
+        for case, argv, text in cli_corpus():
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code, out, _ = run(capsys, *argv)
+            got[case] = hashlib.sha256(f"{code}\n{out}".encode("utf-8")).hexdigest()
+        assert got.keys() == want.keys()
+        assert [case for case in want if got[case] != want[case]] == []
