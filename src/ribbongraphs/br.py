@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import FractionalExponent, NegativeExponentNonUnit, TooManyEdges
 from .polynomial import RING_XY, RING_XYZ, Laurent, restrict_duality_surface
-from .ribbon import SignedRibbonGraph, _arcs, _bands, _circle_union, components, stats
+from .ribbon import SignedRibbonGraph, _bands, _flat, components
 
 __all__ = [
     "bollobas_riordan",
@@ -42,16 +42,16 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
 
     The boundary components of F are the cycles that
     :func:`ribbongraphs.ribbon._trace` would find over the arc matching
-    ``sigma`` of :func:`ribbongraphs.ribbon._arcs` and the side matching
-    ``tau`` of F's bands.  The sweep never traces them whole: including
-    the edge with corners a, b and c, d trades tau's pairs ab, cd for bc,
-    da; walking on from b, the first of a, c, d met shows that this joins
-    two boundary components, splits one, or neither.  Components of F come
-    from a union-find without path compression, undone on backtrack.
+    ``sigma`` of the occurrence table :func:`ribbongraphs.ribbon._flat`
+    and the side matching ``tau`` of F's bands.  The sweep never traces
+    them whole: including the edge with corners a, b and c, d trades tau's
+    pairs ab, cd for bc, da; walking on from b, the first of a, c, d met
+    shows that this joins two boundary components, splits one, or
+    neither.  Components of F come from a union-find without path
+    compression, undone on backtrack.
     """
-    sigma, labels = _arcs(g)
-    tau = _bands(labels, ())
-    _, _, home, partner = _circle_union(g)
+    labels, _, home, partner, sigma = _flat(g)
+    tau = _bands(partner, [False] * len(partner))
     # one edge per first occurrence i, so in first-seen label order
     edges = [
         (2 * i, 2 * i + 1, 2 * j, 2 * j + 1, home[i], home[j], int(g.signs[labels[i]] < 0))
@@ -109,10 +109,11 @@ def bollobas_riordan(g: SignedRibbonGraph) -> Laurent:
             f"{e} edges exceed the state-sum guard of {BR_MAX_EDGES} (2^{e} subsets)"
         )
     v = g.num_vertices
-    r_g = v - len(components(g))
+    hist = _subgraph_profiles(g)
+    r_g = v - next(k for size, k, _, _ in hist if size == e)  # F = E has k(G)
     neg_total = sum(1 for sign in g.signs.values() if sign < 0)
     terms: dict[tuple[int, int, int], int] = {}
-    for (size, k, f, neg), count in _subgraph_profiles(g).items():
+    for (size, k, f, neg), count in hist.items():
         r = v - k
         n = size - r
         s2 = 2 * neg - neg_total
@@ -157,8 +158,6 @@ def duality_invariant(g: SignedRibbonGraph) -> Laurent:
     Partial duals of ``g`` with respect to any edge subset share this
     two-variable polynomial.
     """
-    st = stats(g)
-    prefactor = Laurent.monomial(
-        RING_XYZ, (2 * st.k, 2 * st.v, st.v + 1)
-    )
+    k, v = len(components(g)), g.num_vertices
+    prefactor = Laurent.monomial(RING_XYZ, (2 * k, 2 * v, v + 1))
     return restrict_duality_surface(prefactor * bollobas_riordan(g))

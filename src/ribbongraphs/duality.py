@@ -3,9 +3,10 @@
 The partial dual with respect to an edge subset E' re-glues the vertex
 discs along the boundary of the spanning subgraph carrying only the E'
 ribbons.  Its circles are the cycles that :func:`ribbongraphs.ribbon._trace`
-finds over two corner matchings: the free arcs along the vertex circles,
-and the band sides of the E' edges, with each occurrence of an edge
-outside E' paired across itself, so that the walk sweeps it as a mark.
+finds over two corner matchings read off the occurrence table ``_flat``:
+the free arcs along the vertex circles, and the band sides of the E'
+edges, with each occurrence of an edge outside E' paired across itself,
+so that the walk sweeps it as a mark.
 Every cycle becomes a vertex circle of the dual, and every step across an
 occurrence emits one: a mark keeps its flag when swept forward and flips
 it when swept backward, and each ribbon side of an E' edge emits a fresh
@@ -25,8 +26,8 @@ from .errors import TooManyEdges, UnknownEdge
 from .ribbon import (
     Occurrence,
     SignedRibbonGraph,
-    _arcs,
     _bands,
+    _flat,
     _trace,
     canonical_form,
 )
@@ -52,16 +53,22 @@ def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGrap
     dual with respect to the empty set is ``g`` itself.  Traced circles
     come first, ordered by their smallest corner of a subset occurrence
     (corners numbered 2i and 2i+1 for the tail and head of global
-    occurrence i); untouched circles follow in their original order.  Subset edge signs are flipped.
+    occurrence i); untouched circles follow in their original order.
+    Subset edge signs are flipped.
 
     Raises:
         UnknownEdge: a requested edge is not in the graph.
     """
     subset = set(edges)
-    unknown = subset - set(g.signs)
-    if unknown:
+    if unknown := subset - g.signs.keys():
         raise UnknownEdge(f"not edges of the graph: {sorted(unknown)}")
-    sigma, labels = _arcs(g)
+    return _dual(g, _flat(g), subset)
+
+
+def _dual(g: SignedRibbonGraph, flat: tuple, subset: set[str]) -> SignedRibbonGraph:
+    """:func:`partial_dual` of ``g``, whose table :func:`_flat` is ``flat``,
+    with respect to ``subset``, a set of its edge labels."""
+    labels, _, home, partner, sigma = flat
     inside = [label in subset for label in labels]
     starts = [c for c in range(len(sigma)) if inside[c >> 1]]
     new_circles = [
@@ -71,11 +78,10 @@ def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGrap
                 for c in cycle[1::2]
             ]
         )
-        for cycle in _trace(sigma, _bands(labels, subset), starts)
+        for cycle in _trace(sigma, _bands(partner, inside), starts)
     ]
-    new_circles += [
-        circle for circle in g.circles if all(o.label not in subset for o in circle)
-    ]
+    touched = {home[c >> 1] for c in starts}
+    new_circles += [c for ci, c in enumerate(g.circles) if ci not in touched]
     signs = {l: -s if l in subset else s for l, s in g.signs.items()}
     return SignedRibbonGraph._derived(tuple(new_circles), signs)
 
@@ -107,10 +113,11 @@ def dual_orbit(g: SignedRibbonGraph) -> tuple[OrbitClass, ...]:
             f"{e} edges exceed the orbit guard of {DUAL_ORBIT_MAX_EDGES} "
             f"(2^{e} partial duals)"
         )
+    flat = _flat(g)
     classes: dict[tuple, OrbitClass] = {}
     for mask in range(1 << e):
         subset = tuple(l for i, l in enumerate(labels) if mask >> i & 1)
-        dual = partial_dual(g, subset)
+        dual = _dual(g, flat, set(subset))
         key = canonical_form(dual, ignore_signs=True)
         old = classes.get(key, OrbitClass(subset, dual, 0))
         classes[key] = OrbitClass(old.subset, old.graph, old.size + 1)

@@ -49,7 +49,7 @@ class InvalidState(RibbonGraphError, ValueError):
 
 
 class InvalidMove(RibbonGraphError, ValueError):
-    """A presentation move was given a map that is not a bijection."""
+    """A presentation move was given a non-bijective map or no such circle."""
 
 
 class RingMismatch(RibbonGraphError, ValueError):

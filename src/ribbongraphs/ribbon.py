@@ -17,6 +17,7 @@ single edge (move M2).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -175,6 +176,9 @@ class SignedRibbonGraph:
         return tuple(sorted(self.signs))
 
     def sign(self, label: str) -> int:
+        """The sign of edge ``label``; ``UnknownEdge`` if it is not an edge."""
+        if label not in self.signs:
+            raise UnknownEdge(f"not an edge of the graph: {label!r}")
         return self.signs[label]
 
     def __eq__(self, other: object) -> bool:
@@ -198,19 +202,20 @@ class SignedRibbonGraph:
     # moves
     # ------------------------------------------------------------------
 
-    def _replace_circle(
-        self, index: int, circle: tuple[Occurrence, ...]
-    ) -> "SignedRibbonGraph":
+    def _move_circle(self, index: int, move) -> "SignedRibbonGraph":
+        """The graph with circle ``index`` replaced by ``move`` of it."""
         circles = list(self.circles)
-        circles[index] = circle
+        if not 0 <= index < len(circles):
+            raise InvalidMove(f"circle index {index} is outside 0..{len(circles) - 1}")
+        circles[index] = move(circles[index])
         return SignedRibbonGraph(circles, self.signs)
 
     def m1(self, index: int) -> "SignedRibbonGraph":
-        """Reverse circle ``index`` and flip every flag on it."""
-        flipped = tuple(
-            Occurrence(o.label, not o.against) for o in reversed(self.circles[index])
+        """Reverse circle ``index`` and flip every flag on it; ``InvalidMove``
+        if ``index`` is not in 0..v-1."""
+        return self._move_circle(
+            index, lambda c: tuple(Occurrence(o.label, not o.against) for o in c[::-1])
         )
-        return self._replace_circle(index, flipped)
 
     def m2(self, label: str) -> "SignedRibbonGraph":
         """Flip both flags of edge ``label``.
@@ -218,8 +223,7 @@ class SignedRibbonGraph:
         Raises:
             UnknownEdge: ``label`` is not an edge of the graph.
         """
-        if label not in self.signs:
-            raise UnknownEdge(f"not an edge of the graph: {label!r}")
+        self.sign(label)  # raises UnknownEdge for a label the graph lacks
         circles = tuple(
             tuple(
                 Occurrence(o.label, not o.against) if o.label == label else o
@@ -230,12 +234,11 @@ class SignedRibbonGraph:
         return SignedRibbonGraph(circles, self.signs)
 
     def rotate(self, index: int, shift: int) -> "SignedRibbonGraph":
-        """Move the listing start of circle ``index`` forward by ``shift``."""
-        circle = self.circles[index]
-        if not circle:
-            return self
-        shift %= len(circle)
-        return self._replace_circle(index, circle[shift:] + circle[:shift])
+        """Move the listing start of circle ``index`` forward by ``shift``;
+        ``InvalidMove`` if ``index`` is not in 0..v-1."""
+        return self._move_circle(
+            index, lambda c: c and c[shift % len(c) :] + c[: shift % len(c)]
+        )
 
     def permute_circles(self, order: Sequence[int]) -> "SignedRibbonGraph":
         """Reorder circles; ``order[i]`` is the old index placed at i."""
@@ -264,12 +267,41 @@ class SignedRibbonGraph:
 # ----------------------------------------------------------------------
 
 
+def _flat(g: SignedRibbonGraph) -> tuple[list, list, list, list, list]:
+    """The occurrence table of ``g``, from one pass over its circles.
+
+    Occurrence i, in circle-major order, has label ``labels[i]``, Against
+    flag ``flags[i]``, circle ``home[i]`` and the other end of its edge at
+    ``partner[i]``.  Its corners are 2i (tail) and 2i+1 (head); the arc
+    matching ``sigma`` pairs the corner after each occurrence with the
+    corner before the next one on its circle, along the free arc between.
+    """
+    labels, flags, home = [], [], []
+    partner = [0] * (2 * len(g.signs))
+    sigma = [0] * (4 * len(g.signs))
+    first: dict[str, int] = {}
+    i = 0
+    for ci, circle in enumerate(g.circles):
+        home += [ci] * len(circle)
+        # the corner after the previous occurrence; at the first, after the last
+        out = 2 * (i + len(circle)) - 1 - (circle[-1][1] if circle else 0)
+        for label, against in circle:
+            j = first.setdefault(label, i)
+            partner[i], partner[j] = j, i
+            inn = 2 * i + against
+            sigma[out], sigma[inn] = inn, out
+            out = inn ^ 1
+            labels.append(label)
+            flags.append(against)
+            i += 1
+    return labels, flags, home, partner, sigma
+
+
 def _circle_union(
-    g: SignedRibbonGraph,
-) -> tuple[list[int], bool, list[int], list[int]]:
-    """Root circle of each circle's component, orientability, and per
-    occurrence its circle and its partner, the other end of its edge;
-    occurrences are numbered in circle-major order, as in :func:`_arcs`.
+    g: SignedRibbonGraph, flags: list[bool], home: list[int], partner: list[int]
+) -> tuple[list[int], bool]:
+    """Root circle of each circle's component, and orientability, from the
+    table of :func:`_flat`.
 
     A parity union-find over circles joins the two circles of every edge
     and seeks a reversal o per circle with d1 xor d2 xor o(c1) xor o(c2)
@@ -279,42 +311,35 @@ def _circle_union(
     parent = list(range(len(g.circles)))
     parity = [0] * len(g.circles)
     orientable = True
-    first: dict[str, tuple[int, bool]] = {}
-    home: list[int] = []
-    partner = [0] * (2 * len(g.signs))
-    for ci, circle in enumerate(g.circles):
-        start = len(home)
-        home += [ci] * len(circle)
-        for i, (label, against) in enumerate(circle, start):
-            j, dj = first.setdefault(label, (i, against))
-            if j == i:
-                continue
-            partner[i], partner[j] = j, i
-            if home[j] == ci:  # a loop: both ends on one circle
-                orientable = orientable and dj == against
-                continue
-            ends: list[int] = []
-            for a in (ci, home[j]):  # find, with path halving carrying parity
-                p = 0
-                while parent[a] != a:
-                    up = parent[a]
-                    parity[a] ^= parity[up]
-                    parent[a] = parent[up]
-                    p ^= parity[a]
-                    a = parent[a]
-                ends += (a, p)
-            ra, pa, rb, pb = ends
-            if ra != rb:
-                parent[ra] = rb
-                parity[ra] = pa ^ pb ^ dj ^ against
-            elif pa ^ pb != dj ^ against:
-                orientable = False
+    for i, j in enumerate(partner):
+        if j > i:  # each edge once, at its second occurrence
+            continue
+        d = flags[i] ^ flags[j]
+        if home[i] == home[j]:  # a loop: both ends on one circle
+            orientable = orientable and not d
+            continue
+        ends: list[int] = []
+        for a in (home[i], home[j]):  # find, with path halving carrying parity
+            p = 0
+            while parent[a] != a:
+                up = parent[a]
+                parity[a] ^= parity[up]
+                parent[a] = parent[up]
+                p ^= parity[a]
+                a = parent[a]
+            ends += (a, p)
+        ra, pa, rb, pb = ends
+        if ra != rb:
+            parent[ra] = rb
+            parity[ra] = pa ^ pb ^ d
+        elif pa ^ pb != d:
+            orientable = False
     roots = []
     for a in range(len(parent)):
         while parent[a] != a:
             a = parent[a]
         roots.append(a)
-    return roots, orientable, home, partner
+    return roots, orientable
 
 
 def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
@@ -324,8 +349,9 @@ def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
     the component count k is the length of the returned partition.  The
     groups are listed by their smallest circle, each in ascending order.
     """
+    _, flags, home, partner, _ = _flat(g)
     groups: dict[int, list[int]] = {}
-    for ci, root in enumerate(_circle_union(g)[0]):
+    for ci, root in enumerate(_circle_union(g, flags, home, partner)[0]):
         groups.setdefault(root, []).append(ci)
     return tuple(tuple(v) for v in groups.values())
 
@@ -333,7 +359,8 @@ def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
 def is_orientable(g: SignedRibbonGraph) -> bool:
     """Whether all circle arrows can be chosen coherently (see
     :func:`_circle_union`)."""
-    return _circle_union(g)[1]
+    _, flags, home, partner, _ = _flat(g)
+    return _circle_union(g, flags, home, partner)[1]
 
 
 def _trace(first, second, starts) -> list[list[int]]:
@@ -364,44 +391,16 @@ def _trace(first, second, starts) -> list[list[int]]:
     return cycles
 
 
-def _arcs(g: SignedRibbonGraph) -> tuple[list[int], list[str]]:
-    """The arc matching on corners, and the label of each occurrence.
-
-    Occurrence i (in circle-major order) has corners 2i (tail) and 2i+1
-    (head).  The arc matching ``sigma`` pairs the corner after each
-    occurrence with the corner before the next one on its circle, along
-    the free arc of the vertex disc between them.
+def _bands(partner: list[int], inside: list[bool]) -> list[int]:
+    """The side matching on corners for the bands of the occurrences i
+    with ``inside[i]`` (both ends of an edge, or neither): across each it
+    pairs 2i with 2j+1 and 2i+1 with 2j, j = ``partner[i]``; at every
+    other occurrence it pairs the occurrence's own two corners.
     """
-    sigma: list[int] = []
-    labels: list[str] = []
-    for circle in g.circles:
-        base = len(labels)
-        m = len(circle)
-        sigma += [0] * (2 * m)
-        for pos, occ in enumerate(circle):
-            nxt = circle[(pos + 1) % m]
-            a = 2 * (base + pos) + (0 if occ.against else 1)
-            b = 2 * (base + (pos + 1) % m) + (1 if nxt.against else 0)
-            sigma[a], sigma[b] = b, a
-            labels.append(occ.label)
-    return sigma, labels
-
-
-def _bands(labels: list[str], subset) -> list[int]:
-    """The side matching on corners for the edges in ``subset``.
-
-    Across the band of a subset edge with occurrences i1 and i2 it pairs
-    2i1+1 with 2i2 and 2i2+1 with 2i1; at every other occurrence it pairs
-    the occurrence's own two corners.
-    """
-    tau = [c ^ 1 for c in range(2 * len(labels))]
-    other: dict[str, int] = {}
-    for i, label in enumerate(labels):
-        if label in subset:
-            j = other.setdefault(label, i)
-            if j != i:
-                tau[2 * j + 1], tau[2 * i] = 2 * i, 2 * j + 1
-                tau[2 * i + 1], tau[2 * j] = 2 * j, 2 * i + 1
+    tau = [c ^ 1 for c in range(2 * len(partner))]
+    for i, j in enumerate(partner):
+        if inside[i]:
+            tau[2 * i], tau[2 * i + 1] = 2 * j + 1, 2 * j
     return tau
 
 
@@ -409,12 +408,11 @@ def stats(g: SignedRibbonGraph) -> GraphStats:
     """Numerical profile of ``g``.  Its f counts the boundary components:
     the cycles (:func:`_trace`) of the arc matching and the sides of all
     edges, plus one per empty circle."""
-    v = g.num_vertices
-    e = g.num_edges
-    roots, orientable, _, _ = _circle_union(g)
+    v, e = g.num_vertices, g.num_edges
+    _, flags, home, partner, sigma = _flat(g)
+    roots, orientable = _circle_union(g, flags, home, partner)
     k = len(set(roots))
-    sigma, labels = _arcs(g)
-    f = len(_trace(sigma, _bands(labels, g.signs), range(len(sigma))))
+    f = len(_trace(sigma, _bands(partner, [True] * len(partner)), range(len(sigma))))
     f += g.circles.count(())
     chi = v - e + f
     return GraphStats(
@@ -480,20 +478,14 @@ def _rooted_code(home, rings, flags, partner, signs, root, best):
 def _form(
     g: SignedRibbonGraph, ignore_signs: bool
 ) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """The canonical form of ``g`` and its orientability, from one pass of
-    :func:`_circle_union`."""
-    circles = g.circles
-    component, orientable, home, partner = _circle_union(g)
-    flags = [against for circle in circles for _, against in circle]
-    rings: list[list[int]] = []
-    size: list[int] = []
-    for circle in circles:
-        m = len(circle)
-        rings.append(list(range(len(size), len(size) + m)) * 2)
-        size += [m] * m
-    signs = None
-    if not ignore_signs:
-        signs = [g.signs[label] for circle in circles for label, _ in circle]
+    """The canonical form of ``g`` and its orientability, from one
+    occurrence table (:func:`_flat`)."""
+    labels, flags, home, partner, _ = _flat(g)
+    component, orientable = _circle_union(g, flags, home, partner)
+    runs = [(bisect_left(home, c), bisect_right(home, c)) for c in range(len(g.circles))]
+    rings = [list(range(a, b)) * 2 for a, b in runs]
+    size = [len(rings[c]) >> 1 for c in home]
+    signs = None if ignore_signs else [g.signs[label] for label in labels]
     groups: dict[tuple, list[int]] = {}
     for i, j in enumerate(partner):
         m = size[i]
@@ -504,7 +496,7 @@ def _form(
     tops: dict[int, list[int]] = {}  # component -> its least (count, key) group
     for _, key, roots in sorted([(len(r), k, r) for k, r in groups.items()]):
         tops.setdefault(key[0], roots)
-    codes = [()] * circles.count(())
+    codes = [()] * g.circles.count(())
     for roots in tops.values():
         best: list[int] = []
         for root in [(i, rev) for i in roots for rev in (0, 1)]:

@@ -31,8 +31,8 @@ from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XYZ, Laurent, Ring
 from ribbongraphs.ribbon import (
     Occurrence,
     SignedRibbonGraph,
-    _arcs,
     _bands,
+    _flat,
     _trace,
     components,
     parse_ribbon_graph,
@@ -992,6 +992,55 @@ def jones_from_bracket(bracket: Laurent, w: int) -> Laurent:
 
 
 # ----------------------------------------------------------------------
+# occurrence tables
+# ----------------------------------------------------------------------
+
+
+def arc_matching(g: SignedRibbonGraph) -> tuple[list[int], list[str]]:
+    """The arc matching on corners and the label of each occurrence, built
+    circle by circle: the oracle for ``sigma`` and the labels of
+    ``ribbon._flat``.
+
+    Occurrence i (in circle-major order) has corners 2i (tail) and 2i+1
+    (head).  The arc matching ``sigma`` pairs the corner after each
+    occurrence with the corner before the next one on its circle, along
+    the free arc of the vertex disc between them.
+    """
+    sigma: list[int] = []
+    labels: list[str] = []
+    for circle in g.circles:
+        base = len(labels)
+        m = len(circle)
+        sigma += [0] * (2 * m)
+        for pos, occ in enumerate(circle):
+            nxt = circle[(pos + 1) % m]
+            a = 2 * (base + pos) + (0 if occ.against else 1)
+            b = 2 * (base + (pos + 1) % m) + (1 if nxt.against else 0)
+            sigma[a], sigma[b] = b, a
+            labels.append(occ.label)
+    return sigma, labels
+
+
+def label_bands(labels: list[str], subset) -> list[int]:
+    """The side matching on corners for the edges in ``subset``, pairing
+    occurrences by label: the oracle for ``ribbon._bands``.
+
+    Across the band of a subset edge with occurrences i1 and i2 it pairs
+    2i1+1 with 2i2 and 2i2+1 with 2i1; at every other occurrence it pairs
+    the occurrence's own two corners.
+    """
+    tau = [c ^ 1 for c in range(2 * len(labels))]
+    other: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        if label in subset:
+            j = other.setdefault(label, i)
+            if j != i:
+                tau[2 * j + 1], tau[2 * i] = 2 * i, 2 * j + 1
+                tau[2 * i + 1], tau[2 * j] = 2 * j, 2 * i + 1
+    return tau
+
+
+# ----------------------------------------------------------------------
 # boundary walks
 # ----------------------------------------------------------------------
 
@@ -1032,19 +1081,18 @@ def boundary_components(g: SignedRibbonGraph) -> tuple[BoundaryWalk, ...]:
     at their smallest corner and leave it along the arc.  Isolated
     vertices append their own cornerless walks.
     """
-    sigma, labels = _arcs(g)
-    circle_of = [ci for ci, circle in enumerate(g.circles) for _ in circle]
+    labels, _, home, partner, sigma = _flat(g)
     walks = [
         BoundaryWalk(
             tuple([Corner(c >> 1, HEAD if c & 1 else TAIL) for c in cycle]),
             tuple(
                 [
-                    ("side", labels[c >> 1]) if step & 1 else ("arc", circle_of[c >> 1])
+                    ("side", labels[c >> 1]) if step & 1 else ("arc", home[c >> 1])
                     for step, c in enumerate(cycle)
                 ]
             ),
         )
-        for cycle in _trace(sigma, _bands(labels, g.signs), range(len(sigma)))
+        for cycle in _trace(sigma, _bands(partner, [True] * len(partner)), range(len(sigma)))
     ]
     for ci, circle in enumerate(g.circles):
         if not circle:

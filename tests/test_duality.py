@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ribbongraphs import duality, ribbon
 from ribbongraphs.duality import DUAL_ORBIT_MAX_EDGES, dual_orbit, partial_dual
 from ribbongraphs.errors import TooManyEdges, UnknownEdge
 from ribbongraphs.links import (
@@ -307,6 +308,24 @@ class TestDualOrbit:
         g = load_graph("klein.rg")
         for cls in dual_orbit(g):
             assert partial_dual(g, cls.subset) == cls.graph
+
+    def test_one_table_per_orbit(self, monkeypatch):
+        # dual_orbit builds g's occurrence table once and dualises every
+        # subset from it; the canonical form of each dual reads the dual's.
+        g = load_graph("klein.rg")
+        seen = []
+
+        def counting(h):
+            seen.append(h is g)
+            return flat(h)
+
+        flat = ribbon._flat
+        monkeypatch.setattr(ribbon, "_flat", counting)
+        monkeypatch.setattr(duality, "_flat", counting)
+        classes = dual_orbit(g)
+        assert seen.count(True) == 1
+        assert len(seen) == 1 + (1 << g.num_edges)
+        assert len(classes) == 6
 
     def test_guard(self):
         # one edge over the constant; the guard trips before any dual

@@ -32,12 +32,14 @@ from ribbongraphs.ribbon import (
 
 from .helpers import (
     FIXTURES,
+    arc_matching,
     backtrack_isomorphic,
     boundary_components,
     bouquet,
     chord_ring,
     disjoint_union,
     graph_corpus,
+    label_bands,
     length_class_form,
     load_graph,
     occurrences,
@@ -212,6 +214,44 @@ class TestBoundary:
             assert len(corners) == 2 * sum(len(c) for c in g.circles)
 
 
+class TestOccurrenceTable:
+    """``ribbon._flat`` against the circle-by-circle oracles it replaced:
+    ``arc_matching`` for ``sigma`` and the labels, ``label_bands`` for the
+    side matching of a subset, and ``occurrences`` for flags, circles and
+    partners."""
+
+    @staticmethod
+    def corpus():
+        graphs = graph_corpus(61, 1000, max_edges=8) + [bouquet(e) for e in range(6)]
+        # the shapes the table must get right are all in it
+        assert any(g.num_edges == 0 for g in graphs)
+        assert any(() in g.circles and g.num_edges for g in graphs)
+        assert any(len(components(g)) < len(g.circles) for g in graphs)
+        return graphs
+
+    def test_matches_oracles(self):
+        rng = random.Random(63)
+        loops = 0
+        for g in self.corpus():
+            labels, flags, home, partner, sigma = ribbon._flat(g)
+            assert (sigma, labels) == arc_matching(g)
+            occs = list(occurrences(g))
+            assert flags == [occ.against for _, _, _, occ in occs]
+            assert home == [ci for _, ci, _, _ in occs]
+            ends: dict[str, list[int]] = {}
+            for i, _, _, occ in occs:
+                ends.setdefault(occ.label, []).append(i)
+            for i, j in ends.values():
+                assert (partner[i], partner[j]) == (j, i)
+                loops += home[i] == home[j]
+            assert len(partner) == len(occs)
+            for _ in range(3):
+                subset = {l for l in g.signs if rng.random() < 0.5}
+                inside = [label in subset for label in labels]
+                assert ribbon._bands(partner, inside) == label_bands(labels, subset)
+        assert loops > 1000
+
+
 class TestOrientability:
     def test_oriented_examples(self):
         assert is_orientable(load_graph("torus.rg"))
@@ -245,6 +285,18 @@ class TestMoves:
     def test_rotate_empty_circle(self):
         g = load_graph("isolated.rg")
         assert g.rotate(0, 3) == g
+
+    def test_unknown_label_and_circle(self):
+        # A negative circle index is refused too, not read from the end.
+        g = load_graph("torus.rg")
+        with pytest.raises(UnknownEdge, match="^not an edge of the graph: 'zz'$"):
+            g.sign("zz")
+        for index in (1, 5, -1):
+            with pytest.raises(InvalidMove, match=f"^circle index {index} is outside 0..0$"):
+                g.m1(index)
+            with pytest.raises(InvalidMove, match=f"^circle index {index} is outside 0..0$"):
+                g.rotate(index, 1)
+        assert g.rotate(0, -1) == g.rotate(0, 3)
 
     def test_permute_validates(self):
         g = load_graph("bridge.rg")
