@@ -388,27 +388,30 @@ def diagram_corpus(seed: int, count: int, max_crossings: int = 4):
 
 def cli_corpus() -> list[tuple[str, list[str], str]]:
     """(case name, argv reading standard input, input text) for the seeded
-    stdout corpus of ``scripts/write_goldens.py``: ``stats``, ``dual`` on
-    every other sorted edge label, ``duals``, ``poly``, ``invariant`` and
-    ``verify --mode lemmas`` on 200 graphs with at most 7 edges (empty
-    circles included), and ``bracket`` and ``stategraph`` on 100 diagrams
-    with at most 6 crossings."""
+    stdout corpus of ``scripts/write_goldens.py``: every subcommand.
+    ``stats``, ``dual`` on every other sorted edge label, ``duals``,
+    ``poly``, ``tutte``, ``invariant`` and ``verify`` in both modes run on
+    200 graphs with at most 7 edges (empty circles included; ``tutte``
+    exits 2 on a graph with a negative edge), and ``bracket``, ``jones``
+    and ``stategraph`` on 100 diagrams with at most 6 crossings."""
     runs = []
     for gi, g in enumerate(graph_corpus(2026, 200, max_edges=7)):
         text = serialize_ribbon_graph(g)
-        commands = [
-            ["stats"],
-            ["dual", "--edges", ",".join(g.edge_labels[::2])],
-            ["duals"],
-            ["poly"],
-            ["invariant"],
-            ["verify", "--mode", "lemmas"],
-        ]
-        for command in commands:
-            runs.append((f"g{gi:03}.{command[0]}", [command[0], "-", *command[1:]], text))
+        commands = {
+            "stats": ["stats"],
+            "dual": ["dual", "--edges", ",".join(g.edge_labels[::2])],
+            "duals": ["duals"],
+            "poly": ["poly"],
+            "tutte": ["tutte"],
+            "invariant": ["invariant"],
+            "verify-lemmas": ["verify", "--mode", "lemmas"],
+            "verify-duality": ["verify", "--mode", "duality"],
+        }
+        for name, command in commands.items():
+            runs.append((f"g{gi:03}.{name}", [command[0], "-", *command[1:]], text))
     for di, d in enumerate(diagram_corpus(2026, 100, max_crossings=6)):
         text = serialize_gauss(d)
-        for command in ("bracket", "stategraph"):
+        for command in ("bracket", "jones", "stategraph"):
             runs.append((f"d{di:03}.{command}", [command, "-"], text))
     return runs
 
