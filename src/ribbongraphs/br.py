@@ -59,9 +59,9 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
         if i < j
     ]
     v = g.num_vertices
-    # Its own roll-back union-find, not ribbon's static one: sharing it
-    # would put a call into the 2^e loop and make the shared code branch
-    # on whether its caller backtracks.
+    # The package's one union-find, since the sweep undoes each union as
+    # it backtracks; the components of a whole graph come from a walk
+    # over its circles instead (ribbon._circle_walk).
     parent = list(range(v))
     size, k, f, neg = 0, v, v, 0
     hist = {(size, k, f, neg): 1}

@@ -141,7 +141,7 @@ def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
             if label != last and len(chains) < room:
                 chains[prefix] = chain
         h = partial_dual(g, subset)
-        h_form, h_orientable = _form(h, False)  # one union-find pass for both
+        h_form, h_orientable = _form(h, False)  # one circle walk for both
         if subset in run_forms:
             run_forms[subset] = h_form
         checks = {

@@ -148,11 +148,11 @@ def writhe(d: VirtualLinkDiagram) -> int:
     return sum(d.signs.values())
 
 
-def _strand_edges(d: VirtualLinkDiagram) -> tuple[dict[int, int], int]:
+def _strand_edges(d: VirtualLinkDiagram) -> tuple[list[int], int]:
     """Pair strand ends; ends are numbered 4j.. 4j+3 per sorted crossing:
-    over-in, over-out, under-in, under-out."""
+    over-in, over-out, under-in, under-out.  Every end is paired."""
     index = {cid: j for j, cid in enumerate(d.crossing_ids)}
-    strand: dict[int, int] = {}
+    strand = [0] * (4 * len(index))
     empties = 0
     for comp in d.components:
         if not comp:
@@ -211,7 +211,7 @@ def resolve_state(
                 for c in cycle[1::2]
             ]
         )
-        for cycle in _trace(strand, smooth, sorted(strand))
+        for cycle in _trace(strand, smooth, range(len(strand)))
     ]
     circles.extend(() for _ in range(empties))
     return tuple(circles)

@@ -17,8 +17,8 @@ single edge (move M2).
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -43,7 +43,7 @@ __all__ = [
     "is_isomorphic",
 ]
 
-_LABEL_BAD = re.compile(r"[\s:'#]")
+_LABEL_BAD = re.compile(r"[\s:'#,]")
 
 
 class Occurrence(NamedTuple):
@@ -297,49 +297,46 @@ def _flat(g: SignedRibbonGraph) -> tuple[list, list, list, list, list]:
     return labels, flags, home, partner, sigma
 
 
-def _circle_union(
-    g: SignedRibbonGraph, flags: list[bool], home: list[int], partner: list[int]
-) -> tuple[list[int], bool]:
-    """Root circle of each circle's component, and orientability, from the
-    table of :func:`_flat`.
+def _runs(g: SignedRibbonGraph) -> list[range]:
+    """The numbers of the occurrences on each circle in the table of
+    :func:`_flat`."""
+    ends = list(accumulate([len(circle) for circle in g.circles]))
+    return [range(end - len(circle), end) for circle, end in zip(g.circles, ends)]
 
-    A parity union-find over circles joins the two circles of every edge
-    and seeks a reversal o per circle with d1 xor d2 xor o(c1) xor o(c2)
-    = 0 for every edge, where d are its Against flags; an edge closing a
-    cycle of the wrong parity is the obstruction to orientability.
+
+def _circle_walk(
+    runs: list[range], flags: list[bool], home: list[int], partner: list[int]
+) -> tuple[list[list[int]], bool]:
+    """Components and orientability from the table of :func:`_flat`, whose
+    circles hold the occurrences ``runs``.
+
+    A walk starts at each circle not yet reached, in ascending order, and
+    crosses every edge at its occurrences on the circles it reaches.  It
+    gives each circle a reversal o with d1 xor d2 xor o(c1) xor o(c2) = 0
+    for every edge, where d are the edge's Against flags; an edge that
+    breaks this equation is the obstruction to orientability.  The
+    components come as lists of circles in walk order, listed by their
+    least circle.
     """
-    parent = list(range(len(g.circles)))
-    parity = [0] * len(g.circles)
+    reversal: list[int | None] = [None] * len(runs)
+    groups: list[list[int]] = []
     orientable = True
-    for i, j in enumerate(partner):
-        if j > i:  # each edge once, at its second occurrence
+    for root in range(len(runs)):
+        if reversal[root] is not None:
             continue
-        d = flags[i] ^ flags[j]
-        if home[i] == home[j]:  # a loop: both ends on one circle
-            orientable = orientable and not d
-            continue
-        ends: list[int] = []
-        for a in (home[i], home[j]):  # find, with path halving carrying parity
-            p = 0
-            while parent[a] != a:
-                up = parent[a]
-                parity[a] ^= parity[up]
-                parent[a] = parent[up]
-                p ^= parity[a]
-                a = parent[a]
-            ends += (a, p)
-        ra, pa, rb, pb = ends
-        if ra != rb:
-            parent[ra] = rb
-            parity[ra] = pa ^ pb ^ d
-        elif pa ^ pb != d:
-            orientable = False
-    roots = []
-    for a in range(len(parent)):
-        while parent[a] != a:
-            a = parent[a]
-        roots.append(a)
-    return roots, orientable
+        reversal[root] = 0
+        group = [root]
+        for c in group:  # grows as the walk reaches new circles
+            for i in runs[c]:
+                j = partner[i]
+                o = reversal[c] ^ flags[i] ^ flags[j]
+                if reversal[home[j]] is None:
+                    reversal[home[j]] = o
+                    group.append(home[j])
+                elif reversal[home[j]] != o:
+                    orientable = False
+        groups.append(group)
+    return groups, orientable
 
 
 def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
@@ -350,28 +347,27 @@ def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
     groups are listed by their smallest circle, each in ascending order.
     """
     _, flags, home, partner, _ = _flat(g)
-    groups: dict[int, list[int]] = {}
-    for ci, root in enumerate(_circle_union(g, flags, home, partner)[0]):
-        groups.setdefault(root, []).append(ci)
-    return tuple(tuple(v) for v in groups.values())
+    groups = _circle_walk(_runs(g), flags, home, partner)[0]
+    return tuple(tuple(sorted(group)) for group in groups)
 
 
 def is_orientable(g: SignedRibbonGraph) -> bool:
-    """Whether all circle arrows can be chosen coherently (see
-    :func:`_circle_union`)."""
+    """Whether all circle arrows can be chosen coherently: whether a walk
+    over the circles can reverse them so that every edge has one Along
+    and one Against flag (see :func:`_circle_walk`)."""
     _, flags, home, partner, _ = _flat(g)
-    return _circle_union(g, flags, home, partner)[1]
+    return _circle_walk(_runs(g), flags, home, partner)[1]
 
 
 def _trace(first, second, starts) -> list[list[int]]:
     """Cycles of the alternating walk over two perfect matchings.
 
-    ``first`` and ``second`` map each point to its partner (lists or
-    dicts).  Each cycle starts at the first point of ``starts`` not yet
-    seen, leaves it along ``first``, and is returned as its list of
-    points: even positions step along ``first``, odd ones along
-    ``second``.  Boundary components, partial duals and state curves are
-    all traced here.
+    ``first`` and ``second`` are lists holding each point's partner.
+    Each cycle starts at the first point of ``starts`` not yet seen,
+    leaves it along ``first``, and is returned as its list of points:
+    even positions step along ``first``, odd ones along ``second``.
+    Boundary components, partial duals and state curves are all traced
+    here.
     """
     seen: set[int] = set()
     cycles: list[list[int]] = []
@@ -410,8 +406,8 @@ def stats(g: SignedRibbonGraph) -> GraphStats:
     edges, plus one per empty circle."""
     v, e = g.num_vertices, g.num_edges
     _, flags, home, partner, sigma = _flat(g)
-    roots, orientable = _circle_union(g, flags, home, partner)
-    k = len(set(roots))
+    groups, orientable = _circle_walk(_runs(g), flags, home, partner)
+    k = len(groups)
     f = len(_trace(sigma, _bands(partner, [True] * len(partner)), range(len(sigma))))
     f += g.circles.count(())
     chi = v - e + f
@@ -479,25 +475,25 @@ def _form(
     g: SignedRibbonGraph, ignore_signs: bool
 ) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """The canonical form of ``g`` and its orientability, from one
-    occurrence table (:func:`_flat`)."""
+    occurrence table (:func:`_flat`) and one walk over its circles
+    (:func:`_circle_walk`), whose groups are the components coded."""
     labels, flags, home, partner, _ = _flat(g)
-    component, orientable = _circle_union(g, flags, home, partner)
-    runs = [(bisect_left(home, c), bisect_right(home, c)) for c in range(len(g.circles))]
-    rings = [list(range(a, b)) * 2 for a, b in runs]
-    size = [len(rings[c]) >> 1 for c in home]
+    runs = _runs(g)
+    groups, orientable = _circle_walk(runs, flags, home, partner)
+    rings = [list(run) * 2 for run in runs]
     signs = None if ignore_signs else [g.signs[label] for label in labels]
-    groups: dict[tuple, list[int]] = {}
-    for i, j in enumerate(partner):
-        m = size[i]
-        gap = abs(j - i) if home[i] == home[j] else -1
-        sign = signs[i] if signs else 0
-        key = (component[home[i]], m, size[j], gap if 2 * gap <= m else m - gap, sign)
-        groups.setdefault(key, []).append(i)
-    tops: dict[int, list[int]] = {}  # component -> its least (count, key) group
-    for _, key, roots in sorted([(len(r), k, r) for k, r in groups.items()]):
-        tops.setdefault(key[0], roots)
-    codes = [()] * g.circles.count(())
-    for roots in tops.values():
+    codes = []
+    for group in groups:
+        keys: dict[tuple, list[int]] = {}
+        for i in [i for c in group for i in runs[c]]:
+            j = partner[i]
+            m = len(runs[home[i]])
+            gap = abs(j - i) if home[i] == home[j] else -1
+            sign = signs[i] if signs else 0
+            key = (m, len(runs[home[j]]), gap if 2 * gap <= m else m - gap, sign)
+            keys.setdefault(key, []).append(i)
+        # the least (count, key) group; none on an empty circle, coded ()
+        roots = min([(len(r), k, r) for k, r in keys.items()], default=(0, (), []))[2]
         best: list[int] = []
         for root in [(i, rev) for i in roots for rev in (0, 1)]:
             code = _rooted_code(home, rings, flags, partner, signs, root, best)

@@ -1043,6 +1043,51 @@ def label_bands(labels: list[str], subset) -> list[int]:
     return tau
 
 
+def parity_union_find(
+    g: SignedRibbonGraph, flags: list[bool], home: list[int], partner: list[int]
+) -> tuple[list[int], bool]:
+    """Root circle of each circle's component, and orientability, from the
+    table of ``ribbon._flat``: the oracle for ``ribbon._circle_walk``.
+
+    A parity union-find over circles joins the two circles of every edge
+    and seeks a reversal o per circle with d1 xor d2 xor o(c1) xor o(c2)
+    = 0 for every edge, where d are its Against flags; an edge closing a
+    cycle of the wrong parity is the obstruction to orientability.
+    """
+    parent = list(range(len(g.circles)))
+    parity = [0] * len(g.circles)
+    orientable = True
+    for i, j in enumerate(partner):
+        if j > i:  # each edge once, at its second occurrence
+            continue
+        d = flags[i] ^ flags[j]
+        if home[i] == home[j]:  # a loop: both ends on one circle
+            orientable = orientable and not d
+            continue
+        ends: list[int] = []
+        for a in (home[i], home[j]):  # find, with path halving carrying parity
+            p = 0
+            while parent[a] != a:
+                up = parent[a]
+                parity[a] ^= parity[up]
+                parent[a] = parent[up]
+                p ^= parity[a]
+                a = parent[a]
+            ends += (a, p)
+        ra, pa, rb, pb = ends
+        if ra != rb:
+            parent[ra] = rb
+            parity[ra] = pa ^ pb ^ d
+        elif pa ^ pb != d:
+            orientable = False
+    roots = []
+    for a in range(len(parent)):
+        while parent[a] != a:
+            a = parent[a]
+        roots.append(a)
+    return roots, orientable
+
+
 # ----------------------------------------------------------------------
 # boundary walks
 # ----------------------------------------------------------------------

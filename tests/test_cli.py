@@ -84,6 +84,15 @@ class TestDual:
         assert out == ""
         assert "unknown edge" in err
 
+    def test_comma_label_refused_at_parse(self, capsys, monkeypatch):
+        # A label holding a comma is a parse error, not a list of edges
+        # that --edges would then find unknown.
+        text = "edges: a,b:+ c:-\ncircle: a,b c a,b c\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, "dual", "-", "--edges", "a,b")
+        assert (code, out) == (2, "")
+        assert err == "error: line 1, col 8: invalid edge label 'a,b'\n"
+
     def test_least_unknown_edge_named_under_any_hash_seed(self):
         # Of several unknown labels the least is named, in a fresh
         # process whatever the seed of string hashing.

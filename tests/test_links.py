@@ -157,6 +157,16 @@ class TestParsing:
             parse_gauss("component: O1+ Q2*")
         assert (err.value.line, err.value.col) == (1, 16)
 
+    def test_comma_in_crossing_id_rejected(self):
+        # Crossing ids become the edge labels of state graphs, which may
+        # not hold a comma.
+        with pytest.raises(InvalidLabel, match="^invalid crossing id '1,2'$"):
+            VirtualLinkDiagram([[Pass("1,2", True), Pass("1,2", False)]], {"1,2": 1})
+        with pytest.raises(ParseError) as err:
+            parse_gauss("component: O1,2+ U1,2+")
+        assert str(err.value).endswith("invalid crossing id '1,2'")
+        assert (err.value.line, err.value.col) == (1, 12)
+
     def test_bad_crossing_id_is_a_package_error(self):
         with pytest.raises(InvalidLabel) as err:
             VirtualLinkDiagram([[Pass("a b", True), Pass("a b", False)]], {"a b": 1})

@@ -44,6 +44,7 @@ from .helpers import (
     load_graph,
     occurrences,
     one_point_join,
+    parity_union_find,
     random_graph,
     tuple_canonical_form,
 )
@@ -87,11 +88,22 @@ class TestConstruction:
             SignedRibbonGraph([[]], {"ghost": 1})
 
     def test_bad_labels_rejected(self):
-        for label in ("", "a b", "a'", "#x", "a:b"):
-            with pytest.raises(ValueError):
+        for label in ("", "a b", "a'", "#x", "a:b", "a,b"):
+            with pytest.raises(InvalidLabel):
                 SignedRibbonGraph(
                     [[(label, False), (label, False)]], {label: 1}
                 )
+
+    def test_comma_in_label_is_a_parse_error(self):
+        # --edges and the subsets that duals and verify print are
+        # comma-separated, so a label holding a comma would read as two.
+        with pytest.raises(ParseError) as err:
+            parse_ribbon_graph("edges: a,b:+ c:-\ncircle: a,b c a,b c\n")
+        assert str(err.value).endswith("invalid edge label 'a,b'")
+        assert (err.value.line, err.value.col) == (1, 8)
+        with pytest.raises(ParseError) as err:
+            parse_ribbon_graph("edges: a:+\ncircle: a a,\n")
+        assert (err.value.line, err.value.col) == (2, 11)
 
     def test_bad_label_is_a_package_error(self):
         with pytest.raises(InvalidLabel) as err:
@@ -180,13 +192,18 @@ class TestStats:
             {"a": 1, "b": -1},
         )
         assert components(g) == ((0,), (1, 2))
-        # groups by smallest circle, each ascending; union-find roots
-        # would list the lone circle 1 first
+        # groups by smallest circle, each ascending, although the walk
+        # from circle 0 reaches circle 2 first
         g = SignedRibbonGraph(
             [[("a", False)], [("b", False), ("b", True)], [("a", True)]],
             {"a": 1, "b": -1},
         )
         assert components(g) == ((0, 2), (1,))
+        g = SignedRibbonGraph(
+            [[("a", False), ("b", False)], [("b", True)], [("a", True)]],
+            {"a": 1, "b": -1},
+        )
+        assert components(g) == ((0, 1, 2),)
 
 
 class TestBoundary:
@@ -250,6 +267,41 @@ class TestOccurrenceTable:
                 inside = [label in subset for label in labels]
                 assert ribbon._bands(partner, inside) == label_bands(labels, subset)
         assert loops > 1000
+
+
+class TestCircleWalk:
+    """``ribbon._circle_walk`` against the parity union-find it replaced,
+    ``parity_union_find``: the same components, listed by least circle,
+    and the same orientability."""
+
+    def test_matches_union_find(self):
+        rng = random.Random(67)
+        graphs = graph_corpus(67, 1000, max_edges=8) + [bouquet(e) for e in range(6)]
+        for g in list(graphs):  # each again with its circles reordered
+            order = list(range(len(g.circles)))
+            rng.shuffle(order)
+            graphs.append(g.permute_circles(order))
+        shapes = dict.fromkeys(
+            ("no edges", "empty circle", "twisted loop", "odd cycle", "out of order"), 0
+        )
+        for g in graphs:
+            _, flags, home, partner, _ = ribbon._flat(g)
+            groups, orientable = ribbon._circle_walk(ribbon._runs(g), flags, home, partner)
+            roots, want = parity_union_find(g, flags, home, partner)
+            classes: dict[int, list[int]] = {}
+            for c, root in enumerate(roots):
+                classes.setdefault(root, []).append(c)
+            expected = sorted(classes.values())
+            assert [sorted(group) for group in groups] == expected
+            assert [group[0] for group in groups] == [c[0] for c in expected]
+            assert orientable == want
+            twisted = any(home[i] == home[j] and flags[i] != flags[j] for i, j in enumerate(partner))
+            shapes["no edges"] += g.num_edges == 0
+            shapes["empty circle"] += () in g.circles
+            shapes["twisted loop"] += twisted
+            shapes["odd cycle"] += not orientable and not twisted
+            shapes["out of order"] += any(group != sorted(group) for group in groups)
+        assert min(shapes.values()) >= 20, shapes
 
 
 class TestOrientability:

@@ -41,6 +41,7 @@ REMOVED = [
     ("ribbon", "one_point_join", "one_point_join"),
     ("ribbon", "_fresh_relabel", "_fresh_relabel"),
     ("ribbon", "_arcs", "arc_matching"),
+    ("ribbon", "_circle_union", "parity_union_find"),
     ("ribbon.SignedRibbonGraph", "occurrences", "occurrences"),
     ("duality", "delete_edge", "delete_edge"),
     ("duality", "contract_edge", "contract_edge"),
