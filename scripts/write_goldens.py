@@ -10,7 +10,7 @@ file.  Each case's stdout is written byte for byte to ``<case>.out``,
 and ``cases.json`` records its arguments and exit code.
 
 ``corpus.json`` holds, per run of the seeded corpus
-``tests.helpers.cli_corpus`` (1900 runs on standard input), the
+``tests.helpers.cli_corpus`` (1912 runs on standard input), the
 sha256 of its exit code and stdout, so that a refactor can show its
 output byte-identical on far more inputs than the fixtures.
 ``tests/test_cli.py::TestGoldens`` replays both and compares.

@@ -392,8 +392,10 @@ def cli_corpus() -> list[tuple[str, list[str], str]]:
     ``stats``, ``dual`` on every other sorted edge label, ``duals``,
     ``poly``, ``tutte``, ``invariant`` and ``verify`` in both modes run on
     200 graphs with at most 7 edges (empty circles included; ``tutte``
-    exits 2 on a graph with a negative edge), and ``bracket``, ``jones``
-    and ``stategraph`` on 100 diagrams with at most 6 crossings."""
+    exits 2 on a graph with a negative edge), ``bracket``, ``jones``
+    and ``stategraph`` on 100 diagrams with at most 6 crossings, and
+    ``verify --mode lemmas`` on 12 graphs with 13 or 14 edges, which
+    draws 48 subsets with the graph's number as the seed."""
     runs = []
     for gi, g in enumerate(graph_corpus(2026, 200, max_edges=7)):
         text = serialize_ribbon_graph(g)
@@ -413,6 +415,10 @@ def cli_corpus() -> list[tuple[str, list[str], str]]:
         text = serialize_gauss(d)
         for command in ("bracket", "jones", "stategraph"):
             runs.append((f"d{di:03}.{command}", [command, "-"], text))
+    large = [g for g in graph_corpus(1314, 200, max_edges=14) if g.num_edges >= 13]
+    for gi, g in enumerate(large[:12]):
+        argv = ["verify", "-", "--mode", "lemmas", "--samples", "48", "--seed", str(gi)]
+        runs.append((f"s{gi:02}.verify-lemmas", argv, serialize_ribbon_graph(g)))
     return runs
 
 

@@ -292,6 +292,7 @@ def faulty_partial_dual(g, edges):
 
 
 LEMMA_GATE = FIXTURES.parent / "tests" / "lemma_gate.out"
+SAMPLED_GATE_SHA256 = "872469e680cef261bbb50e9d0c797dc89ecf02d3c4a22cd7331923d88b5ed74e"
 
 
 def lemma_gate_text() -> str:
@@ -318,6 +319,24 @@ def lemma_gate_text() -> str:
     return "".join(blocks)
 
 
+def sampled_gate_runs() -> list[str]:
+    """Exit code and stdout of each sampled ``verify --mode lemmas`` run
+    of ``cli_corpus`` (12 graphs with 13 or 14 edges, 48 subsets each)
+    with :func:`faulty_partial_dual`.  The runs compare with
+    ``partial_dual(g, previous △ subset)``, which no exhaustive run
+    reaches."""
+    outs = []
+    with mock.patch.object(cli, "partial_dual", faulty_partial_dual):
+        for case, argv, text in cli_corpus():
+            if case.startswith("s"):
+                out = io.StringIO()
+                with mock.patch.object(sys, "stdin", io.StringIO(text)):
+                    with contextlib.redirect_stdout(out):
+                        code = cli.main(argv)
+                outs.append(f"{code}\n{out.getvalue()}")
+    return outs
+
+
 class TestLemmaGate:
     """The lemma checks of ``verify`` must keep catching a broken
     ``partial_dual``: the FAIL lines are pinned from the program as it
@@ -335,6 +354,20 @@ class TestLemmaGate:
             "symmetric-difference",
         }
         assert got.count(" exit=1\n") == got.count("## graph")
+
+    def test_sampled_fail_lines_pinned(self):
+        # The sha256 of the FAIL lines, written from the program as it
+        # was before the checks compared presentations.
+        outs = sampled_gate_runs()
+        assert len(outs) == 12 and all(out.startswith("1\n") for out in outs)
+        assert {line.split()[1] for out in outs for line in out.splitlines()[1:-1]} == {
+            "involution",
+            "composition",
+            "components",
+            "symmetric-difference",
+        }
+        got = hashlib.sha256("".join(outs).encode("utf-8")).hexdigest()
+        assert got == SAMPLED_GATE_SHA256
 
 
 class TestLinksCommands:
