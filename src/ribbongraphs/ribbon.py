@@ -339,6 +339,12 @@ def _circle_walk(
     return groups, orientable
 
 
+def _walk(g: SignedRibbonGraph) -> tuple[list[list[int]], bool]:
+    """:func:`_circle_walk` over the table of ``g``."""
+    _, flags, home, partner, _ = _flat(g)
+    return _circle_walk(_runs(g), flags, home, partner)
+
+
 def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
     """Partition circle indices into connected components.
 
@@ -346,17 +352,14 @@ def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
     the component count k is the length of the returned partition.  The
     groups are listed by their smallest circle, each in ascending order.
     """
-    _, flags, home, partner, _ = _flat(g)
-    groups = _circle_walk(_runs(g), flags, home, partner)[0]
-    return tuple(tuple(sorted(group)) for group in groups)
+    return tuple(tuple(sorted(group)) for group in _walk(g)[0])
 
 
 def is_orientable(g: SignedRibbonGraph) -> bool:
     """Whether all circle arrows can be chosen coherently: whether a walk
     over the circles can reverse them so that every edge has one Along
     and one Against flag (see :func:`_circle_walk`)."""
-    _, flags, home, partner, _ = _flat(g)
-    return _circle_walk(_runs(g), flags, home, partner)[1]
+    return _walk(g)[1]
 
 
 def _trace(first, second, starts) -> list[list[int]]:
@@ -471,37 +474,6 @@ def _rooted_code(home, rings, flags, partner, signs, root, best):
     return code
 
 
-def _form(
-    g: SignedRibbonGraph, ignore_signs: bool
-) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """The canonical form of ``g`` and its orientability, from one
-    occurrence table (:func:`_flat`) and one walk over its circles
-    (:func:`_circle_walk`), whose groups are the components coded."""
-    labels, flags, home, partner, _ = _flat(g)
-    runs = _runs(g)
-    groups, orientable = _circle_walk(runs, flags, home, partner)
-    rings = [list(run) * 2 for run in runs]
-    signs = None if ignore_signs else [g.signs[label] for label in labels]
-    codes = []
-    for group in groups:
-        keys: dict[tuple, list[int]] = {}
-        for i in [i for c in group for i in runs[c]]:
-            j = partner[i]
-            m = len(runs[home[i]])
-            gap = abs(j - i) if home[i] == home[j] else -1
-            sign = signs[i] if signs else 0
-            key = (m, len(runs[home[j]]), gap if 2 * gap <= m else m - gap, sign)
-            keys.setdefault(key, []).append(i)
-        # the least (count, key) group; none on an empty circle, coded ()
-        roots = min([(len(r), k, r) for k, r in keys.items()], default=(0, (), []))[2]
-        best: list[int] = []
-        for root in [(i, rev) for i in roots for rev in (0, 1)]:
-            code = _rooted_code(home, rings, flags, partner, signs, root, best)
-            best = code or best
-        codes.append(tuple(best))
-    return tuple(sorted(codes)), orientable
-
-
 def canonical_form(
     g: SignedRibbonGraph, ignore_signs: bool = False
 ) -> tuple[tuple[int, ...], ...]:
@@ -522,7 +494,45 @@ def canonical_form(
     (ties to the least key).  That choice, and abandoning a root once its
     code exceeds the best, are invariant under isomorphism.
     """
-    return _form(g, ignore_signs)[0]
+    labels, flags, home, partner, _ = _flat(g)
+    runs = _runs(g)
+    rings = [list(run) * 2 for run in runs]
+    signs = None if ignore_signs else [g.signs[label] for label in labels]
+    codes = []
+    for group in _circle_walk(runs, flags, home, partner)[0]:
+        keys: dict[tuple, list[int]] = {}
+        for i in [i for c in group for i in runs[c]]:
+            j = partner[i]
+            m = len(runs[home[i]])
+            gap = abs(j - i) if home[i] == home[j] else -1
+            sign = signs[i] if signs else 0
+            key = (m, len(runs[home[j]]), gap if 2 * gap <= m else m - gap, sign)
+            keys.setdefault(key, []).append(i)
+        # the least (count, key) group; none on an empty circle, coded ()
+        roots = min([(len(r), k, r) for k, r in keys.items()], default=(0, (), []))[2]
+        best: list[int] = []
+        for root in [(i, rev) for i in roots for rev in (0, 1)]:
+            code = _rooted_code(home, rings, flags, partner, signs, root, best)
+            best = code or best
+        codes.append(tuple(best))
+    return tuple(sorted(codes))
+
+
+def _presentation(g: SignedRibbonGraph) -> tuple:
+    """The sorted circles of ``g``, each read from an occurrence of its least
+    label whichever way reads least: forward from an Along occurrence, or
+    backward with its flags flipped (move M1) from an Against one."""
+    read = [()] * g.circles.count(())
+    for c in filter(None, g.circles):
+        least = min([label for label, _ in c])
+        reads = []
+        for i, (label, against) in enumerate(c):
+            if label == least and against:
+                reads.append(tuple([(l, not a) for l, a in c[i::-1] + c[:i:-1]]))
+            elif label == least:
+                reads.append(c[i:] + c[:i])
+        read.append(min(reads))
+    return tuple(sorted(read))
 
 
 def is_isomorphic(

@@ -36,6 +36,16 @@ def fixture(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def counting(calls: list, function):
+    """``function``, appending the arguments of each call to ``calls``."""
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    return counted
+
+
 GOLDENS = FIXTURES.parent / "tests" / "goldens"
 GOLDEN_CASES = json.loads((GOLDENS / "cases.json").read_text(encoding="utf-8"))
 
@@ -343,7 +353,10 @@ class TestLemmaGate:
     was before the checks reused forms, written by ``lemma_gate_text``."""
 
     def test_fail_lines_pinned(self):
-        got = lemma_gate_text()
+        forms: list = []
+        with mock.patch.object(cli, "canonical_form", counting(forms, cli.canonical_form)):
+            got = lemma_gate_text()
+        assert forms  # a mismatch of presentations falls back on forms
         assert got == LEMMA_GATE.read_text(encoding="utf-8")
         fired = {line.split()[1] for line in got.splitlines() if "subset=" in line}
         assert fired == {
@@ -354,6 +367,28 @@ class TestLemmaGate:
             "symmetric-difference",
         }
         assert got.count(" exit=1\n") == got.count("## graph")
+
+    def test_sign_fault_fails(self):
+        # A presentation holds no signs, so a dual wrong in one sign alone
+        # must fail through the signs compared with it.
+        def sign_fault(g, edges):
+            dual = partial_dual(g, edges)
+            if len(set(edges)) != 2:
+                return dual
+            label = min(edges)
+            return SignedRibbonGraph(dual.circles, {**dual.signs, label: -dual.signs[label]})
+
+        g = parse_ribbon_graph((FIXTURES / "torus.rg").read_text(encoding="utf-8"))
+        with mock.patch.object(cli, "partial_dual", sign_fault):
+            got = cli._verify_lemmas(g, cli._subset_pool(g, 200, 0)[1])
+        assert got == (
+            False,
+            [
+                "FAIL symmetric-difference subset=2",
+                "FAIL composition subset=1,2",
+                "FAIL symmetric-difference subset=1,2",
+            ],
+        )
 
     def test_sampled_fail_lines_pinned(self):
         # The sha256 of the FAIL lines, written from the program as it
@@ -503,6 +538,8 @@ class TestGoldens:
         want = json.loads((GOLDENS / "corpus.json").read_text(encoding="utf-8"))
         parser = cli.build_parser()
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        forms: list = []
+        monkeypatch.setattr(cli, "canonical_form", counting(forms, cli.canonical_form))
         got = {}
         for case, argv, text in cli_corpus():
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -510,3 +547,6 @@ class TestGoldens:
             got[case] = hashlib.sha256(f"{code}\n{out}".encode("utf-8")).hexdigest()
         assert got.keys() == want.keys()
         assert [case for case in want if got[case] != want[case]] == []
+        # Presentations decide every check of the lemma runs, sampled ones
+        # included: they compute no canonical form.
+        assert forms == []

@@ -45,6 +45,7 @@ from .helpers import (
     occurrences,
     one_point_join,
     parity_union_find,
+    plane_corpus,
     random_graph,
     tuple_canonical_form,
 )
@@ -542,6 +543,98 @@ class TestIsomorphism:
             assert is_isomorphic(h, g)
             assert time.process_time() - start < 1.0
         assert not is_isomorphic(partial_dual(g, subset), g)
+
+
+def least_readings(g: SignedRibbonGraph, flip: bool = True, flags: bool = True) -> tuple:
+    """``ribbon._presentation`` as first stated: per circle the least of
+    the (at most four) readings from an occurrence of its least label,
+    forward or backward with its flags flipped, and the circles sorted.
+    ``flip=False`` reads backward without flipping the flags and
+    ``flags=False`` reads every flag as Along: two faulty variants."""
+    read = []
+    for c in g.circles:
+        c = tuple((label, against and flags) for label, against in c)
+        back = tuple((label, against != flip) for label, against in c[::-1])
+        least = min([label for label, _ in c], default=None)
+        starts = [(r, i) for r in (c, back) for i in range(len(r)) if r[i][0] == least]
+        read.append(min([r[i:] + r[:i] for r, i in starts], default=()))
+    return tuple(sorted(read))
+
+
+def shuffle_presentation(g: SignedRibbonGraph, rng: random.Random) -> SignedRibbonGraph:
+    """A burst of the moves a presentation reads through: rotate,
+    permute_circles and m1."""
+    for _ in range(rng.randrange(1, 8)):
+        choice = rng.randrange(3)
+        if choice == 0:
+            g = g.rotate(rng.randrange(len(g.circles)), rng.randrange(9))
+        elif choice == 1:
+            g = g.m1(rng.randrange(len(g.circles)))
+        else:
+            order = list(range(len(g.circles)))
+            rng.shuffle(order)
+            g = g.permute_circles(order)
+    return g
+
+
+class TestPresentation:
+    """``ribbon._presentation``, which ``verify --mode lemmas`` compares
+    before any canonical form: it must not change under rotation, circle
+    order and M1, and graphs with equal presentations (and equal signs)
+    must have equal canonical forms (signed forms)."""
+
+    @staticmethod
+    def corpus() -> list[SignedRibbonGraph]:
+        graphs = graph_corpus(71, 2000, max_edges=5) + [bouquet(e) for e in range(1, 6)]
+        graphs += plane_corpus(71, 100)
+        twisted = [
+            g for g in graphs if any(o1 == (o2[0], not o2[1]) for c in g.circles for o1 in c for o2 in c)
+        ]
+        assert len(twisted) >= 500
+        assert sum(() in g.circles for g in graphs) >= 500
+        return graphs
+
+    @staticmethod
+    def faults(present, graphs) -> tuple[int, int]:
+        """How many move bursts changed a presentation, and how many
+        partial duals share a presentation (and signs) with an earlier
+        one of a different unsigned (signed) form, among all partial
+        duals of ``graphs``; forms are computed only for shared keys."""
+        rng = random.Random(73)
+        moved = clashes = 0
+        first: dict[tuple, tuple] = {}  # key -> (first graph, ignore_signs)
+        forms: dict[tuple, tuple] = {}
+        for g in graphs:
+            moved += present(shuffle_presentation(g, rng)) != present(g)
+            labels = g.edge_labels
+            for mask in range(1 << len(labels)):
+                dual = partial_dual(g, [l for i, l in enumerate(labels) if mask >> i & 1])
+                key = present(dual)
+                for k, ignore in ((key, True), ((key, *dual.signs.items()), False)):
+                    if first.setdefault(k, (dual, ignore))[0] is not dual:
+                        if k not in forms:
+                            forms[k] = canonical_form(first[k][0], ignore)
+                        clashes += canonical_form(dual, ignore) != forms[k]
+        return moved, clashes
+
+    def test_invariant_and_sound(self):
+        graphs = self.corpus()
+        for g in graphs:
+            assert ribbon._presentation(g) == least_readings(g)
+        assert self.faults(ribbon._presentation, graphs) == (0, 0)
+
+    def test_faulty_variants_fail(self):
+        graphs = self.corpus()[:400]
+        moved, clashes = self.faults(lambda g: least_readings(g, flip=False), graphs)
+        assert moved > 0 and clashes > 0
+        moved, clashes = self.faults(lambda g: least_readings(g, flags=False), graphs)
+        assert clashes > 0
+
+    def test_flags_tell_loops_apart(self):
+        plain = parse_ribbon_graph("edges: a:+\ncircle: a a\n")
+        twisted = parse_ribbon_graph("edges: a:+\ncircle: a a'\n")
+        assert ribbon._presentation(plain) != ribbon._presentation(twisted)
+        assert ribbon._presentation(plain.m1(0)) == ribbon._presentation(plain)
 
 
 def _near_miss(g: SignedRibbonGraph, rng: random.Random) -> SignedRibbonGraph:

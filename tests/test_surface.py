@@ -17,8 +17,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # (old home, name, its name in tests.helpers, or None when callers use
 # a replacement: Laurent.monomial, the tuple of state curves that
-# resolve_state now returns, BR_MAX_EDGES for the bracket, and the
-# builtin IndexError that the helpers' one_point_join raises)
+# resolve_state now returns, BR_MAX_EDGES for the bracket, the builtin
+# IndexError that the helpers' one_point_join raises, and canonical_form
+# and the circle walk for the form-and-orientability pair of _form)
 REMOVED = [
     ("polynomial", "monomial", None),
     ("polynomial", "parse_poly", "parse_poly"),
@@ -42,6 +43,7 @@ REMOVED = [
     ("ribbon", "_fresh_relabel", "_fresh_relabel"),
     ("ribbon", "_arcs", "arc_matching"),
     ("ribbon", "_circle_union", "parity_union_find"),
+    ("ribbon", "_form", None),
     ("ribbon.SignedRibbonGraph", "occurrences", "occurrences"),
     ("duality", "delete_edge", "delete_edge"),
     ("duality", "contract_edge", "contract_edge"),
