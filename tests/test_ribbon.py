@@ -587,8 +587,10 @@ class TestPresentation:
     def corpus() -> list[SignedRibbonGraph]:
         graphs = graph_corpus(71, 2000, max_edges=5) + [bouquet(e) for e in range(1, 6)]
         graphs += plane_corpus(71, 100)
-        twisted = [
-            g for g in graphs if any(o1 == (o2[0], not o2[1]) for c in g.circles for o1 in c for o2 in c)
+        twisted = [  # both ends of an edge on one circle, with opposite flags
+            g
+            for g in graphs
+            if any((label, not against) in c for c in g.circles for label, against in c)
         ]
         assert len(twisted) >= 500
         assert sum(() in g.circles for g in graphs) >= 500
@@ -602,7 +604,7 @@ class TestPresentation:
         duals of ``graphs``; forms are computed only for shared keys."""
         rng = random.Random(73)
         moved = clashes = 0
-        first: dict[tuple, tuple] = {}  # key -> (first graph, ignore_signs)
+        first: dict[tuple, SignedRibbonGraph] = {}  # the first dual per key
         forms: dict[tuple, tuple] = {}
         for g in graphs:
             moved += present(shuffle_presentation(g, rng)) != present(g)
@@ -610,10 +612,11 @@ class TestPresentation:
             for mask in range(1 << len(labels)):
                 dual = partial_dual(g, [l for i, l in enumerate(labels) if mask >> i & 1])
                 key = present(dual)
-                for k, ignore in ((key, True), ((key, *dual.signs.items()), False)):
-                    if first.setdefault(k, (dual, ignore))[0] is not dual:
+                for ignore in (True, False):
+                    k = (ignore, key) if ignore else (ignore, key, *dual.signs.items())
+                    if first.setdefault(k, dual) is not dual:
                         if k not in forms:
-                            forms[k] = canonical_form(first[k][0], ignore)
+                            forms[k] = canonical_form(first[k], ignore)
                         clashes += canonical_form(dual, ignore) != forms[k]
         return moved, clashes
 
