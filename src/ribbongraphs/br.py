@@ -51,7 +51,7 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
     compression, undone on backtrack.
     """
     labels, _, home, partner, sigma = _flat(g)
-    tau = _bands(partner, [False] * len(partner))
+    tau = _bands(g, [False] * len(partner))
     # one edge per first occurrence i, so in first-seen label order
     edges = [
         (2 * i, 2 * i + 1, 2 * j, 2 * j + 1, home[i], home[j], int(g.signs[labels[i]] < 0))
@@ -61,7 +61,7 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
     v = g.num_vertices
     # The package's one union-find, since the sweep undoes each union as
     # it backtracks; the components of a whole graph come from a walk
-    # over its circles instead (ribbon._circle_walk).
+    # over its circles instead (ribbon._walk).
     parent = list(range(v))
     size, k, f, neg = 0, v, v, 0
     hist = {(size, k, f, neg): 1}

@@ -62,13 +62,7 @@ def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGrap
     subset = set(edges)
     if unknown := subset - g.signs.keys():
         raise UnknownEdge(f"not edges of the graph: {sorted(unknown)}")
-    return _dual(g, _flat(g), subset)
-
-
-def _dual(g: SignedRibbonGraph, flat: tuple, subset: set[str]) -> SignedRibbonGraph:
-    """:func:`partial_dual` of ``g``, whose table :func:`_flat` is ``flat``,
-    with respect to ``subset``, a set of its edge labels."""
-    labels, _, home, partner, sigma = flat
+    labels, _, home, _, sigma = _flat(g)
     inside = [label in subset for label in labels]
     starts = [c for c in range(len(sigma)) if inside[c >> 1]]
     new_circles = [
@@ -78,7 +72,7 @@ def _dual(g: SignedRibbonGraph, flat: tuple, subset: set[str]) -> SignedRibbonGr
                 for c in cycle[1::2]
             ]
         )
-        for cycle in _trace(sigma, _bands(partner, inside), starts)
+        for cycle in _trace(sigma, _bands(g, inside), starts)
     ]
     touched = {home[c >> 1] for c in starts}
     new_circles += [c for ci, c in enumerate(g.circles) if ci not in touched]
@@ -113,11 +107,10 @@ def dual_orbit(g: SignedRibbonGraph) -> tuple[OrbitClass, ...]:
             f"{e} edges exceed the orbit guard of {DUAL_ORBIT_MAX_EDGES} "
             f"(2^{e} partial duals)"
         )
-    flat = _flat(g)
     classes: dict[tuple, OrbitClass] = {}
     for mask in range(1 << e):
         subset = tuple(l for i, l in enumerate(labels) if mask >> i & 1)
-        dual = _dual(g, flat, set(subset))
+        dual = partial_dual(g, subset)
         key = canonical_form(dual, ignore_signs=True)
         old = classes.get(key, OrbitClass(subset, dual, 0))
         classes[key] = OrbitClass(old.subset, old.graph, old.size + 1)

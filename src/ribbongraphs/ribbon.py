@@ -82,7 +82,7 @@ class GraphStats:
 
 
 def _check_label(label: str) -> str:
-    if not label or _LABEL_BAD.search(label):
+    if not isinstance(label, str) or not label or _LABEL_BAD.search(label):
         raise InvalidLabel(f"invalid edge label {label!r}")
     return label
 
@@ -96,12 +96,13 @@ class SignedRibbonGraph:
         signs: map from edge label to +1 or -1.
 
     Raises:
-        InvalidLabel: a label is empty or holds a reserved character.
+        InvalidLabel: a label is not a string, is empty or holds a
+            reserved character.
         DuplicateLabelCount: a label does not occur exactly twice.
         UnknownSign: an occurring label has no sign, or a sign is not +-1.
     """
 
-    __slots__ = ("circles", "signs")
+    __slots__ = ("circles", "signs", "_table")
 
     circles: tuple[tuple[Occurrence, ...], ...]
     signs: dict[str, int]
@@ -139,6 +140,7 @@ class SignedRibbonGraph:
                 raise UnknownSign(f"sign of edge {label!r} must be +1 or -1")
         object.__setattr__(self, "circles", fixed)
         object.__setattr__(self, "signs", {l: signs[l] for l in sorted(counts)})
+        object.__setattr__(self, "_table", None)
 
     @classmethod
     def _derived(
@@ -153,6 +155,7 @@ class SignedRibbonGraph:
         g = object.__new__(cls)
         object.__setattr__(g, "circles", circles)
         object.__setattr__(g, "signs", signs)
+        object.__setattr__(g, "_table", None)
         return g
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -275,7 +278,12 @@ def _flat(g: SignedRibbonGraph) -> tuple[list, list, list, list, list]:
     ``partner[i]``.  Its corners are 2i (tail) and 2i+1 (head); the arc
     matching ``sigma`` pairs the corner after each occurrence with the
     corner before the next one on its circle, along the free arc between.
+
+    The first call for ``g`` builds the table and keeps it on ``g``; every
+    later call returns the same lists, so no caller may mutate them.
     """
+    if g._table is not None:
+        return g._table
     labels, flags, home = [], [], []
     partner = [0] * (2 * len(g.signs))
     sigma = [0] * (4 * len(g.signs))
@@ -294,7 +302,8 @@ def _flat(g: SignedRibbonGraph) -> tuple[list, list, list, list, list]:
             labels.append(label)
             flags.append(against)
             i += 1
-    return labels, flags, home, partner, sigma
+    object.__setattr__(g, "_table", (labels, flags, home, partner, sigma))
+    return g._table
 
 
 def _runs(g: SignedRibbonGraph) -> list[range]:
@@ -304,11 +313,8 @@ def _runs(g: SignedRibbonGraph) -> list[range]:
     return [range(end - len(circle), end) for circle, end in zip(g.circles, ends)]
 
 
-def _circle_walk(
-    runs: list[range], flags: list[bool], home: list[int], partner: list[int]
-) -> tuple[list[list[int]], bool]:
-    """Components and orientability from the table of :func:`_flat`, whose
-    circles hold the occurrences ``runs``.
+def _walk(g: SignedRibbonGraph) -> tuple[list[list[int]], bool]:
+    """Components and orientability of ``g``, from its table :func:`_flat`.
 
     A walk starts at each circle not yet reached, in ascending order, and
     crosses every edge at its occurrences on the circles it reaches.  It
@@ -318,6 +324,8 @@ def _circle_walk(
     components come as lists of circles in walk order, listed by their
     least circle.
     """
+    _, flags, home, partner, _ = _flat(g)
+    runs = _runs(g)
     reversal: list[int | None] = [None] * len(runs)
     groups: list[list[int]] = []
     orientable = True
@@ -339,12 +347,6 @@ def _circle_walk(
     return groups, orientable
 
 
-def _walk(g: SignedRibbonGraph) -> tuple[list[list[int]], bool]:
-    """:func:`_circle_walk` over the table of ``g``."""
-    _, flags, home, partner, _ = _flat(g)
-    return _circle_walk(_runs(g), flags, home, partner)
-
-
 def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
     """Partition circle indices into connected components.
 
@@ -358,7 +360,7 @@ def components(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
 def is_orientable(g: SignedRibbonGraph) -> bool:
     """Whether all circle arrows can be chosen coherently: whether a walk
     over the circles can reverse them so that every edge has one Along
-    and one Against flag (see :func:`_circle_walk`)."""
+    and one Against flag (see :func:`_walk`)."""
     return _walk(g)[1]
 
 
@@ -390,12 +392,13 @@ def _trace(first, second, starts) -> list[list[int]]:
     return cycles
 
 
-def _bands(partner: list[int], inside: list[bool]) -> list[int]:
-    """The side matching on corners for the bands of the occurrences i
-    with ``inside[i]`` (both ends of an edge, or neither): across each it
-    pairs 2i with 2j+1 and 2i+1 with 2j, j = ``partner[i]``; at every
-    other occurrence it pairs the occurrence's own two corners.
+def _bands(g: SignedRibbonGraph, inside: list[bool]) -> list[int]:
+    """The side matching on corners for the bands of the occurrences i of
+    ``g`` with ``inside[i]`` (both ends of an edge, or neither): across
+    each it pairs 2i with 2j+1 and 2i+1 with 2j, j the partner of i; at
+    every other occurrence it pairs the occurrence's own two corners.
     """
+    partner = _flat(g)[3]
     tau = [c ^ 1 for c in range(2 * len(partner))]
     for i, j in enumerate(partner):
         if inside[i]:
@@ -408,10 +411,10 @@ def stats(g: SignedRibbonGraph) -> GraphStats:
     the cycles (:func:`_trace`) of the arc matching and the sides of all
     edges, plus one per empty circle."""
     v, e = g.num_vertices, g.num_edges
-    _, flags, home, partner, sigma = _flat(g)
-    groups, orientable = _circle_walk(_runs(g), flags, home, partner)
+    groups, orientable = _walk(g)
     k = len(groups)
-    f = len(_trace(sigma, _bands(partner, [True] * len(partner)), range(len(sigma))))
+    _, _, _, partner, sigma = _flat(g)
+    f = len(_trace(sigma, _bands(g, [True] * len(partner)), range(len(sigma))))
     f += g.circles.count(())
     chi = v - e + f
     return GraphStats(
@@ -432,13 +435,13 @@ def stats(g: SignedRibbonGraph) -> GraphStats:
 # ----------------------------------------------------------------------
 
 
-def _rooted_code(home, rings, flags, partner, signs, root, best):
-    """Code of one component read from ``root``, an (occurrence, reversed)
-    pair, or None as soon as it exceeds ``best``.  Occurrence i lies on
-    circle ``home[i]``, has flag ``flags[i]``, sign ``signs[i]`` (``signs``
-    is None under ``ignore_signs``) and the other end of its edge at
-    ``partner[i]``; ``rings[c]`` lists the occurrences of circle c twice
-    over, so that one slice reads the circle from any start either way."""
+def _rooted_code(g, rings, signs, root, best):
+    """Code of one component of ``g`` read from ``root``, an (occurrence,
+    reversed) pair, or None as soon as it exceeds ``best``.  Occurrence i
+    has sign ``signs[i]`` (``signs`` is None under ``ignore_signs``), and
+    ``rings[c]`` lists the occurrences of circle c twice over, so that one
+    slice reads the circle from any start either way."""
+    _, flags, home, partner, _ = _flat(g)
     queue = [root]
     placed = {home[root[0]]}
     first: list = [None] * len(partner)  # (number, flag) left at the unread end
@@ -494,12 +497,12 @@ def canonical_form(
     (ties to the least key).  That choice, and abandoning a root once its
     code exceeds the best, are invariant under isomorphism.
     """
-    labels, flags, home, partner, _ = _flat(g)
+    labels, _, home, partner, _ = _flat(g)
     runs = _runs(g)
     rings = [list(run) * 2 for run in runs]
     signs = None if ignore_signs else [g.signs[label] for label in labels]
     codes = []
-    for group in _circle_walk(runs, flags, home, partner)[0]:
+    for group in _walk(g)[0]:
         keys: dict[tuple, list[int]] = {}
         for i in [i for c in group for i in runs[c]]:
             j = partner[i]
@@ -512,7 +515,7 @@ def canonical_form(
         roots = min([(len(r), k, r) for k, r in keys.items()], default=(0, (), []))[2]
         best: list[int] = []
         for root in [(i, rev) for i in roots for rev in (0, 1)]:
-            code = _rooted_code(home, rings, flags, partner, signs, root, best)
+            code = _rooted_code(g, rings, signs, root, best)
             best = code or best
         codes.append(tuple(best))
     return tuple(sorted(codes))

@@ -24,6 +24,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
+from ribbongraphs import br, duality, ribbon
 from ribbongraphs.duality import partial_dual
 from ribbongraphs.errors import FractionalExponent, ParseError, UnknownEdge
 from ribbongraphs.links import VirtualLinkDiagram, parse_gauss, resolve_state, serialize_gauss
@@ -1049,11 +1050,30 @@ def label_bands(labels: list[str], subset) -> list[int]:
     return tau
 
 
+def table_builds(monkeypatch) -> list[SignedRibbonGraph]:
+    """The graphs whose occurrence tables the package builds from now on,
+    in build order: a call of ``ribbon._flat`` builds one when it returns
+    another table than the one its graph kept, if any."""
+    builds: list[SignedRibbonGraph] = []
+    flat = ribbon._flat
+
+    def counted(g):
+        kept = g._table
+        table = flat(g)
+        if table is not kept:
+            builds.append(g)
+        return table
+
+    for module in (ribbon, duality, br):
+        monkeypatch.setattr(module, "_flat", counted)
+    return builds
+
+
 def parity_union_find(
     g: SignedRibbonGraph, flags: list[bool], home: list[int], partner: list[int]
 ) -> tuple[list[int], bool]:
     """Root circle of each circle's component, and orientability, from the
-    table of ``ribbon._flat``: the oracle for ``ribbon._circle_walk``.
+    table of ``ribbon._flat``: the oracle for ``ribbon._walk``.
 
     A parity union-find over circles joins the two circles of every edge
     and seeks a reversal o per circle with d1 xor d2 xor o(c1) xor o(c2)
@@ -1146,7 +1166,7 @@ def boundary_components(g: SignedRibbonGraph) -> tuple[BoundaryWalk, ...]:
                 ]
             ),
         )
-        for cycle in _trace(sigma, _bands(partner, [True] * len(partner)), range(len(sigma)))
+        for cycle in _trace(sigma, _bands(g, [True] * len(partner)), range(len(sigma)))
     ]
     for ci, circle in enumerate(g.circles):
         if not circle:

@@ -23,7 +23,7 @@ from ribbongraphs.ribbon import (
     serialize_ribbon_graph,
 )
 
-from .helpers import FIXTURES, cli_corpus, graph_corpus
+from .helpers import FIXTURES, cli_corpus, graph_corpus, table_builds
 
 
 def run(capsys, *argv):
@@ -212,6 +212,18 @@ class TestVerify:
         )
         assert code == 0
         assert out == "PASS lemmas checked=8\n"
+
+    def test_lemmas_build_two_tables_per_subset(self, capsys, monkeypatch, tmp_path):
+        # Each graph keeps the occurrence table it builds: the dual checked
+        # for a subset builds one for its involution and its walk, the
+        # composition chains about half of one, and g one for the run.
+        g = next(g for g in graph_corpus(7, 100, max_edges=7) if g.num_edges == 7)
+        path = tmp_path / "g.rg"
+        path.write_text(serialize_ribbon_graph(g))
+        builds = table_builds(monkeypatch)
+        code, out, _ = run(capsys, "verify", str(path), "--mode", "lemmas")
+        assert (code, out) == (0, "PASS lemmas checked=128\n")
+        assert len({id(h) for h in builds}) == len(builds) <= 2 * 128
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         # Forcing the invariant to disagree exercises the failure path.

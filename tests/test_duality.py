@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from ribbongraphs import duality, ribbon
 from ribbongraphs.duality import DUAL_ORBIT_MAX_EDGES, dual_orbit, partial_dual
 from ribbongraphs.errors import TooManyEdges, UnknownEdge
 from ribbongraphs.links import (
@@ -33,6 +32,7 @@ from .helpers import (
     graph_corpus,
     load_graph,
     subgraph_stats,
+    table_builds,
     with_bridge,
     with_nontrivial_loop,
     with_ordinary,
@@ -122,8 +122,10 @@ class TestPartialDual:
 def assert_as_checked(g: SignedRibbonGraph) -> None:
     """``g``, built without the constructor's checks, equals its rebuild
     through them: same circles, signs and repr, ``Occurrence`` tuples with
-    bool flags (``==`` takes 1 for True), and signs in the same order."""
+    bool flags (``==`` takes 1 for True), and signs in the same order.
+    Neither has built its occurrence table yet."""
     checked = SignedRibbonGraph(g.circles, g.signs)
+    assert g._table is None and checked._table is None
     assert g == checked
     assert repr(g) == repr(checked)
     assert list(g.signs.items()) == list(checked.signs.items())
@@ -311,20 +313,13 @@ class TestDualOrbit:
 
     def test_one_table_per_orbit(self, monkeypatch):
         # dual_orbit builds g's occurrence table once and dualises every
-        # subset from it; the canonical form of each dual reads the dual's.
+        # subset from it; the canonical form of each dual builds the dual's,
+        # and its walk over the circles reads it again.
         g = load_graph("klein.rg")
-        seen = []
-
-        def counting(h):
-            seen.append(h is g)
-            return flat(h)
-
-        flat = ribbon._flat
-        monkeypatch.setattr(ribbon, "_flat", counting)
-        monkeypatch.setattr(duality, "_flat", counting)
+        builds = table_builds(monkeypatch)
         classes = dual_orbit(g)
-        assert seen.count(True) == 1
-        assert len(seen) == 1 + (1 << g.num_edges)
+        assert [h is g for h in builds].count(True) == 1
+        assert len({id(h) for h in builds}) == len(builds) == 1 + (1 << g.num_edges)
         assert len(classes) == 6
 
     def test_guard(self):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribbongraphs import ribbon
-from ribbongraphs.duality import partial_dual
+from ribbongraphs.br import bollobas_riordan
+from ribbongraphs.duality import dual_orbit, partial_dual
 from ribbongraphs.errors import (
     DuplicateLabelCount,
     InvalidLabel,
@@ -111,6 +112,14 @@ class TestConstruction:
             SignedRibbonGraph([[("a b", False), ("a b", False)]], {"a b": 1})
         assert isinstance(err.value, RibbonGraphError)
         assert isinstance(err.value, ValueError)
+
+    def test_non_string_label_is_invalid(self):
+        with pytest.raises(InvalidLabel) as err:
+            SignedRibbonGraph([[(1, False), (1, True)]], {1: 1})
+        assert str(err.value) == "invalid edge label 1"
+        with pytest.raises(InvalidLabel) as err:
+            load_graph("torus.rg").relabel({"1": 5})
+        assert str(err.value) == "invalid edge label 5"
 
     def test_label_checked_before_counts(self):
         # Every label is checked, in first-seen order, before any count or
@@ -266,12 +275,39 @@ class TestOccurrenceTable:
             for _ in range(3):
                 subset = {l for l in g.signs if rng.random() < 0.5}
                 inside = [label in subset for label in labels]
-                assert ribbon._bands(partner, inside) == label_bands(labels, subset)
+                assert ribbon._bands(g, inside) == label_bands(labels, subset)
         assert loops > 1000
+
+    def test_kept_and_never_written(self):
+        # A graph builds its table on first use and keeps it; every pass
+        # after that reads the same lists, and none writes to them.
+        rng = random.Random(73)
+        graphs = graph_corpus(73, 300, max_edges=6) + [bouquet(e) for e in range(6)]
+        assert any(() in g.circles and g.num_edges for g in graphs)
+        passes = (
+            stats,
+            components,
+            is_orientable,
+            canonical_form,
+            lambda g: canonical_form(g, ignore_signs=True),
+            ribbon._presentation,
+            bollobas_riordan,
+            lambda g: partial_dual(g, [l for l in g.signs if rng.random() < 0.5]),
+            dual_orbit,
+        )
+        for g in graphs:
+            table = ribbon._flat(g)
+            fresh = SignedRibbonGraph(g.circles, g.signs)
+            for run in passes:
+                run(g)
+                assert ribbon._flat(g) is table
+                assert table == ribbon._flat(fresh)
+            # the kept table is not part of the graph's value
+            assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
 
 
 class TestCircleWalk:
-    """``ribbon._circle_walk`` against the parity union-find it replaced,
+    """``ribbon._walk`` against the parity union-find it replaced,
     ``parity_union_find``: the same components, listed by least circle,
     and the same orientability."""
 
@@ -287,7 +323,7 @@ class TestCircleWalk:
         )
         for g in graphs:
             _, flags, home, partner, _ = ribbon._flat(g)
-            groups, orientable = ribbon._circle_walk(ribbon._runs(g), flags, home, partner)
+            groups, orientable = ribbon._walk(g)
             roots, want = parity_union_find(g, flags, home, partner)
             classes: dict[int, list[int]] = {}
             for c, root in enumerate(roots):

@@ -131,6 +131,6 @@ def test_derived_graphs_only_from_operations():
                 )
                 sites.append((path.stem, inner and inner.name))
     assert sorted(sites, key=str) == [
-        ("duality", "_dual"),
+        ("duality", "partial_dual"),
         ("links", "state_ribbon_graph"),
     ]
