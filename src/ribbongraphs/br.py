@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import FractionalExponent, NegativeExponentNonUnit, TooManyEdges
 from .polynomial import RING_XY, RING_XYZ, Laurent, restrict_duality_surface
-from .ribbon import SignedRibbonGraph, _bands, _flat, components
+from .ribbon import SignedRibbonGraph, _flat, components
 
 __all__ = [
     "bollobas_riordan",
@@ -40,18 +40,18 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
     """Histogram of (|F|, k(F), f(F), negative edges in F) over all 2^e
     spanning subgraphs F, from one depth-first include/exclude sweep.
 
-    The boundary components of F are the cycles that
-    :func:`ribbongraphs.ribbon._trace` would find over the arc matching
-    ``sigma`` of the occurrence table :func:`ribbongraphs.ribbon._flat`
-    and the side matching ``tau`` of F's bands.  The sweep never traces
-    them whole: including the edge with corners a, b and c, d trades tau's
-    pairs ab, cd for bc, da; walking on from b, the first of a, c, d met
-    shows that this joins two boundary components, splits one, or
-    neither.  Components of F come from a union-find without path
-    compression, undone on backtrack.
+    The boundary components of F are the cycles of the alternating walk
+    over the arc matching ``sigma`` of the occurrence table
+    :func:`ribbongraphs.ribbon._flat` and the side matching ``tau`` of F's
+    bands, which pairs corners 2i and 2i+1 where F excludes i's edge.  The
+    sweep never traces them whole: including the edge with corners a, b
+    and c, d trades tau's pairs ab, cd for bc, da; walking on from b, the
+    first of a, c, d met shows that this joins two boundary components,
+    splits one, or neither.  Components of F come from a union-find
+    without path compression, undone on backtrack.
     """
     labels, _, home, partner, sigma = _flat(g)
-    tau = _bands(g, [False] * len(partner))
+    tau = [c ^ 1 for c in range(len(sigma))]  # every band excluded
     # one edge per first occurrence i, so in first-seen label order
     edges = [
         (2 * i, 2 * i + 1, 2 * j, 2 * j + 1, home[i], home[j], int(g.signs[labels[i]] < 0))

@@ -2,15 +2,12 @@
 
 The partial dual with respect to an edge subset E' re-glues the vertex
 discs along the boundary of the spanning subgraph carrying only the E'
-ribbons.  Its circles are the cycles that :func:`ribbongraphs.ribbon._trace`
-finds over two corner matchings read off the occurrence table ``_flat``:
-the free arcs along the vertex circles, and the band sides of the E'
-edges, with each occurrence of an edge outside E' paired across itself,
-so that the walk sweeps it as a mark.
-Every cycle becomes a vertex circle of the dual, and every step across an
-occurrence emits one: a mark keeps its flag when swept forward and flips
-it when swept backward, and each ribbon side of an E' edge emits a fresh
-occurrence of that edge.  Circles without E' occurrences survive
+ribbons.  :func:`ribbongraphs.ribbon._dual_circles` walks its circles
+straight off the occurrence table ``_flat``, along the free arcs of the
+vertex circles and across the band sides of the E' edges, sweeping each
+other occurrence as a mark.  A mark keeps its flag when swept forward and
+flips it when swept backward, and each ribbon side of an E' edge emits a
+fresh occurrence of that edge.  Circles without E' occurrences survive
 verbatim.  Signs flip on E' and survive elsewhere.
 
 Enumeration of the whole orbit of duals, up to isomorphism, is built
@@ -23,14 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import TooManyEdges, UnknownEdge
-from .ribbon import (
-    Occurrence,
-    SignedRibbonGraph,
-    _bands,
-    _flat,
-    _trace,
-    canonical_form,
-)
+from .ribbon import SignedRibbonGraph, _dual_circles, _flat, canonical_form
 
 __all__ = [
     "partial_dual",
@@ -40,10 +30,6 @@ __all__ = [
 ]
 
 DUAL_ORBIT_MAX_EDGES = 20
-
-# Builds an Occurrence from a (label, flag) pair in C, without the
-# NamedTuple's Python-level __new__, which takes over half as long again.
-_new = tuple.__new__
 
 
 def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGraph:
@@ -62,22 +48,9 @@ def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGrap
     subset = set(edges)
     if unknown := subset - g.signs.keys():
         raise UnknownEdge(f"not edges of the graph: {sorted(unknown)}")
-    labels, _, home, _, sigma = _flat(g)
-    inside = [label in subset for label in labels]
-    starts = [c for c in range(len(sigma)) if inside[c >> 1]]
-    new_circles = [
-        tuple(
-            [
-                _new(Occurrence, (labels[c >> 1], (c & 1) != inside[c >> 1]))
-                for c in cycle[1::2]
-            ]
-        )
-        for cycle in _trace(sigma, _bands(g, inside), starts)
-    ]
-    touched = {home[c >> 1] for c in starts}
-    new_circles += [c for ci, c in enumerate(g.circles) if ci not in touched]
+    inside = [label in subset for label in _flat(g)[0]]
     signs = {l: -s if l in subset else s for l, s in g.signs.items()}
-    return SignedRibbonGraph._derived(tuple(new_circles), signs)
+    return SignedRibbonGraph._derived(_dual_circles(g, inside), signs)
 
 
 @dataclass(frozen=True)

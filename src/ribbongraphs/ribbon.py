@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -99,7 +99,8 @@ class SignedRibbonGraph:
         InvalidLabel: a label is not a string, is empty or holds a
             reserved character.
         DuplicateLabelCount: a label does not occur exactly twice.
-        UnknownSign: an occurring label has no sign, or a sign is not +-1.
+        UnknownSign: an occurring label has no sign, or a sign is not the
+            int +1 or -1.
     """
 
     __slots__ = ("circles", "signs", "_table")
@@ -119,9 +120,12 @@ class SignedRibbonGraph:
             [tuple([Occurrence(o[0], bool(o[1])) for o in c]) for c in circles]
         )
         counts: dict[str, int] = {}
-        for circle in fixed:
-            for label, _ in circle:
-                counts[label] = counts.get(label, 0) + 1
+        try:
+            for circle in fixed:
+                for label, _ in circle:
+                    counts[label] = counts.get(label, 0) + 1
+        except TypeError:  # an unhashable label, which no dict can count
+            raise InvalidLabel(f"invalid edge label {label!r}") from None
         for label in counts:  # once per label, in first-seen order
             _check_label(label)
         for label, count in counts.items():
@@ -136,7 +140,7 @@ class SignedRibbonGraph:
                 raise DuplicateLabelCount(
                     f"label {label!r} occurs 0 times, expected 2"
                 )
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):  # no bool, no float
                 raise UnknownSign(f"sign of edge {label!r} must be +1 or -1")
         object.__setattr__(self, "circles", fixed)
         object.__setattr__(self, "signs", {l: signs[l] for l in sorted(counts)})
@@ -253,7 +257,7 @@ class SignedRibbonGraph:
 
     def relabel(self, mapping: Mapping[str, str]) -> "SignedRibbonGraph":
         """Rename edges; labels absent from ``mapping`` keep their names."""
-        full = {l: mapping.get(l, l) for l in self.signs}
+        full = {l: _check_label(mapping.get(l, l)) for l in self.signs}
         if len(set(full.values())) != len(full):
             raise InvalidMove("relabeling is not injective")
         circles = tuple(
@@ -371,8 +375,7 @@ def _trace(first, second, starts) -> list[list[int]]:
     Each cycle starts at the first point of ``starts`` not yet seen,
     leaves it along ``first``, and is returned as its list of points:
     even positions step along ``first``, odd ones along ``second``.
-    Boundary components, partial duals and state curves are all traced
-    here.
+    The curves of a link state are traced here.
     """
     seen: set[int] = set()
     cycles: list[list[int]] = []
@@ -392,30 +395,53 @@ def _trace(first, second, starts) -> list[list[int]]:
     return cycles
 
 
-def _bands(g: SignedRibbonGraph, inside: list[bool]) -> list[int]:
-    """The side matching on corners for the bands of the occurrences i of
-    ``g`` with ``inside[i]`` (both ends of an edge, or neither): across
-    each it pairs 2i with 2j+1 and 2i+1 with 2j, j the partner of i; at
-    every other occurrence it pairs the occurrence's own two corners.
-    """
-    partner = _flat(g)[3]
-    tau = [c ^ 1 for c in range(2 * len(partner))]
-    for i, j in enumerate(partner):
-        if inside[i]:
-            tau[2 * i], tau[2 * i + 1] = 2 * j + 1, 2 * j
-    return tau
+# Builds an Occurrence from a (label, flag) pair in C, without the
+# NamedTuple's Python-level __new__, which takes over half as long again.
+_new = tuple.__new__
+
+
+def _dual_circles(g: SignedRibbonGraph, inside: list[bool]) -> tuple:
+    """The circles of the partial dual of ``g`` with respect to the edges
+    whose occurrences i have ``inside[i]``, traced off the table :func:`_flat`
+    from each least corner of an inside occurrence not yet passed.  A step
+    along ``sigma`` lands on occurrence i at corner c, then crosses i: along
+    its band to corner 2j + 1 - (c & 1) of its partner j if inside, else over
+    itself to c ^ 1 as a mark.  Each crossing emits i's label, Against when
+    c is a tail of an inside i or a head of a mark, so that a mark swept
+    forward keeps its flag.  Circles with no inside occurrence follow."""
+    labels, _, home, partner, sigma = _flat(g)
+    seen = [False] * len(sigma)
+    circles = []
+    for start in range(len(sigma)):
+        if seen[start] or not inside[start >> 1]:
+            continue
+        circle = []
+        at = start
+        while True:
+            c = sigma[at]
+            seen[at] = seen[c] = True
+            i = c >> 1
+            if inside[i]:
+                circle.append(_new(Occurrence, (labels[i], not c & 1)))
+                at = 2 * partner[i] + 1 - (c & 1)
+            else:
+                circle.append(_new(Occurrence, (labels[i], c & 1 == 1)))
+                at = c ^ 1
+            if at == start:
+                break
+        circles.append(tuple(circle))
+    touched = set(compress(home, inside))
+    circles += [c for ci, c in enumerate(g.circles) if ci not in touched]
+    return tuple(circles)
 
 
 def stats(g: SignedRibbonGraph) -> GraphStats:
-    """Numerical profile of ``g``.  Its f counts the boundary components:
-    the cycles (:func:`_trace`) of the arc matching and the sides of all
-    edges, plus one per empty circle."""
+    """Numerical profile of ``g``.  Its f counts the boundary components,
+    the vertex circles of the full dual: f(G) = v(G^E)."""
     v, e = g.num_vertices, g.num_edges
     groups, orientable = _walk(g)
     k = len(groups)
-    _, _, _, partner, sigma = _flat(g)
-    f = len(_trace(sigma, _bands(g, [True] * len(partner)), range(len(sigma))))
-    f += g.circles.count(())
+    f = len(_dual_circles(g, [True] * 2 * e))
     chi = v - e + f
     return GraphStats(
         v=v,
@@ -527,15 +553,15 @@ def _presentation(g: SignedRibbonGraph) -> tuple:
     backward with its flags flipped (move M1) from an Against one."""
     read = [()] * g.circles.count(())
     for c in filter(None, g.circles):
-        least = min([label for label, _ in c])
-        reads = []
-        for i, (label, against) in enumerate(c):
-            if label == least and against:
-                reads.append(tuple([(l, not a) for l, a in c[i::-1] + c[:i:-1]]))
-            elif label == least:
-                reads.append(c[i:] + c[:i])
-        read.append(min(reads))
-    return tuple(sorted(read))
+        least = min(c)[0]
+        reads = [
+            tuple([(l, not a) for l, a in c[i::-1] + c[:i:-1]]) if against else c[i:] + c[:i]
+            for i, (label, against) in enumerate(c)
+            if label == least
+        ]
+        read.append(reads[0] if len(reads) == 1 else min(reads))
+    read.sort()
+    return tuple(read)
 
 
 def is_isomorphic(

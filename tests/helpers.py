@@ -32,7 +32,6 @@ from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XYZ, Laurent, Ring
 from ribbongraphs.ribbon import (
     Occurrence,
     SignedRibbonGraph,
-    _bands,
     _flat,
     _trace,
     components,
@@ -87,6 +86,44 @@ def bouquet(e: int) -> SignedRibbonGraph:
     return SignedRibbonGraph(
         [[(l, False) for l in labels for _ in range(2)]], dict.fromkeys(labels, 1)
     )
+
+
+def sized_graph(rng: random.Random, e: int, v: int) -> SignedRibbonGraph:
+    """A random signed ribbon graph with exactly ``e`` edges on exactly
+    ``v`` non-empty circles, 1 <= v <= 2e, drawn the way the benchmark's
+    generator ``perfbench/gen.ribbon_text`` draws its inputs."""
+    occs = [str(i + 1) for i in range(e)] * 2
+    rng.shuffle(occs)
+    bounds = [0, *sorted(rng.sample(range(1, 2 * e), v - 1)), 2 * e]
+    circles = [
+        [(l, rng.random() < 0.5) for l in occs[a:b]] for a, b in zip(bounds, bounds[1:])
+    ]
+    return SignedRibbonGraph(circles, {str(i + 1): rng.choice((1, -1)) for i in range(e)})
+
+
+def dual_corpus(seed: int = 97) -> list[tuple[SignedRibbonGraph, frozenset[str]]]:
+    """3300 (graph, subset) pairs for checking partial duals: 2400 sized
+    graphs with 1..12 edges, 600 random graphs with up to 8 edges (empty
+    circles among them) and 300 bouquets with up to 12 loops, each paired
+    with its empty, its full or a random edge subset."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(2400):
+        e = rng.randint(1, 12)
+        graphs.append(sized_graph(rng, e, rng.randint(1, 2 * e)))
+    graphs += [random_graph(rng, 8) for _ in range(600)]
+    graphs += [bouquet(rng.randint(0, 12)) for _ in range(300)]
+    pairs = []
+    for g in graphs:
+        pick = rng.random()
+        if pick < 0.1:
+            subset = frozenset()
+        elif pick < 0.2:
+            subset = frozenset(g.signs)
+        else:
+            subset = frozenset(l for l in g.signs if rng.random() < 0.5)
+        pairs.append((g, subset))
+    return pairs
 
 
 # ----------------------------------------------------------------------
@@ -759,6 +796,26 @@ def chord_ring(
 # ----------------------------------------------------------------------
 
 
+def traced_partial_dual(g: SignedRibbonGraph, edges) -> SignedRibbonGraph:
+    """Partial dual from the cycles (``ribbon._trace``) of the arc matching
+    and the side matching of the subset (``label_bands``), each odd step
+    of a cycle emitting the occurrence it lands on.  The reference for
+    ``ribbon._dual_circles``, the walk that ``duality.partial_dual`` took
+    over from this path, with the same circle order and arrow flags."""
+    subset = set(edges)
+    labels, _, home, _, sigma = _flat(g)
+    inside = [label in subset for label in labels]
+    starts = [c for c in range(len(sigma)) if inside[c >> 1]]
+    new_circles = [
+        [Occurrence(labels[c >> 1], (c & 1) != inside[c >> 1]) for c in cycle[1::2]]
+        for cycle in _trace(sigma, label_bands(labels, subset), starts)
+    ]
+    touched = {home[c >> 1] for c in starts}
+    new_circles += [c for ci, c in enumerate(g.circles) if ci not in touched]
+    signs = {l: -s if l in subset else s for l, s in g.signs.items()}
+    return SignedRibbonGraph(new_circles, signs)
+
+
 def arc_partial_dual(g: SignedRibbonGraph, edges) -> SignedRibbonGraph:
     """Partial dual by walking reduced arcs: each arc runs from one subset
     occurrence to the next on its circle and carries the occurrences in
@@ -1033,7 +1090,9 @@ def arc_matching(g: SignedRibbonGraph) -> tuple[list[int], list[str]]:
 
 def label_bands(labels: list[str], subset) -> list[int]:
     """The side matching on corners for the edges in ``subset``, pairing
-    occurrences by label: the oracle for ``ribbon._bands``.
+    occurrences by label.  It pinned ``ribbon._bands`` until the table walk
+    replaced that, and stands in for it in ``traced_partial_dual`` and
+    ``boundary_components``.
 
     Across the band of a subset edge with occurrences i1 and i2 it pairs
     2i1+1 with 2i2 and 2i2+1 with 2i1; at every other occurrence it pairs
@@ -1151,11 +1210,11 @@ def boundary_components(g: SignedRibbonGraph) -> tuple[BoundaryWalk, ...]:
 
     The boundary components are the cycles (``ribbon._trace``) of the
     arc matching, along the circles, and the side matching, along the
-    edge bands: the cycles whose number is f in ``stats``.  Walks start
-    at their smallest corner and leave it along the arc.  Isolated
-    vertices append their own cornerless walks.
+    edge bands (``label_bands``): as many as the circles that ``stats``
+    counts for f.  Walks start at their smallest corner and leave it
+    along the arc.  Isolated vertices append their own cornerless walks.
     """
-    labels, _, home, partner, sigma = _flat(g)
+    labels, _, home, _, sigma = _flat(g)
     walks = [
         BoundaryWalk(
             tuple([Corner(c >> 1, HEAD if c & 1 else TAIL) for c in cycle]),
@@ -1166,7 +1225,7 @@ def boundary_components(g: SignedRibbonGraph) -> tuple[BoundaryWalk, ...]:
                 ]
             ),
         )
-        for cycle in _trace(sigma, _bands(g, [True] * len(partner)), range(len(sigma)))
+        for cycle in _trace(sigma, label_bands(labels, g.signs), range(len(sigma)))
     ]
     for ci, circle in enumerate(g.circles):
         if not circle:

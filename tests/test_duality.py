@@ -29,10 +29,12 @@ from .helpers import (
     contract_edge,
     delete_edge,
     diagram_corpus,
+    dual_corpus,
     graph_corpus,
     load_graph,
     subgraph_stats,
     table_builds,
+    traced_partial_dual,
     with_bridge,
     with_nontrivial_loop,
     with_ordinary,
@@ -60,6 +62,23 @@ class TestPartialDual:
             if any(not circle for circle in g.circles):
                 seen.add("empty circle")
         assert seen == {"e=0", "e>0", "empty", "full", "part", "empty circle"}
+
+    def test_matches_traced_oracle(self):
+        # The table walk against the _trace path it replaced, on sized
+        # graphs up to e = 12, bouquets and graphs with empty circles,
+        # with empty, full and partial subsets.
+        seen = set()
+        for g, subset in dual_corpus():
+            got, want = partial_dual(g, subset), traced_partial_dual(g, subset)
+            assert got == want and repr(got) == repr(want)
+            assert all(type(o.against) is bool for c in got.circles for o in c)
+            seen.add({0: "empty", len(g.signs): "full"}.get(len(subset), "part"))
+            seen.add(f"e={g.num_edges}")
+            if () in g.circles:
+                seen.add("empty circle")
+            if len(g.circles) == 1 and all(o.label.startswith("e") for o in g.circles[0]):
+                seen.add("bouquet")
+        assert {"empty", "full", "part", "e=0", "e=12", "empty circle", "bouquet"} <= seen
 
     def test_torus_single_edge(self):
         g = load_graph("torus.rg")

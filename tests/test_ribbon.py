@@ -39,8 +39,8 @@ from .helpers import (
     bouquet,
     chord_ring,
     disjoint_union,
+    dual_corpus,
     graph_corpus,
-    label_bands,
     length_class_form,
     load_graph,
     occurrences,
@@ -121,6 +121,23 @@ class TestConstruction:
             load_graph("torus.rg").relabel({"1": 5})
         assert str(err.value) == "invalid edge label 5"
 
+    def test_unhashable_label_is_invalid(self):
+        # A list label cannot be counted in a dict or put in a set, so it
+        # is rejected before either happens, by the constructor and by
+        # relabel alike.
+        with pytest.raises(InvalidLabel) as err:
+            SignedRibbonGraph([[(["a"], False), (["a"], True)]], {})
+        assert str(err.value) == "invalid edge label ['a']"
+        with pytest.raises(InvalidLabel) as err:
+            load_graph("torus.rg").relabel({"1": ["x"]})
+        assert str(err.value) == "invalid edge label ['x']"
+
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+    def test_non_integer_sign_rejected(self, sign):
+        # equal to 1 or -1, but a graph holding one would print it
+        with pytest.raises(UnknownSign):
+            SignedRibbonGraph([[("a", False), ("a", True)]], {"a": sign})
+
     def test_label_checked_before_counts(self):
         # Every label is checked, in first-seen order, before any count or
         # sign: a bad label wins over a missing occurrence, a missing
@@ -196,6 +213,15 @@ class TestStats:
             else:
                 assert st_.genus_or_crosscap >= 1
 
+    def test_faces_are_full_dual_vertices(self):
+        # f(G) = v(G^E): G has as many boundary components as its full
+        # dual has circles, an empty circle counting once on each side,
+        # and as many as the oracle traces.
+        for g, _ in dual_corpus():
+            f = stats(g).f
+            assert f == len(partial_dual(g, g.signs).circles)
+            assert f == len(boundary_components(g))
+
     def test_components_of_two_pieces(self):
         g = SignedRibbonGraph(
             [[("a", False), ("a", False)], [("b", False)], [("b", True)]],
@@ -243,9 +269,8 @@ class TestBoundary:
 
 class TestOccurrenceTable:
     """``ribbon._flat`` against the circle-by-circle oracles it replaced:
-    ``arc_matching`` for ``sigma`` and the labels, ``label_bands`` for the
-    side matching of a subset, and ``occurrences`` for flags, circles and
-    partners."""
+    ``arc_matching`` for ``sigma`` and the labels, and ``occurrences`` for
+    flags, circles and partners."""
 
     @staticmethod
     def corpus():
@@ -257,7 +282,6 @@ class TestOccurrenceTable:
         return graphs
 
     def test_matches_oracles(self):
-        rng = random.Random(63)
         loops = 0
         for g in self.corpus():
             labels, flags, home, partner, sigma = ribbon._flat(g)
@@ -272,10 +296,6 @@ class TestOccurrenceTable:
                 assert (partner[i], partner[j]) == (j, i)
                 loops += home[i] == home[j]
             assert len(partner) == len(occs)
-            for _ in range(3):
-                subset = {l for l in g.signs if rng.random() < 0.5}
-                inside = [label in subset for label in labels]
-                assert ribbon._bands(g, inside) == label_bands(labels, subset)
         assert loops > 1000
 
     def test_kept_and_never_written(self):
@@ -660,6 +680,9 @@ class TestPresentation:
         graphs = self.corpus()
         for g in graphs:
             assert ribbon._presentation(g) == least_readings(g)
+        for g, subset in dual_corpus():  # and on partial duals with up to 12 edges
+            dual = partial_dual(g, subset)
+            assert ribbon._presentation(dual) == least_readings(dual)
         assert self.faults(ribbon._presentation, graphs) == (0, 0)
 
     def test_faulty_variants_fail(self):

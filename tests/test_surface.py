@@ -42,6 +42,7 @@ REMOVED = [
     ("ribbon", "one_point_join", "one_point_join"),
     ("ribbon", "_fresh_relabel", "_fresh_relabel"),
     ("ribbon", "_arcs", "arc_matching"),
+    ("ribbon", "_bands", "label_bands"),
     ("ribbon", "_circle_union", "parity_union_find"),
     ("ribbon", "_form", None),
     ("ribbon.SignedRibbonGraph", "occurrences", "occurrences"),
@@ -112,25 +113,43 @@ def test_errors_are_package_errors():
             assert f"raise {bare}" not in text, (path.name, bare)
 
 
-def test_derived_graphs_only_from_operations():
-    # SignedRibbonGraph._derived skips the constructor's checks, so only
-    # operations whose output is valid by construction may reach it; the
-    # parsers and the presentation moves keep them.
-    sites = []
+def sites(name: str) -> list[tuple[str, str | None]]:
+    """(module, innermost function) of every use of ``name`` in the
+    package: a bare or attribute reference, or the string itself, as
+    ``setattr`` would take it; imports and the definition are no uses."""
+    found = []
     for path in sorted(Path(ribbongraphs.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr == "_derived") or (
-                isinstance(node, ast.Constant) and node.value == "_derived"
+            if (
+                (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Constant) and node.value == name)
             ):
                 inner = max(
                     (f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
                     key=lambda f: f.lineno,
                     default=None,
                 )
-                sites.append((path.stem, inner and inner.name))
-    assert sorted(sites, key=str) == [
+                found.append((path.stem, inner and inner.name))
+    return sorted(found, key=str)
+
+
+def test_derived_graphs_only_from_operations():
+    # SignedRibbonGraph._derived skips the constructor's checks, so only
+    # operations whose output is valid by construction may reach it; the
+    # parsers and the presentation moves keep them.
+    assert sites("_derived") == [
         ("duality", "partial_dual"),
         ("links", "state_ribbon_graph"),
     ]
+
+
+def test_each_walk_keeps_its_callers():
+    # Two walks trace cycles over corner matchings: the table walk gives
+    # the circles of partial duals and, as those of the full dual, the
+    # boundary count f; _trace gives the curves of link states.  A third
+    # caller would be a third walk growing back.
+    assert sites("_dual_circles") == [("duality", "partial_dual"), ("ribbon", "stats")]
+    assert sites("_trace") == [("links", "resolve_state")]
