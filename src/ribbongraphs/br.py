@@ -10,11 +10,18 @@ where s(F) is half the difference between the negative-edge counts of F
 and of its complement.  The half-integer bookkeeping lives in the doubled
 exponent keys of the polynomial ring.
 
-No subgraph is rebuilt: one depth-first sweep includes or excludes each
+No subgraph is rebuilt: a depth-first sweep includes or excludes each
 edge in turn and updates |F|, k(F), f(F) and the negative-edge count of
-F as it goes.  R maps the histogram of these profiles to its terms, and
+F as it goes.  The edges are first split into join blocks, the pieces
+that one-point joins and disjoint unions build the graph from, and each
+block is swept on its own.  R is multiplicative over both compositions
+(Bollobás and Riordan, Math. Ann. 323, 2002), and so is the histogram of
+these profiles, so the blocks' histograms convolve into the graph's and
+a graph of blocks with e_b edges takes sum 2^e_b subsets in place of
+2^e.  R maps the histogram to its terms, and
 :func:`ribbongraphs.links.kauffman_bracket` sums the same histogram for
-the all-A state graph of a diagram.
+the all-A state graph of a diagram.  ``BR_MAX_EDGES`` still limits the
+edge count, not that sum.
 
 No deletion-contraction recursion is used to produce values; the various
 reduction identities are exercised by the test suite instead.
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 from .errors import FractionalExponent, NegativeExponentNonUnit, TooManyEdges
 from .polynomial import RING_XY, RING_XYZ, Laurent, restrict_duality_surface
-from .ribbon import SignedRibbonGraph, _flat, components
+from .ribbon import SignedRibbonGraph, _flat, _runs, components
 
 __all__ = [
     "bollobas_riordan",
@@ -35,10 +42,154 @@ __all__ = [
 
 BR_MAX_EDGES = 24
 
+# Below this many edges one sweep over them all takes less time than
+# finding the join blocks and convolving a sweep of each; on random
+# graphs of 2 to 9 edges the split first wins at 6.
+_SPLIT_MIN_EDGES = 6
+
+
+def _interlaced(seq: list[int]) -> tuple[int, int] | None:
+    """Two block ids whose places alternate in the cyclic sequence ``seq``,
+    ``x y x y``, or None.
+
+    A scan from the start keeps the ids begun and not yet finished in the
+    order they began.  Meeting an id begun earlier with a later unfinished
+    id on top shows the alternation; none is missed, since an alternation
+    read from any starting place is still one.
+    """
+    last = {x: n for n, x in enumerate(seq)}
+    open_: list[int] = []
+    for n, x in enumerate(seq):
+        while open_ and last[open_[-1]] < n:
+            open_.pop()
+        if x not in open_:
+            open_.append(x)
+        elif open_[-1] != x:
+            return x, open_[-1]
+    return None
+
+
+def _join_blocks(g: SignedRibbonGraph) -> list[list[int]]:
+    """The edges of ``g`` split into join blocks, each edge named by its
+    first occurrence in the table :func:`ribbongraphs.ribbon._flat`.
+
+    The blocks start as the biconnected components of the multigraph of
+    circles and edges, found by one depth-first search over the circles
+    (Hopcroft–Tarjan low points), with each loop in a block of its own.
+    Two blocks whose occurrences alternate on a shared circle cannot be
+    pulled apart there, so they merge until no two alternate.  Then g is
+    built from its blocks by one-point joins and disjoint unions alone.
+    """
+    _, _, home, partner, _ = _flat(g)
+    runs = _runs(g)
+    block = [-1] * len(partner)  # block id of each occurrence
+    order, low = [0] * len(runs), [0] * len(runs)
+    met: list[int] = []  # occurrences of edges met and not yet in a block
+    count = ids = 0
+    for root, run in enumerate(runs):
+        if order[root] or not run:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        # (circle, its occurrence the search came in by, occurrences left)
+        path = [(root, -1, iter(run))]
+        while path:
+            c, via, left = path[-1]
+            for i in left:
+                d = home[partner[i]]
+                if i == via or d == c:  # back along the tree edge, or a loop
+                    continue
+                if not order[d]:
+                    met.append(i)
+                    count += 1
+                    order[d] = low[d] = count
+                    path.append((d, partner[i], iter(runs[d])))
+                    break
+                if order[d] < order[c]:  # an edge back to an ancestor
+                    met.append(i)
+                    low[c] = min(low[c], order[d])
+            else:
+                path.pop()
+                if path:
+                    p = path[-1][0]
+                    low[p] = min(low[p], low[c])
+                    if low[c] >= order[p]:  # p cuts c's subtree off
+                        while True:
+                            i = met.pop()
+                            block[i] = block[partner[i]] = ids
+                            if i == partner[via]:
+                                break
+                        ids += 1
+    for i, j in enumerate(partner):
+        if block[i] < 0:  # a loop
+            block[i] = block[j] = ids
+            ids += 1
+    while True:
+        for run in runs:
+            pair = len(run) > 3 and _interlaced([block[i] for i in run])
+            if pair:
+                x, y = pair
+                block = [x if b == y else b for b in block]
+                break
+        else:
+            break
+    blocks: dict[int, list[int]] = {}
+    for i, j in enumerate(partner):
+        if i < j:
+            blocks.setdefault(block[i], []).append(i)
+    return list(blocks.values())
+
 
 def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
     """Histogram of (|F|, k(F), f(F), negative edges in F) over all 2^e
-    spanning subgraphs F, from one depth-first include/exclude sweep.
+    spanning subgraphs F, from one depth-first include/exclude sweep per
+    join block (:func:`_join_blocks`).
+
+    Each sweep toggles only its block's edges on the table of ``g`` and
+    keeps every other band excluded.  R is multiplicative over one-point
+    joins and disjoint unions, and so is this histogram: a subgraph is
+    one subgraph F_b of each of the m blocks, |F| and the negative edges
+    add, and since every sweep counts all v circles of g, empty ones
+    included, k(F) = sum k(F_b) - (m-1)v and f(F) = sum f(F_b) - (m-1)v.
+    So the blocks' histograms are convolved with those offsets.  A graph
+    of fewer than ``_SPLIT_MIN_EDGES`` edges is swept as one block.
+    """
+    labels, _, home, partner, sigma = _flat(g)
+    if len(partner) < 2 * _SPLIT_MIN_EDGES:
+        blocks = [[i for i, j in enumerate(partner) if i < j]]
+    else:
+        blocks = _join_blocks(g)
+    v = g.num_vertices
+    tau = [c ^ 1 for c in range(len(sigma))]  # every band excluded
+    # The package's one union-find, since the sweep undoes each union as
+    # it backtracks; the components of a whole graph come from a walk
+    # over its circles instead (ribbon._walk).
+    parent = list(range(v))
+    hist = None
+    for block in blocks:
+        edges = [
+            (2 * i, 2 * i + 1, 2 * partner[i], 2 * partner[i] + 1,
+             home[i], home[partner[i]], int(g.signs[labels[i]] < 0))
+            for i in block
+        ]
+        part = _sweep(edges, sigma, tau, parent, v)
+        if hist is None:
+            hist = part
+            continue
+        joined: dict[tuple[int, int, int, int], int] = {}
+        for (size, k, f, neg), count in hist.items():
+            for (size2, k2, f2, neg2), count2 in part.items():
+                key = (size + size2, k + k2 - v, f + f2 - v, neg + neg2)
+                joined[key] = joined.get(key, 0) + count * count2
+        hist = joined
+    return hist
+
+
+def _sweep(edges, sigma, tau, parent, v) -> dict[tuple[int, int, int, int], int]:
+    """Histogram of (|F|, k(F), f(F), negative edges in F) over the spanning
+    subgraphs F of the bands ``edges``, from one depth-first include/exclude
+    sweep.  ``tau`` and ``parent`` come in with no band included and go
+    back out that way.
 
     The boundary components of F are the cycles of the alternating walk
     over the arc matching ``sigma`` of the occurrence table
@@ -50,19 +201,6 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
     splits one, or neither.  Components of F come from a union-find
     without path compression, undone on backtrack.
     """
-    labels, _, home, partner, sigma = _flat(g)
-    tau = [c ^ 1 for c in range(len(sigma))]  # every band excluded
-    # one edge per first occurrence i, so in first-seen label order
-    edges = [
-        (2 * i, 2 * i + 1, 2 * j, 2 * j + 1, home[i], home[j], int(g.signs[labels[i]] < 0))
-        for i, j in enumerate(partner)
-        if i < j
-    ]
-    v = g.num_vertices
-    # The package's one union-find, since the sweep undoes each union as
-    # it backtracks; the components of a whole graph come from a walk
-    # over its circles instead (ribbon._walk).
-    parent = list(range(v))
     size, k, f, neg = 0, v, v, 0
     hist = {(size, k, f, neg): 1}
     # depth-first over the included edges, innermost last, each with

@@ -403,6 +403,59 @@ def plane_corpus(seed: int, count: int, grows: int = 4):
 
 
 # ----------------------------------------------------------------------
+# graphs that split into join blocks
+# ----------------------------------------------------------------------
+
+
+def split_graph(rng: random.Random, max_edges: int = 12) -> SignedRibbonGraph:
+    """A random graph grown from a ``random_graph`` piece by up to six
+    steps, each a one-point join or disjoint union with another piece, a
+    bridge to a new circle or a trivial loop, while it has at most
+    ``max_edges`` edges.  Pieces may have empty circles."""
+    g = random_graph(rng, 4)
+    for _ in range(rng.randint(1, 6)):
+        move = rng.choice(("join", "union", "bridge", "loop"))
+        sign = rng.choice((1, -1))
+        if move == "bridge":
+            h, _ = with_bridge(g, rng, sign)
+        elif move == "loop":
+            h, _ = with_trivial_loop(g, rng, sign, rng.random() < 0.5)
+        elif move == "union":
+            h = disjoint_union(g, random_graph(rng, 4))
+        else:
+            piece = random_graph(rng, 4)
+            cg, ch = rng.randrange(len(g.circles)), rng.randrange(len(piece.circles))
+            h = one_point_join(
+                g,
+                piece,
+                (cg, rng.randint(0, len(g.circles[cg]))),
+                (ch, rng.randint(0, len(piece.circles[ch]))),
+            )
+        if h.num_edges > max_edges:
+            break
+        g = h
+    return g
+
+
+def two_edge_block(rng: random.Random) -> SignedRibbonGraph:
+    """A random graph of two edges that is one join block: two parallel
+    edges between two circles, or two interlaced loops on one circle."""
+    flags = [rng.random() < 0.5 for _ in range(4)]
+    signs = {"a": rng.choice((1, -1)), "b": rng.choice((1, -1))}
+    ends = [("a", flags[0]), ("b", flags[1]), ("a", flags[2]), ("b", flags[3])]
+    if rng.random() < 0.5:
+        return SignedRibbonGraph([ends[:2], ends[2:]], signs)
+    return SignedRibbonGraph([ends], signs)
+
+
+def forest(e: int) -> SignedRibbonGraph:
+    """A path of ``e`` positive bridges on e + 1 circles."""
+    labels = [f"e{i}" for i in range(e)]
+    circles = [[(l, False) for l in labels[max(i - 1, 0) : i + 1]] for i in range(e + 1)]
+    return SignedRibbonGraph(circles, dict.fromkeys(labels, 1))
+
+
+# ----------------------------------------------------------------------
 # link diagram corpus
 # ----------------------------------------------------------------------
 
@@ -1005,6 +1058,49 @@ class SubsetEngine:
         return SubgraphStats(
             k=k_f, r=r_f, n=e_f - r_f, f=cycles + empty_circles, s2=s2
         )
+
+
+def _pieces(circles: list[list[str]]) -> list[list[list[str]]]:
+    """Circles of labels grouped into connected pieces."""
+    groups: list[tuple[set[str], list[list[str]]]] = []
+    for circle in circles:
+        labels, members = set(circle), [circle]
+        for group in [group for group in groups if group[0] & labels]:
+            groups.remove(group)
+            labels |= group[0]
+            members += group[1]
+        groups.append((labels, members))
+    return [members for _, members in groups]
+
+
+def join_blocks(g: SignedRibbonGraph) -> set[frozenset[str]]:
+    """The edge sets of the join blocks of ``g`` by brute force: the
+    reference for ``br._join_blocks``.
+
+    Cutting a circle at two gaps into two circles, one arc each, pulls
+    apart the two sides of a one-point join made there.  On each circle
+    of a connected piece every pair of gaps is tried, the first cut that
+    disconnects the piece is kept, and each new piece is cut again, until
+    no cut disconnects any piece.  Empty circles carry no block."""
+    blocks = set()
+    todo = _pieces([[o.label for o in circle] for circle in g.circles if circle])
+    while todo:
+        piece = todo.pop()
+        for ci, circle in enumerate(piece):
+            rest = piece[:ci] + piece[ci + 1 :]
+            m = len(circle)
+            cuts = (
+                _pieces(rest + [circle[p:q], circle[q:] + circle[:p]])
+                for p in range(m)
+                for q in range(p + 1, m)
+            )
+            parts = next((parts for parts in cuts if len(parts) > 1), None)
+            if parts:
+                todo += parts
+                break
+        else:
+            blocks.add(frozenset(l for circle in piece for l in circle))
+    return blocks
 
 
 def subset_sum_br(g: SignedRibbonGraph) -> Laurent:

@@ -1,9 +1,11 @@
 """Signed three-variable polynomial, its transforms, and subgraph stats."""
 
 import random
+import time
 
 import pytest
 
+from ribbongraphs import br
 from ribbongraphs.br import (
     BR_MAX_EDGES,
     bollobas_riordan,
@@ -18,21 +20,30 @@ from ribbongraphs.polynomial import (
     Laurent,
     restrict_duality_surface,
 )
-from ribbongraphs.ribbon import SignedRibbonGraph, components, stats
+from ribbongraphs.links import all_A_state, state_ribbon_graph
+from ribbongraphs.ribbon import SignedRibbonGraph, _flat, components, stats
 
 from .helpers import (
     SURFACE_IMAGES,
     all_subsets,
     bouquet,
+    braid_closure,
+    chord_ring,
     delete_edge,
     disjoint_union,
+    forest,
     graph_corpus,
+    join_blocks,
     load_graph,
     monomial_map,
     occurrences,
     one_point_join,
+    random_link,
+    sized_graph,
+    split_graph,
     subgraph_stats,
     subset_sum_br,
+    two_edge_block,
 )
 
 
@@ -42,6 +53,46 @@ def theta():
          [("a", False), ("b", False), ("c", False)]],
         {"a": 1, "b": 1, "c": 1},
     )
+
+
+def graph(*circles: str, negative: str = "") -> SignedRibbonGraph:
+    """A graph from one string per circle, an apostrophe marking an
+    Against occurrence, every edge positive unless in ``negative``."""
+    rows = [[(t.rstrip("'"), t.endswith("'")) for t in c.split()] for c in circles]
+    labels = {l for row in rows for l, _ in row}
+    return SignedRibbonGraph(rows, {l: -1 if l in negative else 1 for l in labels})
+
+
+def split_families() -> list[SignedRibbonGraph]:
+    """Graphs that split into join blocks, or barely do not: bouquets,
+    chord rings, grown composites, all-A state graphs of links and braid
+    closures, and hand cases.  Every one has at most 12 edges."""
+    rng = random.Random(101)
+    graphs = [bouquet(e) for e in range(13)]
+    graphs += [
+        chord_ring(e, step, reach, flags, signs)
+        for e in (3, 5, 6, 8)
+        for step, reach in ((2, 1), (2, 3), (1, e))
+        for flags in (((False, False),), ((False, True), (True, True)))
+        for signs in ((1,), (1, -1))
+    ]
+    graphs += [split_graph(rng) for _ in range(100)]
+    diagrams = [random_link(rng, 10) for _ in range(60)]
+    diagrams += [braid_closure(rng, 10, 4) for _ in range(60)]
+    graphs += [state_ribbon_graph(d, all_A_state(d)) for d in diagrams]
+    graphs += [
+        # one circle cuts two blocks of parallel edges off; interlaced
+        # on it, they are one block, and in sequence two
+        graph("a x b y", "a b", "x y"),
+        graph("a b x y", "a b", "x y"),
+        graph("a b'", "b a c", "c", "", negative="c"),  # parallel, a bridge
+        graph("a b a b"),
+        graph("a a' b b"),
+        graph("a b b a", ""),
+        graph("a b c a' b c'"),  # a and c interlaced, b interlaced with both
+        graph("a b a c d c b d"),  # a-b and c-d alternate, b-d join them
+    ]
+    return graphs
 
 
 def triangle():
@@ -103,6 +154,43 @@ class TestSubgraphStats:
         assert (st.k, st.r, st.n, st.f) == (whole.k, whole.r, whole.n, whole.f)
 
 
+def block_labels(g: SignedRibbonGraph) -> set[frozenset[str]]:
+    """The join blocks that the sweep splits ``g`` into, as label sets."""
+    labels = _flat(g)[0]
+    found = [frozenset(labels[i] for i in block) for block in br._join_blocks(g)]
+    assert sorted(l for block in found for l in block) == sorted(g.signs)
+    return set(found)
+
+
+class TestJoinBlocks:
+    def test_matches_brute_force(self):
+        rng = random.Random(97)
+        corpus = graph_corpus(97, 300, max_edges=12)
+        corpus += [
+            sized_graph(rng, e, rng.randint(1, 2 * e)) for e in range(1, 13) for _ in range(25)
+        ]
+        corpus += split_families()
+        assert any(() in g.circles for g in corpus)
+        split = 0
+        for g in corpus:
+            found = block_labels(g)
+            assert found == join_blocks(g), g
+            split += len(found) > 1
+        assert 0.3 < split / len(corpus) < 0.9
+
+    def test_hand_cases(self):
+        assert block_labels(graph("a x b y", "a b", "x y")) == {frozenset("abxy")}
+        assert block_labels(graph("a b x y", "a b", "x y")) == {
+            frozenset("ab"), frozenset("xy")
+        }
+        assert block_labels(graph("a b a b")) == {frozenset("ab")}
+        assert block_labels(graph("a a b b")) == {frozenset("a"), frozenset("b")}
+        assert block_labels(graph("a b c", "a b c")) == {frozenset("abc")}
+        assert block_labels(graph("a b", "b c", "c a", "")) == {frozenset("abc")}
+        assert block_labels(graph("a b a c d c b d")) == {frozenset("abcd")}
+        assert block_labels(graph("", "")) == set()
+
+
 class TestBollobasRiordan:
     @pytest.mark.parametrize(
         "name, expected",
@@ -127,7 +215,24 @@ class TestBollobasRiordan:
         assert bollobas_riordan(g) == Laurent.const(RING_XYZ, 1)
 
     def test_multiplicative_under_unions(self):
+        # twelve two-edge blocks joined in a chain: 2^24 subsets, but the
+        # sweep splits them and convolves twelve sweeps of four
         rng = random.Random(59)
+        blocks = [two_edge_block(rng) for _ in range(12)]
+        chain = blocks[0]
+        for block in blocks[1:]:
+            c = rng.randrange(len(chain.circles))
+            chain = one_point_join(
+                chain, block, (c, rng.randint(0, len(chain.circles[c]))), (0, 0)
+            )
+        assert chain.num_edges == BR_MAX_EDGES and len(block_labels(chain)) == 12
+        start = time.process_time()
+        product = Laurent.const(RING_XYZ, 1)
+        for block in blocks:
+            product = product * bollobas_riordan(block)
+        assert bollobas_riordan(chain) == product
+        assert time.process_time() - start < 0.5
+
         corpus = graph_corpus(59, 12, max_edges=4)
         for g, h in zip(corpus[::2], corpus[1::2]):
             rg, rh = bollobas_riordan(g), bollobas_riordan(h)
@@ -145,9 +250,12 @@ class TestBollobasRiordan:
     def test_matches_subset_engine_oracle(self):
         # The incremental sweep against one rebuild per subset, on graphs
         # larger than the other tests use.
+        rng = random.Random(73)
         corpus = graph_corpus(73, 300, max_edges=10)
+        corpus += [sized_graph(rng, e, rng.randint(1, 2 * e)) for e in (11, 12) for _ in range(15)]
+        corpus += split_families()
         sizes = [g.num_edges for g in corpus]
-        assert 0 in sizes and 10 in sizes
+        assert 0 in sizes and 12 in sizes
         assert any(() in g.circles for g in corpus)
         assert any(len(components(g)) >= 3 for g in corpus)
         for g in corpus:
@@ -162,8 +270,11 @@ class TestBollobasRiordan:
 
     def test_guard(self):
         # one edge over the constant; the guard trips before the sweep
-        with pytest.raises(TooManyEdges, match=r"^25 edges .* \(2\^25 subsets\)$"):
-            bollobas_riordan(bouquet(BR_MAX_EDGES + 1))
+        # the guard counts edges, not the subsets of the join blocks
+        message = r"^25 edges exceed the state-sum guard of 24 \(2\^25 subsets\)$"
+        for g in (bouquet(BR_MAX_EDGES + 1), forest(BR_MAX_EDGES + 1)):
+            with pytest.raises(TooManyEdges, match=message):
+                bollobas_riordan(g)
         assert BR_MAX_EDGES == 24
 
 

@@ -23,7 +23,7 @@ from ribbongraphs.ribbon import (
     serialize_ribbon_graph,
 )
 
-from .helpers import FIXTURES, cli_corpus, graph_corpus, table_builds
+from .helpers import FIXTURES, bouquet, cli_corpus, forest, graph_corpus, table_builds
 
 
 def run(capsys, *argv):
@@ -161,15 +161,15 @@ class TestPolynomials:
 
     @pytest.mark.parametrize("command", ["poly", "tutte", "invariant"])
     def test_guard_exit_3(self, capsys, tmp_path, command):
-        labels = [f"e{i}" for i in range(25)]
-        decl = " ".join(f"{l}:+" for l in labels)
-        circle = " ".join(l for l in labels for _ in range(1, 3))
-        path = tmp_path / "big.rg"
-        path.write_text(f"edges: {decl}\ncircle: {circle}\n")
-        code, out, err = run(capsys, command, str(path))
-        assert code == 3
-        assert out == ""
-        assert "25 edges exceed the state-sum guard of 24 (2^25 subsets)" in err
+        # a forest splits into 25 one-edge join blocks, and the guard
+        # still counts its edges
+        for shape in (bouquet, forest):
+            path = tmp_path / "big.rg"
+            path.write_text(serialize_ribbon_graph(shape(25)))
+            code, out, err = run(capsys, command, str(path))
+            assert code == 3
+            assert out == ""
+            assert "25 edges exceed the state-sum guard of 24 (2^25 subsets)" in err
 
 
 class TestDuals:

@@ -305,6 +305,14 @@ class TestBracket:
         assert max(diag.num_crossings for diag in corpus) == 9
         assert any(len(diag.components) >= 3 for diag in corpus)
         assert sum(() in diag.components for diag in corpus) > 10
+        # ten crossings, where the all-A state graph often splits into
+        # join blocks whose sweeps the bracket convolves
+        tens = [random_link(rng, 10) for _ in range(300)]
+        corpus += [diag for diag in tens if diag.num_crossings == 10]
+        for _ in range(25):
+            word = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(10)]
+            corpus.append(braid_word_closure(4, word))
+        assert sum(diag.num_crossings == 10 for diag in corpus) >= 40
         for diag in corpus:
             fast, slow = kauffman_bracket(diag), state_sum_bracket(diag)
             assert fast == slow, diag
