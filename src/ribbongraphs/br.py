@@ -10,18 +10,17 @@ where s(F) is half the difference between the negative-edge counts of F
 and of its complement.  The half-integer bookkeeping lives in the doubled
 exponent keys of the polynomial ring.
 
-No subgraph is rebuilt: a depth-first sweep includes or excludes each
-edge in turn and updates |F|, k(F), f(F) and the negative-edge count of
-F as it goes.  The edges are first split into join blocks, the pieces
-that one-point joins and disjoint unions build the graph from, and each
-block is swept on its own.  R is multiplicative over both compositions
-(Bollobás and Riordan, Math. Ann. 323, 2002), and so is the histogram of
-these profiles, so the blocks' histograms convolve into the graph's and
-a graph of blocks with e_b edges takes sum 2^e_b subsets in place of
-2^e.  R maps the histogram to its terms, and
-:func:`ribbongraphs.links.kauffman_bracket` sums the same histogram for
-the all-A state graph of a diagram.  ``BR_MAX_EDGES`` still limits the
-edge count, not that sum.
+No subgraph is rebuilt.  R, the Tutte polynomial, the duality
+invariant and, through the all-A state graph of a diagram,
+:func:`ribbongraphs.links.kauffman_bracket` read one histogram of
+(|F|, k(F), f(F), negative edges in F).  Under ``_FRONTIER_MIN_EDGES``
+edges a depth-first sweep includes or excludes each edge in turn and
+updates the four counts as it goes.  From there on a frontier engine
+decides the edges one at a time and keeps a histogram per way that the
+decided bands can meet the undecided ones, so its cost follows the width
+of its edge order, not 2^e.  That width is zero at a one-point join or
+disjoint union, over which R is multiplicative (Bollobás and Riordan,
+Math. Ann. 323, 2002).  ``BR_MAX_EDGES`` limits the edge count.
 
 No deletion-contraction recursion is used to produce values; the various
 reduction identities are exercised by the test suite instead.
@@ -29,9 +28,11 @@ reduction identities are exercised by the test suite instead.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import FractionalExponent, NegativeExponentNonUnit, TooManyEdges
 from .polynomial import RING_XY, RING_XYZ, Laurent, restrict_duality_surface
-from .ribbon import SignedRibbonGraph, _flat, _runs, components
+from .ribbon import SignedRibbonGraph, _flat, components
 
 __all__ = [
     "bollobas_riordan",
@@ -42,147 +43,150 @@ __all__ = [
 
 BR_MAX_EDGES = 24
 
-# Below this many edges one sweep over them all takes less time than
-# finding the join blocks and convolving a sweep of each; on random
-# graphs of 2 to 9 edges the split first wins at 6.
-_SPLIT_MIN_EDGES = 6
+# Below this many edges one sweep over all 2^e subsets takes less time
+# than the frontier engine, whose per-state work costs more than the
+# sweep's per-subset step; see scripts/frontier_crossover.py.
+_FRONTIER_MIN_EDGES = 8
 
 
-def _interlaced(seq: list[int]) -> tuple[int, int] | None:
-    """Two block ids whose places alternate in the cyclic sequence ``seq``,
-    ``x y x y``, or None.
+def _outcome(inner: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, tuple]:
+    """How deciding one edge rewires its four corners 0-3 (a, b, c, d).
 
-    A scan from the start keeps the ids begun and not yet finished in the
-    order they began.  Meeting an id begun earlier with a later unfinished
-    id on top shows the alternation; none is missed, since an alternation
-    read from any starting place is still one.
+    ``inner[y]`` is the corner among the four that y reaches through the
+    decided bands, or -1 when that path leaves them; ``tau`` pairs the
+    corners across the band (include: ad, bc; exclude: ab, cd).  Returns
+    the boundary cycles that close among the four and the pairs (y, z)
+    of corners whose outer ends the walk now joins.  The walks from the
+    corners whose path leaves come first, so every later one is a cycle.
     """
-    last = {x: n for n, x in enumerate(seq)}
-    open_: list[int] = []
-    for n, x in enumerate(seq):
-        while open_ and last[open_[-1]] < n:
-            open_.pop()
-        if x not in open_:
-            open_.append(x)
-        elif open_[-1] != x:
-            return x, open_[-1]
-    return None
-
-
-def _join_blocks(g: SignedRibbonGraph) -> list[list[int]]:
-    """The edges of ``g`` split into join blocks, each edge named by its
-    first occurrence in the table :func:`ribbongraphs.ribbon._flat`.
-
-    The blocks start as the biconnected components of the multigraph of
-    circles and edges, found by one depth-first search over the circles
-    (Hopcroft–Tarjan low points), with each loop in a block of its own.
-    Two blocks whose occurrences alternate on a shared circle cannot be
-    pulled apart there, so they merge until no two alternate.  Then g is
-    built from its blocks by one-point joins and disjoint unions alone.
-    """
-    _, _, home, partner, _ = _flat(g)
-    runs = _runs(g)
-    block = [-1] * len(partner)  # block id of each occurrence
-    order, low = [0] * len(runs), [0] * len(runs)
-    met: list[int] = []  # occurrences of edges met and not yet in a block
-    count = ids = 0
-    for root, run in enumerate(runs):
-        if order[root] or not run:
-            continue
-        count += 1
-        order[root] = low[root] = count
-        # (circle, its occurrence the search came in by, occurrences left)
-        path = [(root, -1, iter(run))]
-        while path:
-            c, via, left = path[-1]
-            for i in left:
-                d = home[partner[i]]
-                if i == via or d == c:  # back along the tree edge, or a loop
-                    continue
-                if not order[d]:
-                    met.append(i)
-                    count += 1
-                    order[d] = low[d] = count
-                    path.append((d, partner[i], iter(runs[d])))
-                    break
-                if order[d] < order[c]:  # an edge back to an ancestor
-                    met.append(i)
-                    low[c] = min(low[c], order[d])
+    pairs, closed, seen = [], 0, set()
+    for y in (*[y for y in range(4) if inner[y] < 0], *range(4)):
+        if y not in seen:
+            z = tau[y]
+            while inner[z] >= 0 and inner[z] != y:
+                seen.update((z, inner[z]))
+                z = tau[inner[z]]
+            seen.update((y, z))
+            if inner[z] < 0:
+                pairs.append((y, z))
             else:
-                path.pop()
-                if path:
-                    p = path[-1][0]
-                    low[p] = min(low[p], low[c])
-                    if low[c] >= order[p]:  # p cuts c's subtree off
-                        while True:
-                            i = met.pop()
-                            block[i] = block[partner[i]] = ids
-                            if i == partner[via]:
-                                break
-                        ids += 1
-    for i, j in enumerate(partner):
-        if block[i] < 0:  # a loop
-            block[i] = block[j] = ids
-            ids += 1
-    while True:
-        for run in runs:
-            pair = len(run) > 3 and _interlaced([block[i] for i in run])
-            if pair:
-                x, y = pair
-                block = [x if b == y else b for b in block]
-                break
-        else:
-            break
-    blocks: dict[int, list[int]] = {}
-    for i, j in enumerate(partner):
-        if i < j:
-            blocks.setdefault(block[i], []).append(i)
-    return list(blocks.values())
+                closed += 1
+    return closed, tuple(pairs)
+
+
+# One entry per matching of the four corners among themselves, 10 in
+# all: the outcomes of including and of excluding the edge.
+_OUTCOMES = {
+    inner: (_outcome(inner, (3, 2, 1, 0)), _outcome(inner, (1, 0, 3, 2)))
+    for inner in product(range(-1, 4), repeat=4)
+    if all(z < 0 or (z != y and inner[z] == y) for y, z in enumerate(inner))
+}
 
 
 def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
     """Histogram of (|F|, k(F), f(F), negative edges in F) over all 2^e
-    spanning subgraphs F, from one depth-first include/exclude sweep per
-    join block (:func:`_join_blocks`).
-
-    Each sweep toggles only its block's edges on the table of ``g`` and
-    keeps every other band excluded.  R is multiplicative over one-point
-    joins and disjoint unions, and so is this histogram: a subgraph is
-    one subgraph F_b of each of the m blocks, |F| and the negative edges
-    add, and since every sweep counts all v circles of g, empty ones
-    included, k(F) = sum k(F_b) - (m-1)v and f(F) = sum f(F_b) - (m-1)v.
-    So the blocks' histograms are convolved with those offsets.  A graph
-    of fewer than ``_SPLIT_MIN_EDGES`` edges is swept as one block.
+    spanning subgraphs F: by one sweep (:func:`_sweep`) under
+    ``_FRONTIER_MIN_EDGES`` edges, else by frontier dynamic programming on
+    the boundary walk, as Sekine, Imai and Tani (ISAAC 1995) compute the
+    Tutte polynomial.  It decides the edges in a greedy order.  A state
+    is the matching that the decided bands induce on the frontier (the
+    corners of undecided edges whose ``sigma`` arc leads to a decided
+    one) and the partition of the circles in play into components, each
+    named by its least circle.  Its histogram counts packed keys of (|F|,
+    negative edges, closed boundary cycles, closed components), as an
+    offset and a dict that states share until a merge copies it.
     """
     labels, _, home, partner, sigma = _flat(g)
-    if len(partner) < 2 * _SPLIT_MIN_EDGES:
-        blocks = [[i for i, j in enumerate(partner) if i < j]]
-    else:
-        blocks = _join_blocks(g)
     v = g.num_vertices
-    tau = [c ^ 1 for c in range(len(sigma))]  # every band excluded
-    # The package's one union-find, since the sweep undoes each union as
-    # it backtracks; the components of a whole graph come from a walk
-    # over its circles instead (ribbon._walk).
-    parent = list(range(v))
-    hist = None
-    for block in blocks:
-        edges = [
-            (2 * i, 2 * i + 1, 2 * partner[i], 2 * partner[i] + 1,
-             home[i], home[partner[i]], int(g.signs[labels[i]] < 0))
-            for i in block
-        ]
-        part = _sweep(edges, sigma, tau, parent, v)
-        if hist is None:
-            hist = part
-            continue
-        joined: dict[tuple[int, int, int, int], int] = {}
-        for (size, k, f, neg), count in hist.items():
-            for (size2, k2, f2, neg2), count2 in part.items():
-                key = (size + size2, k + k2 - v, f + f2 - v, neg + neg2)
-                joined[key] = joined.get(key, 0) + count * count2
-        hist = joined
-    return hist
+    edges = [
+        (2 * i, 2 * i + 1, 2 * j, 2 * j + 1, home[i], home[j], int(g.signs[labels[i]] < 0))
+        for i, j in enumerate(partner)
+        if i < j
+    ]
+    if len(edges) < _FRONTIER_MIN_EDGES:
+        tau = [c ^ 1 for c in range(len(sigma))]  # every band excluded
+        return _sweep(edges, sigma, tau, list(range(v)), v)
+    width = (2 * len(edges) + v).bit_length()  # every field fits below 2^width
+    left = [len(circle) for circle in g.circles]  # undecided occurrences
+    where = {x: n for n, edge in enumerate(edges) for x in edge[:4]}  # edge of a corner
+    # corners whose arc leads to a decided edge or to the edge itself;
+    # a decided edge scores -1 and undecided ones at least 0
+    score = [sum(where[sigma[x]] == n for x in edge[:4]) for n, edge in enumerate(edges)]
+    slot, free, wide = [-1] * len(sigma), [], 0  # frontier slots
+    empty = g.circles.count(())  # each a closed component and boundary cycle
+    states: dict = {((), (-1,) * v): (empty << 2 * width | empty << 3 * width, {0: 1})}
+    for _ in edges:
+        n = max(range(len(edges)), key=score.__getitem__)  # the first of equals
+        score[n] = -1
+        a, b, c, d, u, w, minus = edges[n]
+        local = {a: 0, b: 1, c: 2, d: 3}
+        probe = []  # per corner, its frontier slot or -1 and its arc's end
+        for x in (a, b, c, d):
+            s, y = slot[x], sigma[x]
+            probe.append((s, y))
+            if s >= 0:  # x leaves the frontier
+                free.append(s)
+            elif score[where[y]] >= 0:  # y joins the frontier
+                slot[y] = free.pop() if free else wide
+                wide += slot[y] == wide
+            if score[where[y]] >= 0:
+                score[where[y]] += 1
+        left[u] -= 1
+        left[w] -= 1
+        done = [x for x in {u, w} if not left[x]]
+        gain = 1 + (minus << width)
+        nxt: dict = {}
+        owned = set()  # keys of nxt whose dict was copied in this layer
+        moved: dict = {}  # (partition, include) -> (partition, closed)
+        for (m, comp), (off, hist) in states.items():
+            ends = [m[s] if s >= 0 else y for s, y in probe]  # the corners' far ends
+            base = list(m) + [0] * (wide - len(m))
+            for s in free:  # slots left free hold 0
+                base[s] = 0
+            outcomes = _OUTCOMES[tuple([local.get(x, -1) for x in ends])]  # relinks
+            for include, (closed, pairs) in zip((1, 0), outcomes):
+                new = base.copy()
+                for y, z in pairs:
+                    new[slot[ends[y]]] = ends[z]
+                    new[slot[ends[z]]] = ends[y]
+                step = moved.get((comp, include))
+                if step is None:
+                    lab = list(comp)
+                    lab[u] = u if lab[u] < 0 else lab[u]  # met now: on its own
+                    lab[w] = w if lab[w] < 0 else lab[w]
+                    if include and lab[u] != lab[w]:
+                        lo, hi = sorted((lab[u], lab[w]))
+                        lab = [lo if x == hi else x for x in lab]
+                    shut = 0
+                    for x in done:
+                        name, lab[x] = lab[x], -1
+                        if name == x and x in lab:  # its next least circle is its name
+                            heir = lab.index(x)
+                            lab = [heir if y == x else y for y in lab]
+                        elif name == x:  # none of its circles is left: it closes
+                            shut += 1
+                    step = moved[(comp, include)] = (tuple(lab), shut)
+                comp2, shut = step
+                at = off + gain * include + (closed << 2 * width) + (shut << 3 * width)
+                key = (tuple(new), comp2)
+                if key not in nxt:
+                    nxt[key] = (at, hist)
+                    continue
+                at0, big = nxt[key]
+                if key not in owned:
+                    owned.add(key)
+                    big = big.copy()
+                    nxt[key] = (at0, big)
+                for h, count in hist.items():
+                    h += at - at0
+                    big[h] = big.get(h, 0) + count
+        states = nxt
+    ((off, hist),) = states.values()
+    mask, profiles = (1 << width) - 1, {}
+    for h, count in hist.items():
+        h += off
+        profiles[h & mask, h >> 3 * width, h >> 2 * width & mask, h >> width & mask] = count
+    return profiles
 
 
 def _sweep(edges, sigma, tau, parent, v) -> dict[tuple[int, int, int, int], int]:

@@ -16,8 +16,7 @@ on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import TooManyEdges, UnknownEdge
 from .ribbon import SignedRibbonGraph, _dual_circles, _flat, canonical_form
@@ -53,8 +52,7 @@ def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGrap
     return SignedRibbonGraph._derived(_dual_circles(g, inside), signs)
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     """One unsigned-isomorphism class in the orbit of all partial duals."""
 
     subset: tuple[str, ...]

@@ -223,11 +223,11 @@ def kauffman_bracket(d: VirtualLinkDiagram) -> Laurent:
     Computed through the all-A state graph G: the state that splits the
     crossings of an edge set F by B and the rest by A traces exactly the
     boundary components of the spanning subgraph F of G, so the sum runs
-    over the same subset sweep as R(G), as A^(n-|F|) B^|F| d^(f(F)-1).
+    over the same subgraph histogram as R(G), as A^(n-|F|) B^|F| d^(f(F)-1).
 
     Raises:
         TooManyCrossings: more than ``BR_MAX_EDGES`` crossings, the
-            limit of that sweep.
+            limit of that histogram.
     """
     n = d.num_crossings
     if n > BR_MAX_EDGES:

@@ -17,7 +17,6 @@ single edge (move M2).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -60,8 +59,7 @@ class Occurrence(NamedTuple):
         return self.label + ("'" if self.against else "")
 
 
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     """Numerical profile of a signed ribbon graph.
 
     ``chi_closed`` is the Euler characteristic v - e + f of the closed

@@ -33,6 +33,7 @@ from ribbongraphs.ribbon import (
     Occurrence,
     SignedRibbonGraph,
     _flat,
+    _runs,
     _trace,
     components,
     parse_ribbon_graph,
@@ -582,6 +583,18 @@ def random_link(
     return VirtualLinkDiagram(components, signs)
 
 
+def sized_diagram(rng: random.Random, n: int, c: int) -> VirtualLinkDiagram:
+    """A random diagram with exactly ``n`` crossings, each passed once
+    over and once under, on exactly ``c`` non-empty strands, 1 <= c <= 2n,
+    drawn the way the benchmark's generator ``perfbench/gen.gauss_text``
+    draws its inputs."""
+    passes = [(str(i + 1), over) for i in range(n) for over in (True, False)]
+    rng.shuffle(passes)
+    bounds = [0, *sorted(rng.sample(range(1, 2 * n), c - 1)), 2 * n]
+    signs = {str(i + 1): rng.choice((1, -1)) for i in range(n)}
+    return VirtualLinkDiagram([passes[a:b] for a, b in zip(bounds, bounds[1:])], signs)
+
+
 # ----------------------------------------------------------------------
 # abstract-graph counting oracles
 # ----------------------------------------------------------------------
@@ -1075,7 +1088,7 @@ def _pieces(circles: list[list[str]]) -> list[list[list[str]]]:
 
 def join_blocks(g: SignedRibbonGraph) -> set[frozenset[str]]:
     """The edge sets of the join blocks of ``g`` by brute force: the
-    reference for ``br._join_blocks``.
+    reference for :func:`split_blocks`.
 
     Cutting a circle at two gaps into two circles, one arc each, pulls
     apart the two sides of a one-point join made there.  On each circle
@@ -1101,6 +1114,143 @@ def join_blocks(g: SignedRibbonGraph) -> set[frozenset[str]]:
         else:
             blocks.add(frozenset(l for circle in piece for l in circle))
     return blocks
+
+
+def interlaced(seq: list[int]) -> tuple[int, int] | None:
+    """Two block ids whose places alternate in the cyclic sequence ``seq``,
+    ``x y x y``, or None.
+
+    A scan from the start keeps the ids begun and not yet finished in the
+    order they began.  Meeting an id begun earlier with a later unfinished
+    id on top shows the alternation; none is missed, since an alternation
+    read from any starting place is still one.
+    """
+    last = {x: n for n, x in enumerate(seq)}
+    open_: list[int] = []
+    for n, x in enumerate(seq):
+        while open_ and last[open_[-1]] < n:
+            open_.pop()
+        if x not in open_:
+            open_.append(x)
+        elif open_[-1] != x:
+            return x, open_[-1]
+    return None
+
+
+def split_blocks(g: SignedRibbonGraph) -> list[list[int]]:
+    """The edges of ``g`` split into join blocks, each edge named by its
+    first occurrence in the table ``ribbon._flat``: the finder of the
+    split sweep that the frontier engine of ``br`` replaced.
+
+    The blocks start as the biconnected components of the multigraph of
+    circles and edges, found by one depth-first search over the circles
+    (Hopcroft–Tarjan low points), with each loop in a block of its own.
+    Two blocks whose occurrences alternate on a shared circle cannot be
+    pulled apart there, so they merge until no two alternate.  Then g is
+    built from its blocks by one-point joins and disjoint unions alone.
+    """
+    _, _, home, partner, _ = _flat(g)
+    runs = _runs(g)
+    block = [-1] * len(partner)  # block id of each occurrence
+    order, low = [0] * len(runs), [0] * len(runs)
+    met: list[int] = []  # occurrences of edges met and not yet in a block
+    count = ids = 0
+    for root, run in enumerate(runs):
+        if order[root] or not run:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        # (circle, its occurrence the search came in by, occurrences left)
+        path = [(root, -1, iter(run))]
+        while path:
+            c, via, left = path[-1]
+            for i in left:
+                d = home[partner[i]]
+                if i == via or d == c:  # back along the tree edge, or a loop
+                    continue
+                if not order[d]:
+                    met.append(i)
+                    count += 1
+                    order[d] = low[d] = count
+                    path.append((d, partner[i], iter(runs[d])))
+                    break
+                if order[d] < order[c]:  # an edge back to an ancestor
+                    met.append(i)
+                    low[c] = min(low[c], order[d])
+            else:
+                path.pop()
+                if path:
+                    p = path[-1][0]
+                    low[p] = min(low[p], low[c])
+                    if low[c] >= order[p]:  # p cuts c's subtree off
+                        while True:
+                            i = met.pop()
+                            block[i] = block[partner[i]] = ids
+                            if i == partner[via]:
+                                break
+                        ids += 1
+    for i, j in enumerate(partner):
+        if block[i] < 0:  # a loop
+            block[i] = block[j] = ids
+            ids += 1
+    while True:
+        for run in runs:
+            pair = len(run) > 3 and interlaced([block[i] for i in run])
+            if pair:
+                x, y = pair
+                block = [x if b == y else b for b in block]
+                break
+        else:
+            break
+    blocks: dict[int, list[int]] = {}
+    for i, j in enumerate(partner):
+        if i < j:
+            blocks.setdefault(block[i], []).append(i)
+    return list(blocks.values())
+
+
+def split_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
+    """The histogram of ``br._subgraph_profiles`` by the split sweep: one
+    ``br._sweep`` per join block (:func:`split_blocks`), convolved.
+
+    Each sweep toggles only its block's edges on the table of ``g`` and
+    keeps every other band excluded.  R is multiplicative over one-point
+    joins and disjoint unions, and so is this histogram: a subgraph is
+    one subgraph F_b of each of the m blocks, |F| and the negative edges
+    add, and since every sweep counts all v circles of g, empty ones
+    included, k(F) = sum k(F_b) - (m-1)v and f(F) = sum f(F_b) - (m-1)v.
+    """
+    labels, _, home, partner, sigma = _flat(g)
+    v = g.num_vertices
+    tau = [c ^ 1 for c in range(len(sigma))]  # every band excluded
+    parent = list(range(v))
+    hist = {(0, v, v, 0): 1}
+    for block in split_blocks(g):
+        edges = [
+            (2 * i, 2 * i + 1, 2 * partner[i], 2 * partner[i] + 1,
+             home[i], home[partner[i]], int(g.signs[labels[i]] < 0))
+            for i in block
+        ]
+        part = br._sweep(edges, sigma, tau, parent, v)
+        joined: dict[tuple[int, int, int, int], int] = {}
+        for (size, k, f, neg), count in hist.items():
+            for (size2, k2, f2, neg2), count2 in part.items():
+                key = (size + size2, k + k2 - v, f + f2 - v, neg + neg2)
+                joined[key] = joined.get(key, 0) + count * count2
+        hist = joined
+    return hist
+
+
+def subset_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
+    """The histogram of ``br._subgraph_profiles`` by one
+    :class:`SubsetEngine` rebuild per subset."""
+    engine = SubsetEngine(g)
+    hist: dict[tuple[int, int, int, int], int] = {}
+    for mask in range(1 << g.num_edges):
+        st = engine.sweep(mask)
+        key = (bin(mask).count("1"), st.k, st.f, (st.s2 + engine.neg_total) // 2)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
 
 
 def subset_sum_br(g: SignedRibbonGraph) -> Laurent:

@@ -20,7 +20,7 @@ from ribbongraphs.polynomial import (
     Laurent,
     restrict_duality_surface,
 )
-from ribbongraphs.links import all_A_state, state_ribbon_graph
+from ribbongraphs.links import all_A_state, kauffman_bracket, state_ribbon_graph
 from ribbongraphs.ribbon import SignedRibbonGraph, _flat, components, stats
 
 from .helpers import (
@@ -38,10 +38,15 @@ from .helpers import (
     monomial_map,
     occurrences,
     one_point_join,
+    plane_corpus,
     random_link,
+    sized_diagram,
     sized_graph,
+    split_blocks,
     split_graph,
+    split_profiles,
     subgraph_stats,
+    subset_profiles,
     subset_sum_br,
     two_edge_block,
 )
@@ -155,9 +160,9 @@ class TestSubgraphStats:
 
 
 def block_labels(g: SignedRibbonGraph) -> set[frozenset[str]]:
-    """The join blocks that the sweep splits ``g`` into, as label sets."""
+    """The join blocks that the split sweep cuts ``g`` into, as label sets."""
     labels = _flat(g)[0]
-    found = [frozenset(labels[i] for i in block) for block in br._join_blocks(g)]
+    found = [frozenset(labels[i] for i in block) for block in split_blocks(g)]
     assert sorted(l for block in found for l in block) == sorted(g.signs)
     return set(found)
 
@@ -191,6 +196,83 @@ class TestJoinBlocks:
         assert block_labels(graph("", "")) == set()
 
 
+def all_a(diagram) -> SignedRibbonGraph:
+    return state_ribbon_graph(diagram, all_A_state(diagram))
+
+
+def frontier_corpus() -> list[SignedRibbonGraph]:
+    """Seeded graphs of up to 14 edges for the frontier engine: random
+    graphs, sized ones with one circle or many, the split families,
+    bouquets, chord rings, plane graphs, and the all-A state graphs of
+    braid closures and of random Gauss codes."""
+    rng = random.Random(113)
+    corpus = graph_corpus(113, 300, max_edges=12)
+    corpus += [sized_graph(rng, e, 1) for e in range(8, 15) for _ in range(3)]
+    corpus += [
+        sized_graph(rng, e, rng.randint(2, 2 * e)) for e in range(8, 15) for _ in range(6)
+    ]
+    corpus += split_families()
+    corpus += [bouquet(e) for e in range(8, 15)]
+    corpus += [chord_ring(e, 2, 2 * e // 3 | 1, ((False, True),), (1, -1)) for e in range(8, 15)]
+    corpus += plane_corpus(113, 60, grows=6)
+    corpus += [all_a(braid_closure(rng, 14, 5)) for _ in range(40)]
+    corpus += [all_a(sized_diagram(rng, n, rng.randint(1, 3))) for n in range(4, 15) for _ in range(4)]
+    return corpus
+
+
+class TestFrontier:
+    """The frontier engine of ``br._subgraph_profiles`` against the split
+    sweep (``split_profiles``) and one rebuild per subset."""
+
+    def test_matches_split_sweep_and_subsets(self, monkeypatch):
+        monkeypatch.setattr(br, "_FRONTIER_MIN_EDGES", 0)  # the engine at every size
+        corpus = frontier_corpus()
+        sizes = {g.num_edges for g in corpus}
+        assert set(range(15)) <= sizes
+        assert any(() in g.circles for g in corpus)
+        assert any(len(components(g)) >= 3 for g in corpus)
+        assert sum(g.num_vertices == 1 and g.num_edges >= 12 for g in corpus) >= 6
+        checked = 0
+        for g in corpus:
+            hist = br._subgraph_profiles(g)
+            assert hist == split_profiles(g), g
+            assert sum(hist.values()) == 2**g.num_edges
+            if g.num_edges <= 9 or g.num_edges <= 11 and checked < 40:
+                checked += g.num_edges > 9
+                assert hist == subset_profiles(g), g
+        assert checked == 40
+
+    def test_at_the_crossover(self):
+        # either side of the calibrated edge count, with the default choice
+        t = br._FRONTIER_MIN_EDGES
+        rng = random.Random(127)
+        corpus = [sized_graph(rng, e, rng.randint(1, 2 * e)) for e in (t - 1, t) for _ in range(12)]
+        corpus += [bouquet(t - 1), bouquet(t), forest(t - 1), forest(t)]
+        corpus += [all_a(sized_diagram(rng, n, 1)) for n in (t - 1, t) for _ in range(6)]
+        for g in corpus:
+            hist = br._subgraph_profiles(g)
+            assert hist == split_profiles(g) == subset_profiles(g), g
+
+    def test_guard_size_in_time(self):
+        # At the 24-edge guard the frontier stays narrow: R and the
+        # bracket each finish in well under 2 s of process time, where the
+        # whole sweep would take 2^24 subsets.
+        rng = random.Random(131)
+        graphs = [sized_graph(rng, BR_MAX_EDGES, 1) for _ in range(3)]
+        graphs.append(chord_ring(BR_MAX_EDGES, 2, 7))
+        for g in graphs:
+            start = time.process_time()
+            p = bollobas_riordan(g)
+            assert time.process_time() - start < 2.0, g
+            assert sum(p.terms.values()) == 2**BR_MAX_EDGES
+        for strands in (1, 2, 3):
+            diagram = sized_diagram(rng, BR_MAX_EDGES, strands)
+            start = time.process_time()
+            p = kauffman_bracket(diagram)
+            assert time.process_time() - start < 2.0, diagram
+            assert sum(p.terms.values()) == 2**BR_MAX_EDGES
+
+
 class TestBollobasRiordan:
     @pytest.mark.parametrize(
         "name, expected",
@@ -216,7 +298,8 @@ class TestBollobasRiordan:
 
     def test_multiplicative_under_unions(self):
         # twelve two-edge blocks joined in a chain: 2^24 subsets, but the
-        # sweep splits them and convolves twelve sweeps of four
+        # frontier empties at each join, so the engine's states collapse
+        # to one there and no layer holds more than a few
         rng = random.Random(59)
         blocks = [two_edge_block(rng) for _ in range(12)]
         chain = blocks[0]
@@ -269,8 +352,8 @@ class TestBollobasRiordan:
         assert sum(p.terms.values()) == 2**g.num_edges
 
     def test_guard(self):
-        # one edge over the constant; the guard trips before the sweep
-        # the guard counts edges, not the subsets of the join blocks
+        # one edge over the constant; the guard trips before the
+        # histogram, and counts edges, not the frontier engine's states
         message = r"^25 edges exceed the state-sum guard of 24 \(2\^25 subsets\)$"
         for g in (bouquet(BR_MAX_EDGES + 1), forest(BR_MAX_EDGES + 1)):
             with pytest.raises(TooManyEdges, match=message):

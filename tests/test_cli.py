@@ -161,8 +161,8 @@ class TestPolynomials:
 
     @pytest.mark.parametrize("command", ["poly", "tutte", "invariant"])
     def test_guard_exit_3(self, capsys, tmp_path, command):
-        # a forest splits into 25 one-edge join blocks, and the guard
-        # still counts its edges
+        # the frontier engine needs one state per step for a forest, and
+        # the guard still counts its edges
         for shape in (bouquet, forest):
             path = tmp_path / "big.rg"
             path.write_text(serialize_ribbon_graph(shape(25)))

@@ -305,8 +305,8 @@ class TestBracket:
         assert max(diag.num_crossings for diag in corpus) == 9
         assert any(len(diag.components) >= 3 for diag in corpus)
         assert sum(() in diag.components for diag in corpus) > 10
-        # ten crossings, where the all-A state graph often splits into
-        # join blocks whose sweeps the bracket convolves
+        # ten crossings, past the edge count from which the frontier
+        # engine computes the histogram of the all-A state graph
         tens = [random_link(rng, 10) for _ in range(300)]
         corpus += [diag for diag in tens if diag.num_crossings == 10]
         for _ in range(25):

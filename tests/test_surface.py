@@ -4,7 +4,10 @@ package."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,8 +21,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # (old home, name, its name in tests.helpers, or None when callers use
 # a replacement: Laurent.monomial, the tuple of state curves that
 # resolve_state now returns, BR_MAX_EDGES for the bracket, the builtin
-# IndexError that the helpers' one_point_join raises, and canonical_form
-# and the circle walk for the form-and-orientability pair of _form)
+# IndexError that the helpers' one_point_join raises, canonical_form
+# and the circle walk for the form-and-orientability pair of _form, and
+# _FRONTIER_MIN_EDGES for the split sweep's crossover)
 REMOVED = [
     ("polynomial", "monomial", None),
     ("polynomial", "parse_poly", "parse_poly"),
@@ -31,6 +35,9 @@ REMOVED = [
     ("polynomial.Laurent", "permute_vars", "permute_vars"),
     ("br", "subgraph_stats", "subgraph_stats"),
     ("br", "SubgraphStats", "SubgraphStats"),
+    ("br", "_join_blocks", "split_blocks"),
+    ("br", "_interlaced", "interlaced"),
+    ("br", "_SPLIT_MIN_EDGES", None),
     ("links", "StateExpansion", None),
     ("links", "BRACKET_MAX_CROSSINGS", None),
     ("ribbon", "boundary_components", "boundary_components"),
@@ -153,3 +160,26 @@ def test_each_walk_keeps_its_callers():
     # caller would be a third walk growing back.
     assert sites("_dual_circles") == [("duality", "partial_dual"), ("ribbon", "stats")]
     assert sites("_trace") == [("links", "resolve_state")]
+
+
+def test_import_loads_no_dataclasses():
+    # The package's records are NamedTuples, so a fresh import loads
+    # neither dataclasses nor the inspect machinery it pulls in.
+    src = str(Path(ribbongraphs.__file__).resolve().parent.parent)
+    code = "import sys, ribbongraphs; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_records_are_tuples():
+    # stats and dual_orbit return tuples: they unpack, index and compare
+    # equal to plain tuples
+    g = ribbongraphs.SignedRibbonGraph([[("a", False), ("a", False)]], {"a": 1})
+    stats = ribbongraphs.stats(g)
+    assert stats == (1, 1, 1, 0, 1, 2, True, 2, 0)
+    v, e, *_ = stats
+    assert (v, e, stats[5]) == (stats.v, stats.e, stats.f)
+    classes = ribbongraphs.dual_orbit(g)
+    assert classes[0] == ((), g, 1)
+    assert [size for _, _, size in classes] == [1, 1]
