@@ -10,20 +10,15 @@ where s(F) is half the difference between the negative-edge counts of F
 and of its complement.  The half-integer bookkeeping lives in the doubled
 exponent keys of the polynomial ring.
 
-No subgraph is rebuilt.  R, the Tutte polynomial, the duality
-invariant and, through the all-A state graph of a diagram,
-:func:`ribbongraphs.links.kauffman_bracket` read one histogram of
-(|F|, k(F), f(F), negative edges in F).  Under ``_FRONTIER_MIN_EDGES``
-edges a depth-first sweep includes or excludes each edge in turn and
-updates the four counts as it goes.  From there on a frontier engine
-decides the edges one at a time and keeps a histogram per way that the
-decided bands can meet the undecided ones, so its cost follows the width
-of its edge order, not 2^e.  That width is zero at a one-point join or
-disjoint union, over which R is multiplicative (Bollobás and Riordan,
-Math. Ann. 323, 2002).  ``BR_MAX_EDGES`` limits the edge count.
-
-No deletion-contraction recursion is used to produce values; the various
-reduction identities are exercised by the test suite instead.
+No subgraph is rebuilt and no deletion-contraction recursion runs.  R,
+the Tutte polynomial, the duality invariant and, through the all-A
+state graph of a diagram, the bracket and the Jones polynomial in
+:mod:`ribbongraphs.links` read one histogram of (|F|, k(F), f(F),
+negative edges in F), :func:`_subgraph_profiles`, and map the exponent
+keys of its terms.  The cost of its frontier engine follows the width
+of an edge order, not 2^e, and that width is zero at a one-point join
+or disjoint union, over which R is multiplicative (Bollobás and
+Riordan, Math. Ann. 323, 2002).  ``BR_MAX_EDGES`` limits the edge count.
 """
 
 from __future__ import annotations
@@ -31,8 +26,8 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import FractionalExponent, NegativeExponentNonUnit, TooManyEdges
-from .polynomial import RING_XY, RING_XYZ, Laurent, restrict_duality_surface
-from .ribbon import SignedRibbonGraph, _flat, components
+from .polynomial import RING_XY, RING_XYZ, Laurent
+from .ribbon import SignedRibbonGraph, _flat
 
 __all__ = [
     "bollobas_riordan",
@@ -239,12 +234,10 @@ def _sweep(edges, sigma, tau, parent, v) -> dict[tuple[int, int, int, int], int]
         j += 1
 
 
-def bollobas_riordan(g: SignedRibbonGraph) -> Laurent:
-    """The signed three-variable polynomial of ``g`` by state sum.
-
-    Raises:
-        TooManyEdges: more than ``BR_MAX_EDGES`` edges.
-    """
+def _r_terms(g: SignedRibbonGraph, restrict: bool) -> dict[tuple[int, ...], int]:
+    """R's terms by doubled exponent key (a, b, c), or with ``restrict``
+    those of x^k y^v z^(v+1) R on xyz² = 1: z = x^(-1/2) y^(-1/2) takes
+    (a, b, c) to (a + 2k - c - v - 1, b + v - c - 1), k = k(G) from F = E."""
     e = g.num_edges
     if e > BR_MAX_EDGES:
         raise TooManyEdges(
@@ -252,16 +245,25 @@ def bollobas_riordan(g: SignedRibbonGraph) -> Laurent:
         )
     v = g.num_vertices
     hist = _subgraph_profiles(g)
-    r_g = v - next(k for size, k, _, _ in hist if size == e)  # F = E has k(G)
+    k_g = next(k for size, k, _, _ in hist if size == e)
     neg_total = sum(1 for sign in g.signs.values() if sign < 0)
-    terms: dict[tuple[int, int, int], int] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for (size, k, f, neg), count in hist.items():
-        r = v - k
-        n = size - r
+        n = size - v + k
         s2 = 2 * neg - neg_total
-        key = (2 * (r_g - r) + s2, 2 * n - s2, k - f + n)
+        a, b, c = 2 * (k - k_g) + s2, 2 * n - s2, k - f + n
+        key = (a + 2 * k_g - c - v - 1, b + v - c - 1) if restrict else (a, b, c)
         terms[key] = terms.get(key, 0) + count
-    return Laurent(RING_XYZ, terms)
+    return terms
+
+
+def bollobas_riordan(g: SignedRibbonGraph) -> Laurent:
+    """The signed three-variable polynomial of ``g`` by state sum.
+
+    Raises:
+        TooManyEdges: more than ``BR_MAX_EDGES`` edges.
+    """
+    return Laurent(RING_XYZ, _r_terms(g, False))
 
 
 def tutte_via_br(g: SignedRibbonGraph) -> Laurent:
@@ -295,11 +297,7 @@ def tutte_via_br(g: SignedRibbonGraph) -> Laurent:
 
 
 def duality_invariant(g: SignedRibbonGraph) -> Laurent:
-    """The duality-stable transform: restrict x^k y^v z^(v+1) R to xyz²=1.
-
-    Partial duals of ``g`` with respect to any edge subset share this
-    two-variable polynomial.
-    """
-    k, v = len(components(g)), g.num_vertices
-    prefactor = Laurent.monomial(RING_XYZ, (2 * k, 2 * v, v + 1))
-    return restrict_duality_surface(prefactor * bollobas_riordan(g))
+    """x^k y^v z^(v+1) R restricted to xyz² = 1 (k components, v circles),
+    which every partial dual of ``g`` shares; a map on R's exponent keys.
+    Raises TooManyEdges as :func:`bollobas_riordan` does."""
+    return Laurent(RING_XY, _r_terms(g, True))

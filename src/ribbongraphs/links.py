@@ -18,6 +18,7 @@ graph whose edges are the crossings (sign +1 for A, -1 for B).
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Mapping, NamedTuple
 
 from .br import BR_MAX_EDGES, _subgraph_profiles
@@ -25,6 +26,7 @@ from .errors import (
     DanglingCrossing,
     InvalidLabel,
     InvalidState,
+    NegativeExponentNonUnit,
     ParseError,
     RoleConflict,
     TooManyCrossings,
@@ -71,8 +73,8 @@ class VirtualLinkDiagram:
     Raises:
         DanglingCrossing: a crossing id is not met exactly twice.
         RoleConflict: a crossing is met twice in the same role.
-        UnknownSign: a met crossing has no sign, or a sign is not +-1.
-        InvalidLabel: a crossing id is empty or holds a reserved character.
+        UnknownSign: a met crossing has no sign, or a sign is not the int +-1.
+        InvalidLabel: a crossing id is not a str, is empty or has a reserved character.
     """
 
     __slots__ = ("components", "signs")
@@ -86,15 +88,14 @@ class VirtualLinkDiagram:
         signs: Mapping[str, int],
     ):
         fixed = tuple(
-            tuple(Pass(str(p[0]), bool(p[1])) for p in comp) for comp in components
+            tuple(Pass(p[0], bool(p[1])) for p in comp) for comp in components
         )
         roles: dict[str, list[bool]] = {}
         for comp in fixed:
-            for p in comp:
-                roles.setdefault(p.crossing, []).append(p.over)
-        for cid in roles:  # once per id, in first-seen order
-            if not cid or _LABEL_BAD.search(cid):
-                raise InvalidLabel(f"invalid crossing id {cid!r}")
+            for cid, over in comp:  # ids checked in first-seen order
+                if not isinstance(cid, str) or not cid or _LABEL_BAD.search(cid):
+                    raise InvalidLabel(f"invalid crossing id {cid!r}")
+                roles.setdefault(cid, []).append(over)
         for cid, seen in roles.items():
             if len(seen) != 2:
                 raise DanglingCrossing(
@@ -108,7 +109,7 @@ class VirtualLinkDiagram:
         for cid, sign in signs.items():
             if cid not in roles:
                 raise DanglingCrossing(f"crossing {cid!r} met 0 times, expected 2")
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):  # no bool, no float
                 raise UnknownSign(f"sign of crossing {cid!r} must be +1 or -1")
         object.__setattr__(self, "components", fixed)
         object.__setattr__(self, "signs", {c: signs[c] for c in sorted(roles)})
@@ -245,20 +246,20 @@ def kauffman_bracket(d: VirtualLinkDiagram) -> Laurent:
 
 def jones(d: VirtualLinkDiagram) -> Laurent:
     """Jones polynomial in t: the bracket at A=t^(-1/4), B=t^(1/4),
-    d=-t^(1/2)-t^(-1/2), times the writhe factor (-1)^w t^(3w/4).  The
-    bracket's terms are grouped by their power of d, so each power of
-    the loop value is computed once."""
-    bracket = kauffman_bracket(d)
-    by_loops: dict[int, dict[tuple[int], int]] = {}
-    for (a, b, dd), coeff in bracket.terms.items():
-        row = by_loops.setdefault(dd, {})
-        row[(b - a,)] = row.get((b - a,), 0) + coeff
-    loop = Laurent(RING_T, {(2,): -1, (-2,): -1})
-    total = Laurent.zero(RING_T)
-    for dd, row in by_loops.items():
-        total = total + Laurent(RING_T, row) * loop**dd
+    d=-t^(1/2)-t^(-1/2), times (-1)^w t^(3w/4), as a map on exponent keys:
+    d^m = (-1)^m sum_j C(m, j) t^((m-2j)/2), so the bracket term c A^a B^b d^m
+    adds (-1)^(m+w) C(m, j) c at the key b - a + 3w + 2(m - 2j), j = 0..m.
+    d^(-1), the bracket with no strands, raises NegativeExponentNonUnit."""
     w = writhe(d)
-    return total * Laurent(RING_T, {(3 * w,): (-1) ** (w & 1)})
+    terms: dict[tuple[int], int] = {}
+    for (a, b, m), coeff in kauffman_bracket(d).terms.items():
+        if m < 0:
+            raise NegativeExponentNonUnit(f"the loop value has no inverse for d^({m})")
+        coeff *= -1 if (m + w) & 1 else 1
+        for j in range(m + 1):
+            key = (b - a + 3 * w + 2 * (m - 2 * j),)
+            terms[key] = terms.get(key, 0) + comb(m, j) * coeff
+    return Laurent(RING_T, terms)
 
 
 def seifert_state(d: VirtualLinkDiagram) -> dict[str, str]:

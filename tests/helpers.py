@@ -28,7 +28,14 @@ from ribbongraphs import br, duality, ribbon
 from ribbongraphs.duality import partial_dual
 from ribbongraphs.errors import FractionalExponent, ParseError, UnknownEdge
 from ribbongraphs.links import VirtualLinkDiagram, parse_gauss, resolve_state, serialize_gauss
-from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XYZ, Laurent, Ring
+from ribbongraphs.polynomial import (
+    RING_ABD,
+    RING_T,
+    RING_XYZ,
+    Laurent,
+    Ring,
+    restrict_duality_surface,
+)
 from ribbongraphs.ribbon import (
     Occurrence,
     SignedRibbonGraph,
@@ -1253,6 +1260,16 @@ def subset_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int
     return hist
 
 
+def product_duality_invariant(g: SignedRibbonGraph) -> Laurent:
+    """The duality invariant by polynomial arithmetic, as ``br`` computed
+    it before it mapped R's exponent keys: the monomial x^k y^v z^(v+1),
+    with k from a :func:`ribbongraphs.ribbon.components` walk, times R,
+    restricted to xyz^2 = 1 by ``restrict_duality_surface``."""
+    k, v = len(components(g)), g.num_vertices
+    prefactor = Laurent.monomial(RING_XYZ, (2 * k, 2 * v, v + 1))
+    return restrict_duality_surface(prefactor * br.bollobas_riordan(g))
+
+
 def subset_sum_br(g: SignedRibbonGraph) -> Laurent:
     """R(x, y, z) by one :class:`SubsetEngine` rebuild per subset."""
     engine = SubsetEngine(g)
@@ -1296,7 +1313,9 @@ def state_sum_bracket(d: VirtualLinkDiagram) -> Laurent:
 
 def jones_from_bracket(bracket: Laurent, w: int) -> Laurent:
     """Jones polynomial of a diagram of writhe ``w`` from its bracket:
-    A=t^(-1/4), B=t^(1/4), d=-t^(1/2)-t^(-1/2), times (-1)^w t^(3w/4)."""
+    A=t^(-1/4), B=t^(1/4), d=-t^(1/2)-t^(-1/2), times (-1)^w t^(3w/4),
+    by polynomial products and powers of the loop value, one bracket
+    term at a time."""
     loop = Laurent(RING_T, {(2,): -1, (-2,): -1})
     total = Laurent.zero(RING_T)
     for (a, b, dd), coeff in bracket.terms.items():

@@ -21,9 +21,16 @@ from ribbongraphs.polynomial import (
     restrict_duality_surface,
 )
 from ribbongraphs.links import all_A_state, kauffman_bracket, state_ribbon_graph
-from ribbongraphs.ribbon import SignedRibbonGraph, _flat, components, stats
+from ribbongraphs.ribbon import (
+    SignedRibbonGraph,
+    _flat,
+    components,
+    parse_ribbon_graph,
+    stats,
+)
 
 from .helpers import (
+    FIXTURES,
     SURFACE_IMAGES,
     all_subsets,
     bouquet,
@@ -39,6 +46,7 @@ from .helpers import (
     occurrences,
     one_point_join,
     plane_corpus,
+    product_duality_invariant,
     random_link,
     sized_diagram,
     sized_graph,
@@ -398,6 +406,48 @@ class TestDualityInvariant:
                 # R has positive coefficients, so fewer terms means keys met
                 collisions += len(fast.terms) < len(p.terms)
         assert collisions > 0
+
+    def test_matches_product_path(self):
+        # The exponent-key map against the product x^k y^v z^(v+1) R and
+        # the restriction it replaced, k from a components walk: random
+        # graphs to e = 12, the benchmark's cells, the graph with no
+        # circles (R = 1 and k = v = 0, so z alone is restricted), empty
+        # circles and graphs of several components.
+        rng = random.Random(131)
+        corpus = graph_corpus(131, 250, max_edges=12)
+        for e, v in ((10, 8), (11, 6), (12, 1)):
+            corpus += [sized_graph(rng, e, v) for _ in range(6)]
+        corpus += [load_graph(path.name) for path in sorted(FIXTURES.glob("*.rg"))]
+        none = parse_ribbon_graph("edges:")
+        corpus += [none, SignedRibbonGraph([(), ()], {}), bouquet(3), forest(4)]
+        for a, b in zip(corpus[:80:2], corpus[1:80:2]):
+            if a.num_edges + b.num_edges <= 12:
+                corpus.append(disjoint_union(a, b))
+        assert max(g.num_edges for g in corpus) == 12
+        assert sum(() in g.circles for g in corpus) > 20
+        assert sum(len(components(g)) >= 3 for g in corpus) > 20
+        for g in corpus:
+            fast, slow = duality_invariant(g), product_duality_invariant(g)
+            assert fast == slow, g
+            assert fast.render() == slow.render()
+        assert none.num_vertices == 0
+        assert duality_invariant(none).render() == "x^(-1/2)*y^(-1/2)"
+
+    def test_no_polynomial_products(self, monkeypatch):
+        # The invariant is read off R's exponent keys: with the Laurent
+        # product and power disabled it still computes every fixture.
+        names = [path.name for path in sorted(FIXTURES.glob("*.rg"))]
+        expected = [product_duality_invariant(load_graph(name)) for name in names]
+
+        def refuse(*args):
+            raise AssertionError("a Laurent product or power was computed")
+
+        for op in ("__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(Laurent, op, refuse)
+        with pytest.raises(AssertionError):
+            Laurent.const(RING_XY, 1) * Laurent.const(RING_XY, 1)
+        for name, want in zip(names, expected):
+            assert duality_invariant(load_graph(name)) == want, name
 
     def test_stable_under_partial_duals(self):
         for name in ("torus.rg", "klein.rg", "mobius.rg"):

@@ -11,6 +11,7 @@ from ribbongraphs.errors import (
     DanglingCrossing,
     InvalidLabel,
     InvalidState,
+    NegativeExponentNonUnit,
     ParseError,
     RibbonGraphError,
     RoleConflict,
@@ -35,6 +36,7 @@ from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XYZ, Laurent
 from ribbongraphs.ribbon import SignedRibbonGraph, is_isomorphic, stats
 
 from .helpers import (
+    FIXTURES,
     all_states,
     braid_closure,
     braid_word_closure,
@@ -44,6 +46,7 @@ from .helpers import (
     monomial_map,
     over_then_under,
     random_link,
+    sized_diagram,
     state_counts,
     state_sum_bracket,
     subgraph_stats,
@@ -201,6 +204,23 @@ class TestParsing:
         with pytest.raises(UnknownSign):
             VirtualLinkDiagram([[Pass("1", True), Pass("1", False)]], {})
 
+    @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, "+", None])
+    def test_sign_must_be_the_int_one_or_minus_one(self, sign):
+        # as in SignedRibbonGraph: a bool would be kept as True, and a
+        # float would reach the writhe parity in jones
+        met = [[("1", True), ("1", False)]]
+        with pytest.raises(UnknownSign) as err:
+            VirtualLinkDiagram(met, {"1": sign})
+        assert str(err.value) == "sign of crossing '1' must be +1 or -1"
+
+    @pytest.mark.parametrize("cid", [1, 1.5, b"1", ("1",), ["1"]])
+    def test_crossing_id_must_be_a_string(self, cid):
+        # not quietly turned into the string "1" that the signs name, and
+        # an unhashable id is an InvalidLabel too, not a bare TypeError
+        with pytest.raises(InvalidLabel) as err:
+            VirtualLinkDiagram([[(cid, True), Pass(cid, False)]], {"1": 1})
+        assert str(err.value) == f"invalid crossing id {cid!r}"
+
 
 class TestStates:
     def test_kink_states(self):
@@ -347,6 +367,52 @@ class TestJones:
             jones(load_diagram("worked_example.gauss")).render()
             == "t^(-2) - t^(-1) - t^(-1/2) + 1 + t^(1/2)"
         )
+
+    def test_no_strands_raises(self):
+        # the bracket is d^(-1) and the loop value has no inverse; the
+        # expansion over j = 0..m would otherwise return 0
+        diag = VirtualLinkDiagram([], {})
+        with pytest.raises(NegativeExponentNonUnit, match=r"d\^\(-1\)"):
+            jones(diag)
+        with pytest.raises(NegativeExponentNonUnit):
+            jones_from_bracket(kauffman_bracket(diag), 0)
+
+    def test_matches_product_path_at_bench_sizes(self):
+        # The exponent-key expansion against polynomial products of the
+        # loop value on the traced state sum, at the benchmark's cells,
+        # on the fixtures and on split unions of unknots with a diagram.
+        rng = random.Random(191)
+        corpus = [
+            sized_diagram(rng, n, c)
+            for n, c in ((9, 2), (10, 1), (11, 1))
+            for _ in range(6)
+        ]
+        corpus += [load_diagram(path.name) for path in sorted(FIXTURES.glob("*.gauss"))]
+        for empties in range(1, 4):
+            corpus.append(VirtualLinkDiagram([[]] * empties, {}))
+            base = sized_diagram(rng, 6, 2)
+            split = [*base.components, *[[]] * empties]
+            corpus.append(VirtualLinkDiagram(split, base.signs))
+        assert max(diag.num_crossings for diag in corpus) == 11
+        for diag in corpus:
+            slow = jones_from_bracket(state_sum_bracket(diag), writhe(diag))
+            assert jones(diag).render() == slow.render(), diag
+
+    def test_no_polynomial_products(self, monkeypatch):
+        # Jones is read off the bracket's exponent keys: with the Laurent
+        # product and power disabled it still computes every fixture.
+        diags = [load_diagram(path.name) for path in sorted(FIXTURES.glob("*.gauss"))]
+        expected = [jones_from_bracket(state_sum_bracket(x), writhe(x)) for x in diags]
+
+        def refuse(*args):
+            raise AssertionError("a Laurent product or power was computed")
+
+        for op in ("__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(Laurent, op, refuse)
+        with pytest.raises(AssertionError):
+            tq(1) ** 2
+        for diag, want in zip(diags, expected):
+            assert jones(diag) == want, diag
 
     def test_writhe_normalization(self):
         # A single positive kink must cancel exactly (Jones of unknot).
