@@ -15,10 +15,11 @@ the Tutte polynomial, the duality invariant and, through the all-A
 state graph of a diagram, the bracket and the Jones polynomial in
 :mod:`ribbongraphs.links` read one histogram of (|F|, k(F), f(F),
 negative edges in F), :func:`_subgraph_profiles`, and map the exponent
-keys of its terms.  The cost of its frontier engine follows the width
-of an edge order, not 2^e, and that width is zero at a one-point join
-or disjoint union, over which R is multiplicative (Bollobás and
-Riordan, Math. Ann. 323, 2002).  ``BR_MAX_EDGES`` limits the edge count.
+keys of its terms.  One frontier engine computes it at every size.  Its
+cost follows the width of an edge order, not 2^e, and that width is
+zero at a one-point join or disjoint union, over which R is
+multiplicative (Bollobás and Riordan, Math. Ann. 323, 2002).
+``BR_MAX_EDGES`` limits the edge count.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ __all__ = [
 ]
 
 BR_MAX_EDGES = 24
-
-# Below this many edges one sweep over all 2^e subsets takes less time
-# than the frontier engine, whose per-state work costs more than the
-# sweep's per-subset step; see scripts/frontier_crossover.py.
-_FRONTIER_MIN_EDGES = 8
 
 
 def _outcome(inner: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, tuple]:
@@ -80,10 +76,9 @@ _OUTCOMES = {
 
 def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
     """Histogram of (|F|, k(F), f(F), negative edges in F) over all 2^e
-    spanning subgraphs F: by one sweep (:func:`_sweep`) under
-    ``_FRONTIER_MIN_EDGES`` edges, else by frontier dynamic programming on
-    the boundary walk, as Sekine, Imai and Tani (ISAAC 1995) compute the
-    Tutte polynomial.  It decides the edges in a greedy order.  A state
+    spanning subgraphs F, by frontier dynamic programming on the boundary
+    walk, as Sekine, Imai and Tani (ISAAC 1995) compute the Tutte
+    polynomial.  It decides the edges in a greedy order.  A state
     is the matching that the decided bands induce on the frontier (the
     corners of undecided edges whose ``sigma`` arc leads to a decided
     one) and the partition of the circles in play into components, each
@@ -98,9 +93,6 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
         for i, j in enumerate(partner)
         if i < j
     ]
-    if len(edges) < _FRONTIER_MIN_EDGES:
-        tau = [c ^ 1 for c in range(len(sigma))]  # every band excluded
-        return _sweep(edges, sigma, tau, list(range(v)), v)
     width = (2 * len(edges) + v).bit_length()  # every field fits below 2^width
     left = [len(circle) for circle in g.circles]  # undecided occurrences
     where = {x: n for n, edge in enumerate(edges) for x in edge[:4]}  # edge of a corner
@@ -182,56 +174,6 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
         h += off
         profiles[h & mask, h >> 3 * width, h >> 2 * width & mask, h >> width & mask] = count
     return profiles
-
-
-def _sweep(edges, sigma, tau, parent, v) -> dict[tuple[int, int, int, int], int]:
-    """Histogram of (|F|, k(F), f(F), negative edges in F) over the spanning
-    subgraphs F of the bands ``edges``, from one depth-first include/exclude
-    sweep.  ``tau`` and ``parent`` come in with no band included and go
-    back out that way.
-
-    The boundary components of F are the cycles of the alternating walk
-    over the arc matching ``sigma`` of the occurrence table
-    :func:`ribbongraphs.ribbon._flat` and the side matching ``tau`` of F's
-    bands, which pairs corners 2i and 2i+1 where F excludes i's edge.  The
-    sweep never traces them whole: including the edge with corners a, b
-    and c, d trades tau's pairs ab, cd for bc, da; walking on from b, the
-    first of a, c, d met shows that this joins two boundary components,
-    splits one, or neither.  Components of F come from a union-find
-    without path compression, undone on backtrack.
-    """
-    size, k, f, neg = 0, v, v, 0
-    hist = {(size, k, f, neg): 1}
-    # depth-first over the included edges, innermost last, each with
-    # what undoing it needs: (edge, attached root, change of f, of k)
-    stack: list[tuple[int, int, int, int]] = []
-    j = 0
-    while True:
-        if j < len(edges):
-            a, b, c, d, u, w, minus = edges[j]
-            x = sigma[b]
-            while x != a and x != c and x != d:
-                x = sigma[tau[x]]
-            tau[a], tau[b], tau[c], tau[d] = d, c, b, a
-            while parent[u] != u:
-                u = parent[u]
-            while parent[w] != w:
-                w = parent[w]
-            parent[u] = w
-            df, dk = (x == c) - (x == a), int(u != w)
-            stack.append((j, u, df, dk))
-            size, k, f, neg = size + 1, k - dk, f + df, neg + minus
-            key = (size, k, f, neg)
-            hist[key] = hist.get(key, 0) + 1
-        elif stack:
-            j, u, df, dk = stack.pop()
-            a, b, c, d, _, _, minus = edges[j]
-            tau[a], tau[b], tau[c], tau[d] = b, a, d, c
-            parent[u] = u
-            size, k, f, neg = size - 1, k + dk, f - df, neg - minus
-        else:
-            return hist
-        j += 1
 
 
 def _r_terms(g: SignedRibbonGraph, restrict: bool) -> dict[tuple[int, ...], int]:

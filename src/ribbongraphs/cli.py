@@ -206,7 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     g = _load_graph(args.file)
     count, subsets = _subset_pool(g, args.samples, args.seed)
     e = g.num_edges
-    # duality mode sweeps all 2^e subgraphs of each checked dual
+    # duality mode reads one subgraph histogram of each checked dual
     if args.mode == "duality" and count << e > 1 << BR_MAX_EDGES:
         raise TooManyEdges(
             f"{count} subsets × 2^{e} subgraphs exceed the state-sum guard "

@@ -980,7 +980,7 @@ class SubgraphStats:
 
 def subgraph_stats(g: SignedRibbonGraph, subset: Iterable[str]) -> SubgraphStats:
     """Stats of the spanning subgraph keeping only ``subset`` edges, by
-    rebuilding it: the per-subset reference for the sweep of ``br``."""
+    rebuilding it: the per-subset reference for the histogram of ``br``."""
     keep = set(subset)
     sub = stats(
         SignedRibbonGraph(
@@ -994,7 +994,7 @@ def subgraph_stats(g: SignedRibbonGraph, subset: Iterable[str]) -> SubgraphStats
 
 class SubsetEngine:
     """Stats of one spanning subgraph per bitmask, rebuilt from scratch:
-    the per-mask reference for the incremental sweep of ``br``.
+    the per-mask reference for the subgraph histogram of ``br``.
 
     Corner ids follow the convention of :mod:`ribbongraphs.ribbon`
     (2i and 2i+1 for the tail and head of global occurrence i), but
@@ -1216,9 +1216,61 @@ def split_blocks(g: SignedRibbonGraph) -> list[list[int]]:
     return list(blocks.values())
 
 
+def sweep_profiles(edges, sigma, tau, parent, v) -> dict[tuple[int, int, int, int], int]:
+    """Histogram of (|F|, k(F), f(F), negative edges in F) over the spanning
+    subgraphs F of the bands ``edges``, from one depth-first include/exclude
+    sweep.  ``tau`` and ``parent`` come in with no band included and go
+    back out that way.
+
+    The boundary components of F are the cycles of the alternating walk
+    over the arc matching ``sigma`` of the occurrence table
+    :func:`ribbongraphs.ribbon._flat` and the side matching ``tau`` of F's
+    bands, which pairs corners 2i and 2i+1 where F excludes i's edge.  The
+    sweep never traces them whole: including the edge with corners a, b
+    and c, d trades tau's pairs ab, cd for bc, da; walking on from b, the
+    first of a, c, d met shows that this joins two boundary components,
+    splits one, or neither.  Components of F come from a union-find
+    without path compression, undone on backtrack.  ``br`` ran this sweep
+    over all the edges of graphs under 8 edges, before its frontier engine
+    took every size.
+    """
+    size, k, f, neg = 0, v, v, 0
+    hist = {(size, k, f, neg): 1}
+    # depth-first over the included edges, innermost last, each with
+    # what undoing it needs: (edge, attached root, change of f, of k)
+    stack: list[tuple[int, int, int, int]] = []
+    j = 0
+    while True:
+        if j < len(edges):
+            a, b, c, d, u, w, minus = edges[j]
+            x = sigma[b]
+            while x != a and x != c and x != d:
+                x = sigma[tau[x]]
+            tau[a], tau[b], tau[c], tau[d] = d, c, b, a
+            while parent[u] != u:
+                u = parent[u]
+            while parent[w] != w:
+                w = parent[w]
+            parent[u] = w
+            df, dk = (x == c) - (x == a), int(u != w)
+            stack.append((j, u, df, dk))
+            size, k, f, neg = size + 1, k - dk, f + df, neg + minus
+            key = (size, k, f, neg)
+            hist[key] = hist.get(key, 0) + 1
+        elif stack:
+            j, u, df, dk = stack.pop()
+            a, b, c, d, _, _, minus = edges[j]
+            tau[a], tau[b], tau[c], tau[d] = b, a, d, c
+            parent[u] = u
+            size, k, f, neg = size - 1, k + dk, f - df, neg - minus
+        else:
+            return hist
+        j += 1
+
+
 def split_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
     """The histogram of ``br._subgraph_profiles`` by the split sweep: one
-    ``br._sweep`` per join block (:func:`split_blocks`), convolved.
+    :func:`sweep_profiles` per join block (:func:`split_blocks`), convolved.
 
     Each sweep toggles only its block's edges on the table of ``g`` and
     keeps every other band excluded.  R is multiplicative over one-point
@@ -1238,7 +1290,7 @@ def split_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]
              home[i], home[partner[i]], int(g.signs[labels[i]] < 0))
             for i in block
         ]
-        part = br._sweep(edges, sigma, tau, parent, v)
+        part = sweep_profiles(edges, sigma, tau, parent, v)
         joined: dict[tuple[int, int, int, int], int] = {}
         for (size, k, f, neg), count in hist.items():
             for (size2, k2, f2, neg2), count2 in part.items():

@@ -211,8 +211,8 @@ def all_a(diagram) -> SignedRibbonGraph:
 def frontier_corpus() -> list[SignedRibbonGraph]:
     """Seeded graphs of up to 14 edges for the frontier engine: random
     graphs, sized ones with one circle or many, the split families,
-    bouquets, chord rings, plane graphs, and the all-A state graphs of
-    braid closures and of random Gauss codes."""
+    bouquets, forests, chord rings, plane graphs, and the all-A state
+    graphs of braid closures and of random Gauss codes."""
     rng = random.Random(113)
     corpus = graph_corpus(113, 300, max_edges=12)
     corpus += [sized_graph(rng, e, 1) for e in range(8, 15) for _ in range(3)]
@@ -225,6 +225,12 @@ def frontier_corpus() -> list[SignedRibbonGraph]:
     corpus += plane_corpus(113, 60, grows=6)
     corpus += [all_a(braid_closure(rng, 14, 5)) for _ in range(40)]
     corpus += [all_a(sized_diagram(rng, n, rng.randint(1, 3))) for n in range(4, 15) for _ in range(4)]
+    # either side of the 8 edges where the sweep of all subsets once
+    # handed over to the engine
+    rng = random.Random(127)
+    corpus += [sized_graph(rng, e, rng.randint(1, 2 * e)) for e in (7, 8) for _ in range(12)]
+    corpus += [bouquet(7), bouquet(8), forest(7), forest(8)]
+    corpus += [all_a(sized_diagram(rng, n, 1)) for n in (7, 8) for _ in range(6)]
     return corpus
 
 
@@ -232,8 +238,7 @@ class TestFrontier:
     """The frontier engine of ``br._subgraph_profiles`` against the split
     sweep (``split_profiles``) and one rebuild per subset."""
 
-    def test_matches_split_sweep_and_subsets(self, monkeypatch):
-        monkeypatch.setattr(br, "_FRONTIER_MIN_EDGES", 0)  # the engine at every size
+    def test_matches_split_sweep_and_subsets(self):
         corpus = frontier_corpus()
         sizes = {g.num_edges for g in corpus}
         assert set(range(15)) <= sizes
@@ -249,17 +254,6 @@ class TestFrontier:
                 checked += g.num_edges > 9
                 assert hist == subset_profiles(g), g
         assert checked == 40
-
-    def test_at_the_crossover(self):
-        # either side of the calibrated edge count, with the default choice
-        t = br._FRONTIER_MIN_EDGES
-        rng = random.Random(127)
-        corpus = [sized_graph(rng, e, rng.randint(1, 2 * e)) for e in (t - 1, t) for _ in range(12)]
-        corpus += [bouquet(t - 1), bouquet(t), forest(t - 1), forest(t)]
-        corpus += [all_a(sized_diagram(rng, n, 1)) for n in (t - 1, t) for _ in range(6)]
-        for g in corpus:
-            hist = br._subgraph_profiles(g)
-            assert hist == split_profiles(g) == subset_profiles(g), g
 
     def test_guard_size_in_time(self):
         # At the 24-edge guard the frontier stays narrow: R and the
@@ -339,7 +333,7 @@ class TestBollobasRiordan:
             assert bollobas_riordan(join) == rg * rh
 
     def test_matches_subset_engine_oracle(self):
-        # The incremental sweep against one rebuild per subset, on graphs
+        # The subgraph histogram against one rebuild per subset, on graphs
         # larger than the other tests use.
         rng = random.Random(73)
         corpus = graph_corpus(73, 300, max_edges=10)

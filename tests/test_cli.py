@@ -280,7 +280,7 @@ class TestVerify:
         assert drawn == list(dict.fromkeys(raw))[:4096]
 
     def test_duality_guard_exit_3(self, capsys, tmp_path):
-        # 200 samples, each one 2^17 sweep, exceed 2^24 subgraphs; the
+        # 200 samples, each one histogram of 2^17 subgraphs, exceed 2^24; the
         # guard trips before any subset is drawn or checked.
         labels = [f"e{i}" for i in range(17)]
         decl = " ".join(f"{l}:+" for l in labels)

@@ -318,7 +318,7 @@ class TestBracket:
         )
 
     def test_matches_state_sum_oracle(self):
-        # The bracket through the subset sweep of the all-A state graph
+        # The bracket through the subgraph histogram of the all-A state graph
         # against one traced state at a time, and Jones from each.
         rng = random.Random(79)
         corpus = [parse_gauss("")] + [random_link(rng, 9) for _ in range(300)]
@@ -345,7 +345,7 @@ class TestBracket:
         assert kauffman_bracket(diag) == state_sum_bracket(diag) == d**-1
 
     def test_guard(self):
-        # the bracket runs R's subset sweep, so R's constant limits it
+        # the bracket reads R's subgraph histogram, so R's constant limits it
         message = r"^25 crossings exceed the state-sum guard of 24 \(2\^25 states\)$"
         with pytest.raises(TooManyCrossings, match=message):
             kauffman_bracket(over_then_under(BR_MAX_EDGES + 1))

@@ -23,7 +23,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # resolve_state now returns, BR_MAX_EDGES for the bracket, the builtin
 # IndexError that the helpers' one_point_join raises, canonical_form
 # and the circle walk for the form-and-orientability pair of _form, and
-# _FRONTIER_MIN_EDGES for the split sweep's crossover)
+# the frontier engine, which now runs at every size, for the crossover
+# constants _SPLIT_MIN_EDGES and _FRONTIER_MIN_EDGES)
 REMOVED = [
     ("polynomial", "monomial", None),
     ("polynomial", "parse_poly", "parse_poly"),
@@ -38,6 +39,8 @@ REMOVED = [
     ("br", "_join_blocks", "split_blocks"),
     ("br", "_interlaced", "interlaced"),
     ("br", "_SPLIT_MIN_EDGES", None),
+    ("br", "_sweep", "sweep_profiles"),
+    ("br", "_FRONTIER_MIN_EDGES", None),
     ("links", "StateExpansion", None),
     ("links", "BRACKET_MAX_CROSSINGS", None),
     ("ribbon", "boundary_components", "boundary_components"),
