@@ -1,25 +1,34 @@
 #!/usr/bin/env python3
-"""Time the frontier engine against the sweep of all 2^e subsets, per
-input size.
+"""Time the frontier engine per input size, against the sweep of all 2^e
+subsets up to 16 edges, and print the frontier widths of its plan.
 
-For each cell, a seeded set of graphs goes through
+Small cells: for each, a seeded set of graphs goes through
 ``br._subgraph_profiles`` and through the depth-first sweep over all
 2^e subsets that it replaced, ``tests.helpers.sweep_profiles``, run on
 the same occurrence table.  Graphs come from ``tests.helpers.sized_graph``
 (e edges on v circles, e = 2-16) and from the all-A state graphs of
 ``tests.helpers.sized_diagram`` (n crossings on one or two strands,
 n = 4-14).  Each figure is the best of three passes, in microseconds
-per graph; ``ratio`` is frontier over sweep.  The per-size costs are
-what a guard on the engine's work would be calibrated from.
+per graph; ``ratio`` is frontier over sweep.
+
+Large families, at e = n = 16, 20, 24 and 28: the all-A state graphs of
+one-strand diagrams, one-circle graphs, and graphs on v = e/2 circles,
+a few seeds each.  Each graph gets its own line: its engine time (best
+of three, ms), the sweep's up to 16 edges, the widest frontier of the
+engine's planned edge order, and the state-free proxy sum of 2^(w/2)
+over the planned width w after each step; each family and size ends
+with the median time.  A guard on the engine's work would be
+calibrated from these figures.
 
 Run from the repository root:  python3 scripts/frontier_cost.py
-(about a minute on a 2-core host).
+(a minute or two on a 2-core host).
 """
 
 from __future__ import annotations
 
 import os
 import random
+import statistics
 import sys
 import time
 
@@ -32,20 +41,37 @@ from ribbongraphs.ribbon import _flat
 from tests.helpers import sized_diagram, sized_graph, sweep_profiles
 
 SEED = 2007
+SWEEP_MAX_EDGES = 16
+LARGE_SEEDS = 4
 
 
 def whole_sweep(g) -> dict:
     """The histogram of ``br._subgraph_profiles`` by one sweep over all
-    the edges of ``g``, with the edge list built as the engine builds it."""
-    labels, _, home, partner, sigma = _flat(g)
-    v = g.num_vertices
-    edges = [
-        (2 * i, 2 * i + 1, 2 * j, 2 * j + 1, home[i], home[j], int(g.signs[labels[i]] < 0))
-        for i, j in enumerate(partner)
-        if i < j
-    ]
+    the edges of ``g``, on the engine's edge list."""
+    sigma = _flat(g)[4]
     tau = [c ^ 1 for c in range(len(sigma))]  # every band excluded
-    return sweep_profiles(edges, sigma, tau, list(range(v)), v)
+    return sweep_profiles(br._edges(g), sigma, tau, list(range(g.num_vertices)), g.num_vertices)
+
+
+def planned_widths(g) -> list[int]:
+    """The frontier width after each step of the engine's planned order:
+    a corner is on the frontier once the edge at its arc's other end is
+    decided, until its own edge is."""
+    edges, sigma = br._edges(g), _flat(g)[4]
+    order = br._edge_order(edges, sigma)
+    due = [0] * len(sigma)  # the step that decides each corner's edge
+    for t, n in enumerate(order):
+        for x in edges[n][:4]:
+            due[x] = t
+    widths, w = [], 0
+    for t, n in enumerate(order):
+        for x in edges[n][:4]:
+            if due[sigma[x]] < t:  # x leaves the frontier
+                w -= 1
+            elif due[sigma[x]] > t:  # the other end of x's arc joins it
+                w += 1
+        widths.append(w)
+    return widths
 
 
 def per_graph_us(graphs, profiles) -> float:
@@ -68,10 +94,23 @@ def row(name: str, graphs) -> None:
     print(f"{name:<20} {len(graphs):>6} {sweep:>12.0f} {frontier:>12.0f} {frontier / sweep:>7.2f}")
 
 
+def large(name: str, graphs) -> None:
+    times = []
+    for seed, g in enumerate(graphs, 1):
+        _flat(g)
+        widths = planned_widths(g)
+        frontier = per_graph_us([g], br._subgraph_profiles) / 1000
+        times.append(frontier)
+        sweep = f"{per_graph_us([g], whole_sweep) / 1000:.1f}" if g.num_edges <= SWEEP_MAX_EDGES else "-"
+        proxy = sum(2 ** (w / 2) for w in widths)
+        print(f"{name:<16} {seed:>4} {frontier:>12.1f} {sweep:>10} {max(widths):>6} {proxy:>8.0f}")
+    print(f"{name:<16} {'all':>4} {statistics.median(times):>12.1f} median")
+
+
 def main() -> None:
     rng = random.Random(SEED)
     print(f"{'cell':<20} {'graphs':>6} {'sweep_us':>12} {'frontier_us':>12} {'ratio':>7}")
-    for e in range(2, 17):
+    for e in range(2, SWEEP_MAX_EDGES + 1):
         count = 40 if e <= 10 else 12 if e <= 13 else 3
         for v in sorted({1, max(1, e // 2), e, 2 * e * 3 // 4}):
             row(f"e={e} v={v}", [sized_graph(rng, e, v) for _ in range(count)])
@@ -80,6 +119,13 @@ def main() -> None:
         for strands in (1, 2):
             diagrams = [sized_diagram(rng, n, strands) for _ in range(count)]
             row(f"all-A n={n} c={strands}", [state_ribbon_graph(d, all_A_state(d)) for d in diagrams])
+    print()
+    print(f"{'family':<16} {'seed':>4} {'frontier_ms':>12} {'sweep_ms':>10} {'peak_w':>6} {'proxy':>8}")
+    for e in (16, 20, 24, 28):
+        diagrams = [sized_diagram(rng, e, 1) for _ in range(LARGE_SEEDS)]
+        large(f"all-A n={e} c=1", [state_ribbon_graph(d, all_A_state(d)) for d in diagrams])
+        large(f"e={e} v=1", [sized_graph(rng, e, 1) for _ in range(LARGE_SEEDS)])
+        large(f"e={e} v={e // 2}", [sized_graph(rng, e, e // 2) for _ in range(LARGE_SEEDS)])
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ state graph of a diagram, the bracket and the Jones polynomial in
 :mod:`ribbongraphs.links` read one histogram of (|F|, k(F), f(F),
 negative edges in F), :func:`_subgraph_profiles`, and map the exponent
 keys of its terms.  One frontier engine computes it at every size.  Its
-cost follows the width of an edge order, not 2^e, and that width is
-zero at a one-point join or disjoint union, over which R is
-multiplicative (Bollobás and Riordan, Math. Ann. 323, 2002).
+cost follows the width of the edge order it plans before any state
+exists, not 2^e, and that width is zero at a one-point join or disjoint
+union, over which R is multiplicative (Bollobás and Riordan, Math. Ann.
+323, 2002).
 ``BR_MAX_EDGES`` limits the edge count.
 """
 
@@ -74,70 +75,120 @@ _OUTCOMES = {
 }
 
 
-def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
-    """Histogram of (|F|, k(F), f(F), negative edges in F) over all 2^e
-    spanning subgraphs F, by frontier dynamic programming on the boundary
-    walk, as Sekine, Imai and Tani (ISAAC 1995) compute the Tutte
-    polynomial.  It decides the edges in a greedy order.  A state
-    is the matching that the decided bands induce on the frontier (the
-    corners of undecided edges whose ``sigma`` arc leads to a decided
-    one) and the partition of the circles in play into components, each
-    named by its least circle.  Its histogram counts packed keys of (|F|,
-    negative edges, closed boundary cycles, closed components), as an
-    offset and a dict that states share until a merge copies it.
-    """
-    labels, _, home, partner, sigma = _flat(g)
-    v = g.num_vertices
-    edges = [
+def _edges(g: SignedRibbonGraph) -> list[tuple[int, ...]]:
+    """The edges of ``g`` by first occurrence i, each as its corners 2i,
+    2i + 1, 2j, 2j + 1 in the table :func:`_flat` (j the second
+    occurrence), the circles of i and j, and 1 if it is negative."""
+    labels, _, home, partner, _ = _flat(g)
+    return [
         (2 * i, 2 * i + 1, 2 * j, 2 * j + 1, home[i], home[j], int(g.signs[labels[i]] < 0))
         for i, j in enumerate(partner)
         if i < j
     ]
-    width = (2 * len(edges) + v).bit_length()  # every field fits below 2^width
-    left = [len(circle) for circle in g.circles]  # undecided occurrences
-    where = {x: n for n, edge in enumerate(edges) for x in edge[:4]}  # edge of a corner
-    # corners whose arc leads to a decided edge or to the edge itself;
-    # a decided edge scores -1 and undecided ones at least 0
-    score = [sum(where[sigma[x]] == n for x in edge[:4]) for n, edge in enumerate(edges)]
-    slot, free, wide = [-1] * len(sigma), [], 0  # frontier slots
-    empty = g.circles.count(())  # each a closed component and boundary cycle
-    states: dict = {((), (-1,) * v): (empty << 2 * width | empty << 3 * width, {0: 1})}
+
+
+def _edge_order(edges: list[tuple], sigma: list[int]) -> list[int]:
+    """The order in which :func:`_subgraph_profiles` decides ``edges``,
+    planned before any state exists.  Next comes the edge with the most
+    corners whose arc leads to an edge already decided, or to itself.  A
+    tie goes to the edge whose arcs lead to the highest-scored undecided
+    edges, by the sum of their scores, and then to the lowest occurrence."""
+    where = [0] * len(sigma)  # the edge of each corner
+    for n, (a, _, c, *_) in enumerate(edges):
+        where[a] = where[a + 1] = where[c] = where[c + 1] = n
+    # the edges that each edge's arcs lead to: m is near n as often as n is near m
+    near = [[where[sigma[x]] for x in edge[:4]] for edge in edges]
+    score = [ends.count(n) for n, ends in enumerate(near)]
+    # rank = 32 * score + the scores of the other undecided edges that the
+    # arcs lead to, at most 4 * 4; a decided edge ranks below 0
+    rank = [32 * s for s in score]
+    for m, s in enumerate(score):
+        for k in near[m] if s else ():
+            if k != m:
+                rank[k] += s
+    order = []
     for _ in edges:
-        n = max(range(len(edges)), key=score.__getitem__)  # the first of equals
-        score[n] = -1
+        n = rank.index(max(rank))  # the first of equals
+        order.append(n)
+        rank[n] = -1
+        for m in near[n]:
+            if rank[m] >= 0:  # m scores one more, and n's score leaves its sum
+                score[m] += 1
+                rank[m] += 32 - score[n]
+                for k in near[m]:
+                    if k != m and rank[k] >= 0:
+                        rank[k] += 1
+    return order
+
+
+def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
+    """Histogram of (|F|, k(F), f(F), negative edges in F) over all 2^e
+    spanning subgraphs F, by frontier dynamic programming on the boundary
+    walk, as Sekine, Imai and Tani (ISAAC 1995) compute the Tutte
+    polynomial.  It plans every step before any state exists: the edge
+    order of :func:`_edge_order` and the frontier slots of the corners,
+    each held from the step that decides its arc's other end to the step
+    that decides its own edge.  A state is the matching that the decided
+    bands induce on the frontier (the corners of undecided edges whose
+    ``sigma`` arc leads to a decided one) and the partition of the circles
+    in play into components, each named by its least circle.  Its
+    histogram counts packed keys of (|F|, negative edges, closed boundary
+    cycles, closed components), as an offset and a dict that states share
+    until a merge copies one.
+    """
+    sigma, edges = _flat(g)[4], _edges(g)
+    v = g.num_vertices
+    width = (2 * len(edges) + v).bit_length()  # every field fits below 2^width
+    order = _edge_order(edges, sigma)
+    due = [0] * len(sigma)  # the step that decides each corner's edge
+    for t, n in enumerate(order):
+        a, _, c, *_ = edges[n]
+        due[a] = due[a + 1] = due[c] = due[c + 1] = t
+    left = [len(circle) for circle in g.circles]  # undecided occurrences
+    # a corner keeps its slot for its whole stay, so the run reads slot too
+    slot, free, wide, plan = [-1] * len(sigma), [], 0, []
+    for t, n in enumerate(order):
         a, b, c, d, u, w, minus = edges[n]
-        local = {a: 0, b: 1, c: 2, d: 3}
-        probe = []  # per corner, its frontier slot or -1 and its arc's end
+        probe, grown = [], wide  # per corner, its slot or -1 and its arc's end
         for x in (a, b, c, d):
             s, y = slot[x], sigma[x]
-            probe.append((s, y))
+            probe += (s, y)
             if s >= 0:  # x leaves the frontier
                 free.append(s)
-            elif score[where[y]] >= 0:  # y joins the frontier
+            elif due[y] > t:  # y joins the frontier
                 slot[y] = free.pop() if free else wide
                 wide += slot[y] == wide
-            if score[where[y]] >= 0:
-                score[where[y]] += 1
         left[u] -= 1
         left[w] -= 1
-        done = [x for x in {u, w} if not left[x]]
-        gain = 1 + (minus << width)
+        plan.append((
+            (a, b, c, d, u, w, [x for x in {u, w} if not left[x]], 1 + (minus << width)),
+            probe,
+            (0,) * (wide - grown),  # the slots opened at this step
+            [s for s in probe[::2] if s in free],  # the slots left free at this step
+        ))
+    empty = g.circles.count(())  # each a closed component and boundary cycle
+    cw, sw = 2 * width, 3 * width
+    states: dict = {((), (-1,) * v): (empty << cw | empty << sw, {0: 1})}
+    inner = [-1] * len(sigma)  # 0-3 at the corners of the edge being decided
+    for (a, b, c, d, u, w, done, gain), (sa, ya, sb, yb, sc, yc, sd, yd), pad, clear in plan:
+        inner[a], inner[b], inner[c], inner[d] = 0, 1, 2, 3
         nxt: dict = {}
-        owned = set()  # keys of nxt whose dict was copied in this layer
-        moved: dict = {}  # (partition, include) -> (partition, closed)
+        owned = set()  # keys of nxt whose dict was copied at this step
+        moved: dict = {}  # partition -> its (partition, offset) if included, excluded
         for (m, comp), (off, hist) in states.items():
-            ends = [m[s] if s >= 0 else y for s, y in probe]  # the corners' far ends
-            base = list(m) + [0] * (wide - len(m))
-            for s in free:  # slots left free hold 0
+            ends = (  # the corners' far ends
+                m[sa] if sa >= 0 else ya,
+                m[sb] if sb >= 0 else yb,
+                m[sc] if sc >= 0 else yc,
+                m[sd] if sd >= 0 else yd,
+            )
+            base = [*m, *pad] if pad else list(m)
+            for s in clear:  # free slots hold 0
                 base[s] = 0
-            outcomes = _OUTCOMES[tuple([local.get(x, -1) for x in ends])]  # relinks
-            for include, (closed, pairs) in zip((1, 0), outcomes):
-                new = base.copy()
-                for y, z in pairs:
-                    new[slot[ends[y]]] = ends[z]
-                    new[slot[ends[z]]] = ends[y]
-                step = moved.get((comp, include))
-                if step is None:
+            steps = moved.get(comp)
+            if steps is None:  # the same for every state with this partition
+                steps = moved[comp] = []
+                for include in (1, 0):
                     lab = list(comp)
                     lab[u] = u if lab[u] < 0 else lab[u]  # met now: on its own
                     lab[w] = w if lab[w] < 0 else lab[w]
@@ -152,27 +203,43 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
                             lab = [heir if y == x else y for y in lab]
                         elif name == x:  # none of its circles is left: it closes
                             shut += 1
-                    step = moved[(comp, include)] = (tuple(lab), shut)
-                comp2, shut = step
-                at = off + gain * include + (closed << 2 * width) + (shut << 3 * width)
+                    steps.append((tuple(lab), gain * include + (shut << sw)))
+            outcomes = _OUTCOMES[inner[ends[0]], inner[ends[1]], inner[ends[2]], inner[ends[3]]]
+            for (closed, pairs), (comp2, at) in zip(outcomes, steps):
+                new = base  # shared by a child that joins no ends
+                if pairs:
+                    new = base.copy()
+                    for y, z in pairs:
+                        new[slot[ends[y]]] = ends[z]
+                        new[slot[ends[z]]] = ends[y]
                 key = (tuple(new), comp2)
-                if key not in nxt:
+                at += off + (closed << cw)
+                old = nxt.get(key)
+                if old is None:
                     nxt[key] = (at, hist)
                     continue
-                at0, big = nxt[key]
-                if key not in owned:
+                at0, big = old
+                small = hist
+                if len(small) > len(big):  # fold the smaller into a copy of the larger
+                    at0, big, at, small = at, small.copy(), at0, big
+                    owned.add(key)
+                    nxt[key] = (at0, big)
+                elif key not in owned:
                     owned.add(key)
                     big = big.copy()
                     nxt[key] = (at0, big)
-                for h, count in hist.items():
-                    h += at - at0
-                    big[h] = big.get(h, 0) + count
+                at -= at0
+                get = big.get
+                for h, count in small.items():
+                    h += at
+                    big[h] = get(h, 0) + count
         states = nxt
+        inner[a] = inner[b] = inner[c] = inner[d] = -1
     ((off, hist),) = states.values()
     mask, profiles = (1 << width) - 1, {}
     for h, count in hist.items():
         h += off
-        profiles[h & mask, h >> 3 * width, h >> 2 * width & mask, h >> width & mask] = count
+        profiles[h & mask, h >> sw, h >> cw & mask, h >> width & mask] = count
     return profiles
 
 

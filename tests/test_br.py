@@ -255,6 +255,47 @@ class TestFrontier:
                 assert hist == subset_profiles(g), g
         assert checked == 40
 
+    def test_any_edge_order(self, monkeypatch):
+        # The plan holds for whatever order decides the edges: with seeded
+        # random permutations in place of _edge_order, the histogram is
+        # the split sweep's and, up to 9 edges, one rebuild per subset's.
+        rng = random.Random(139)
+
+        def shuffled(edges, sigma):
+            order = list(range(len(edges)))
+            rng.shuffle(order)
+            return order
+
+        monkeypatch.setattr(br, "_edge_order", shuffled)
+        for g in frontier_corpus():
+            want = split_profiles(g)
+            for _ in range(3):
+                assert br._subgraph_profiles(g) == want, g
+            if g.num_edges <= 9:
+                assert br._subgraph_profiles(g) == subset_profiles(g), g
+
+    def test_edge_order_is_a_deterministic_permutation(self):
+        # Every edge is decided once, in an order fixed by the graph alone:
+        # the same again, and the same for an equal graph built afresh.
+        for g in frontier_corpus():
+            edges = br._edges(g)
+            order = br._edge_order(edges, _flat(g)[4])
+            assert sorted(order) == list(range(len(edges))), g
+            assert br._edge_order(edges, _flat(g)[4]) == order, g
+            h = SignedRibbonGraph(g.circles, dict(g.signs))
+            assert br._edge_order(br._edges(h), _flat(h)[4]) == order, g
+
+    def test_edge_order_breaks_ties_by_lookahead(self):
+        # On the circle 1 2 3 3 4 4 2 1, the arcs of edges 1, 3 and 4 each
+        # lead twice to the edge itself.  The other arcs of 3 and of 4 lead
+        # to each other (score 2) and to 2 (score 0), those of 1 only to 2,
+        # so 3 goes first and not 1, the lowest occurrence.  Then 4 scores
+        # 3, and 1 and 2 tie at 2 with equal lookahead, so 1 goes before 2.
+        g = parse_ribbon_graph("edges: 1:+ 2:+ 3:+ 4:-\ncircle: 1 2 3 3 4 4 2 1\n")
+        labels, edges = _flat(g)[0], br._edges(g)
+        order = br._edge_order(edges, _flat(g)[4])
+        assert [labels[edges[n][0] >> 1] for n in order] == ["3", "4", "1", "2"]
+
     def test_guard_size_in_time(self):
         # At the 24-edge guard the frontier stays narrow: R and the
         # bracket each finish in well under 2 s of process time, where the

@@ -16,14 +16,24 @@ import pytest
 import ribbongraphs
 from ribbongraphs import cli
 from ribbongraphs.duality import partial_dual
-from ribbongraphs.polynomial import RING_XY, Laurent
+from ribbongraphs.links import serialize_gauss
+from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XY, Laurent
 from ribbongraphs.ribbon import (
     SignedRibbonGraph,
     parse_ribbon_graph,
     serialize_ribbon_graph,
 )
 
-from .helpers import FIXTURES, bouquet, cli_corpus, forest, graph_corpus, table_builds
+from .helpers import (
+    FIXTURES,
+    bouquet,
+    braid_word_closure,
+    cli_corpus,
+    forest,
+    graph_corpus,
+    parse_poly,
+    table_builds,
+)
 
 
 def run(capsys, *argv):
@@ -464,6 +474,25 @@ class TestLinksCommands:
         assert code == 2
         assert out == ""
         assert "0/1 string" in err
+
+    def test_braid_closures_at_the_guard(self, capsys, tmp_path):
+        # Closures of seeded 4-strand braid words with 20-24 crossings, up
+        # to the guard of 24.  Two identities need no second state sum:
+        # the bracket in A, B and d sums to its 2^n states, and
+        # V(1) = (-2)^(c-1) for a link of c components.
+        rng = random.Random(149)
+        path = tmp_path / "braid.gauss"
+        for n in (20, 21, 22, 23, 24, 24):
+            word = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(n)]
+            diagram = braid_word_closure(4, word)
+            path.write_text(serialize_gauss(diagram))
+            code, out, err = run(capsys, "bracket", str(path))
+            assert (code, err) == (0, ""), word
+            assert sum(parse_poly(out, RING_ABD).terms.values()) == 2**n, word
+            code, out, err = run(capsys, "jones", str(path))
+            assert (code, err) == (0, ""), word
+            c = len(diagram.components)
+            assert sum(parse_poly(out, RING_T).terms.values()) == (-2) ** (c - 1), word
 
     def test_bracket_guard_exit_3(self, capsys, tmp_path):
         tokens = []
