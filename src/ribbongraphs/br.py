@@ -10,17 +10,17 @@ where s(F) is half the difference between the negative-edge counts of F
 and of its complement.  The half-integer bookkeeping lives in the doubled
 exponent keys of the polynomial ring.
 
-No subgraph is rebuilt and no deletion-contraction recursion runs.  R,
-the Tutte polynomial, the duality invariant and, through the all-A
-state graph of a diagram, the bracket and the Jones polynomial in
-:mod:`ribbongraphs.links` read one histogram of (|F|, k(F), f(F),
-negative edges in F), :func:`_subgraph_profiles`, and map the exponent
-keys of its terms.  One frontier engine computes it at every size.  Its
-cost follows the width of the edge order it plans before any state
-exists, not 2^e, and that width is zero at a one-point join or disjoint
-union, over which R is multiplicative (Bollobás and Riordan, Math. Ann.
-323, 2002).
-``BR_MAX_EDGES`` limits the edge count.
+No subgraph is rebuilt and no deletion-contraction recursion runs.  One
+frontier engine, :func:`_subgraph_profiles`, sums each caller's exponent
+key at every size: the caller names what an edge of either sign, a
+boundary cycle and a component of F add to its key.  So R (and through
+it Tutte), the duality invariant and, through the all-A state graph of a
+diagram, the bracket of :mod:`ribbongraphs.links` come out keyed; only R
+reads k(F), and the others run on states without the component
+partition.  The cost follows the width of the edge order planned before
+any state exists, not 2^e, and that width is zero at a one-point join or
+disjoint union, over which R is multiplicative (Bollobás and Riordan,
+Math. Ann. 323, 2002).  ``BR_MAX_EDGES`` limits the edge count.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import product
 
 from .errors import FractionalExponent, NegativeExponentNonUnit, TooManyEdges
 from .polynomial import RING_XY, RING_XYZ, Laurent
-from .ribbon import SignedRibbonGraph, _flat
+from .ribbon import SignedRibbonGraph, _flat, _walk
 
 __all__ = [
     "bollobas_riordan",
@@ -121,24 +121,35 @@ def _edge_order(edges: list[tuple], sigma: list[int]) -> list[int]:
     return order
 
 
-def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
-    """Histogram of (|F|, k(F), f(F), negative edges in F) over all 2^e
-    spanning subgraphs F, by frontier dynamic programming on the boundary
-    walk, as Sekine, Imai and Tani (ISAAC 1995) compute the Tutte
-    polynomial.  It plans every step before any state exists: the edge
-    order of :func:`_edge_order` and the frontier slots of the corners,
-    each held from the step that decides its arc's other end to the step
-    that decides its own edge.  A state is the matching that the decided
-    bands induce on the frontier (the corners of undecided edges whose
-    ``sigma`` arc leads to a decided one) and the partition of the circles
-    in play into components, each named by its least circle.  Its
-    histogram counts packed keys of (|F|, negative edges, closed boundary
-    cycles, closed components), as an offset and a dict that states share
+def _subgraph_profiles(
+    g: SignedRibbonGraph, positive, negative, cycle, component, start
+) -> dict[tuple[int, ...], int]:
+    """Histogram of the caller's exponent key over all 2^e spanning
+    subgraphs F: ``start``, plus ``positive`` per positive edge of F,
+    ``negative`` per negative one, ``cycle`` per boundary cycle and
+    ``component`` per component, each a vector as long as the key.
+    Frontier dynamic programming on the boundary walk, as Sekine, Imai and
+    Tani (ISAAC 1995) compute the Tutte polynomial, planned before any state
+    exists: the order of :func:`_edge_order`, and a frontier slot per corner
+    from the step that decides its arc's other end to the step that decides
+    its own edge.  A state is the matching the decided bands induce on the
+    frontier and, only if ``component`` is nonzero, the partition of the
+    circles in play into components, each named by its least circle.  Its
+    histogram counts packed keys, as an offset and a dict that states share
     until a merge copies one.
     """
     sigma, edges = _flat(g)[4], _edges(g)
-    v = g.num_vertices
-    width = (2 * len(edges) + v).bit_length()  # every field fits below 2^width
+    v, e = g.num_vertices, len(edges)
+    # no partial sum of a field leaves +-reach (at most e edges, v + e boundary
+    # cycles and v components), so a bias of 2^(width-1) keeps each field in place
+    reach = max(abs(s) + e * max(abs(p), abs(n)) + (v + e) * abs(f) + v * abs(k)
+                for p, n, f, k, s in zip(positive, negative, cycle, component, start))
+    width = reach.bit_length() + 1
+    fields, bias = range(0, width * len(start), width), 1 << width - 1
+    *gains, per_cycle, per_component, off = (  # each packed into one integer
+        sum(x << at for x, at in zip(vector, fields))
+        for vector in (positive, negative, cycle, component, [x + bias for x in start])
+    )
     order = _edge_order(edges, sigma)
     due = [0] * len(sigma)  # the step that decides each corner's edge
     for t, n in enumerate(order):
@@ -161,20 +172,22 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
         left[u] -= 1
         left[w] -= 1
         plan.append((
-            (a, b, c, d, u, w, [x for x in {u, w} if not left[x]], 1 + (minus << width)),
+            (a, b, c, d, u, w, [x for x in {u, w} if not left[x]], gains[minus]),
             probe,
             (0,) * (wide - grown),  # the slots opened at this step
             [s for s in probe[::2] if s in free],  # the slots left free at this step
         ))
+    outcomes = {inner: ((i * per_cycle, p), (x * per_cycle, q))  # closed cycles packed
+                for inner, ((i, p), (x, q)) in _OUTCOMES.items()}
     empty = g.circles.count(())  # each a closed component and boundary cycle
-    cw, sw = 2 * width, 3 * width
-    states: dict = {((), (-1,) * v): (empty << cw | empty << sw, {0: 1})}
+    off, track = off + empty * (per_cycle + per_component), any(component)
+    states: dict = {((), (-1,) * v if track else ()): (off, {0: 1})}
     inner = [-1] * len(sigma)  # 0-3 at the corners of the edge being decided
     for (a, b, c, d, u, w, done, gain), (sa, ya, sb, yb, sc, yc, sd, yd), pad, clear in plan:
         inner[a], inner[b], inner[c], inner[d] = 0, 1, 2, 3
         nxt: dict = {}
         owned = set()  # keys of nxt whose dict was copied at this step
-        moved: dict = {}  # partition -> its (partition, offset) if included, excluded
+        moved: dict = {} if track else {(): (((), gain), ((), 0))}  # partition -> in, out
         for (m, comp), (off, hist) in states.items():
             ends = (  # the corners' far ends
                 m[sa] if sa >= 0 else ya,
@@ -203,9 +216,9 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
                             lab = [heir if y == x else y for y in lab]
                         elif name == x:  # none of its circles is left: it closes
                             shut += 1
-                    steps.append((tuple(lab), gain * include + (shut << sw)))
-            outcomes = _OUTCOMES[inner[ends[0]], inner[ends[1]], inner[ends[2]], inner[ends[3]]]
-            for (closed, pairs), (comp2, at) in zip(outcomes, steps):
+                    steps.append((tuple(lab), gain * include + shut * per_component))
+            both = outcomes[inner[ends[0]], inner[ends[1]], inner[ends[2]], inner[ends[3]]]
+            for (closed, pairs), (comp2, at) in zip(both, steps):
                 new = base  # shared by a child that joins no ends
                 if pairs:
                     new = base.copy()
@@ -213,7 +226,7 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
                         new[slot[ends[y]]] = ends[z]
                         new[slot[ends[z]]] = ends[y]
                 key = (tuple(new), comp2)
-                at += off + (closed << cw)
+                at += off + closed
                 old = nxt.get(key)
                 if old is None:
                     nxt[key] = (at, hist)
@@ -236,34 +249,26 @@ def _subgraph_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], 
         states = nxt
         inner[a] = inner[b] = inner[c] = inner[d] = -1
     ((off, hist),) = states.values()
-    mask, profiles = (1 << width) - 1, {}
-    for h, count in hist.items():
-        h += off
-        profiles[h & mask, h >> sw, h >> cw & mask, h >> width & mask] = count
-    return profiles
+    mask = (1 << width) - 1
+    return {tuple([(h + off >> at & mask) - bias for at in fields]): n for h, n in hist.items()}
 
 
 def _r_terms(g: SignedRibbonGraph, restrict: bool) -> dict[tuple[int, ...], int]:
     """R's terms by doubled exponent key (a, b, c), or with ``restrict``
-    those of x^k y^v z^(v+1) R on xyz² = 1: z = x^(-1/2) y^(-1/2) takes
-    (a, b, c) to (a + 2k - c - v - 1, b + v - c - 1), k = k(G) from F = E."""
+    those of x^k y^v z^(v+1) R on xyz² = 1, k = k(G) and N negative edges.
+    F adds a = 2k(F) + 2neg(F) - 2k - N, b = 2|F| + 2k(F) - 2neg(F) + N - 2v
+    and c = 2k(F) - f(F) + |F| - v; z = x^(-1/2) y^(-1/2) takes (a, b, c)
+    to (a + 2k - c - v - 1, b + v - c - 1), where k(F) cancels."""
     e = g.num_edges
     if e > BR_MAX_EDGES:
         raise TooManyEdges(
             f"{e} edges exceed the state-sum guard of {BR_MAX_EDGES} (2^{e} subsets)"
         )
-    v = g.num_vertices
-    hist = _subgraph_profiles(g)
-    k_g = next(k for size, k, _, _ in hist if size == e)
-    neg_total = sum(1 for sign in g.signs.values() if sign < 0)
-    terms: dict[tuple[int, ...], int] = {}
-    for (size, k, f, neg), count in hist.items():
-        n = size - v + k
-        s2 = 2 * neg - neg_total
-        a, b, c = 2 * (k - k_g) + s2, 2 * n - s2, k - f + n
-        key = (a + 2 * k_g - c - v - 1, b + v - c - 1) if restrict else (a, b, c)
-        terms[key] = terms.get(key, 0) + count
-    return terms
+    v, minus = g.num_vertices, sum(1 for sign in g.signs.values() if sign < 0)
+    if restrict:  # f(F) - |F| + 2neg(F) - N - 1, f(F) + |F| - 2neg(F) + N - 1
+        return _subgraph_profiles(g, (-1, 1), (1, -1), (1, 1), (0, 0), (-minus - 1, minus - 1))
+    start = (-2 * len(_walk(g)[0]) - minus, minus - 2 * v, -v)
+    return _subgraph_profiles(g, (0, 2, 1), (2, 0, 1), (0, 0, -1), (2, 2, 2), start)
 
 
 def bollobas_riordan(g: SignedRibbonGraph) -> Laurent:
@@ -287,9 +292,7 @@ def tutte_via_br(g: SignedRibbonGraph) -> Laurent:
             or y the shift cannot take; the message names the negative
             edges.
     """
-    p = bollobas_riordan(g)
-    one = Laurent.const(RING_XYZ, 1)
-    p = p.substitute("z", one)
+    p = bollobas_riordan(g).substitute("z", Laurent.const(RING_XYZ, 1))
     x = Laurent.monomial(RING_XYZ, (2, 0, 0))
     y = Laurent.monomial(RING_XYZ, (0, 2, 0))
     try:
@@ -307,6 +310,8 @@ def tutte_via_br(g: SignedRibbonGraph) -> Laurent:
 
 def duality_invariant(g: SignedRibbonGraph) -> Laurent:
     """x^k y^v z^(v+1) R restricted to xyz² = 1 (k components, v circles),
-    which every partial dual of ``g`` shares; a map on R's exponent keys.
-    Raises TooManyEdges as :func:`bollobas_riordan` does."""
+    which every partial dual of ``g`` shares, summed by the engine in its
+    own key: k(F) adds 2 to each of R's a, b and c, so it cancels in the
+    restriction's a - c and b - c, and the states carry no component
+    partition.  Raises TooManyEdges as :func:`bollobas_riordan` does."""
     return Laurent(RING_XY, _r_terms(g, True))

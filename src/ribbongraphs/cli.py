@@ -37,6 +37,7 @@ from .ribbon import (
 )
 
 VERIFY_DEFAULT_SAMPLES = 200
+VERIFY_EXHAUSTIVE_EDGES = 12  # verify checks all 2^e subsets up to this e
 
 
 def _read_text(path: str) -> str:
@@ -132,11 +133,11 @@ def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
     # label order, from the stored chain of its longest stored prefix (in mask
     # order one label shorter: one call per subset).  Chains that can grow, those
     # without the last label, are stored while they hold fewer edges than the
-    # largest exhaustive run stores, 2^(h-1) chains of h = BR_MAX_EDGES / 2 edges.
+    # largest exhaustive run stores, 2^(h-1) chains of h = VERIFY_EXHAUSTIVE_EDGES.
     chains = {frozenset(): g}
     last = max(g.signs, default="")
-    half = BR_MAX_EDGES // 2
-    room = (half << half - 1) // max(g.num_edges, 1)
+    most = VERIFY_EXHAUSTIVE_EDGES
+    room = (most << most - 1) // max(g.num_edges, 1)
     # The presented duals on the runs labels[:i]: each previous △ subset is one.
     labels = g.edge_labels
     run_duals = dict.fromkeys(frozenset(labels[:i]) for i in range(len(labels) + 1))
@@ -180,10 +181,10 @@ def _subset_pool(
     g: SignedRibbonGraph, samples: int, seed: int
 ) -> tuple[int, Iterator[frozenset[str]]]:
     """How many subsets ``verify`` checks, and a lazy iterator over them:
-    all 2^e in mask order when 2e <= ``BR_MAX_EDGES``, otherwise the first
+    all 2^e in mask order when e <= ``VERIFY_EXHAUSTIVE_EDGES``, otherwise the first
     ``samples`` distinct seeded draws (fewer than the 2^e > 2^12 subsets)."""
     labels = g.edge_labels
-    if 2 * len(labels) <= BR_MAX_EDGES:
+    if len(labels) <= VERIFY_EXHAUSTIVE_EDGES:
         masks = range(1 << len(labels))
         return len(masks), (
             frozenset(l for i, l in enumerate(labels) if m >> i & 1) for m in masks
@@ -196,7 +197,7 @@ def _subset_pool(
 
 
 def _sample_count(text: str) -> int:
-    most = 1 << BR_MAX_EDGES // 2  # the subsets of the largest exhaustive run
+    most = 1 << VERIFY_EXHAUSTIVE_EDGES  # the subsets of the largest exhaustive run
     if not 1 <= int(text) <= most:
         raise argparse.ArgumentTypeError(f"must be from 1 to {most}, got {text}")
     return int(text)
@@ -266,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=_sample_count,
         default=VERIFY_DEFAULT_SAMPLES,
-        help=f"random subsets to draw, 1 to {1 << BR_MAX_EDGES // 2}, when the "
-        f"graph has more than {BR_MAX_EDGES // 2} edges",
+        help=f"random subsets to draw, 1 to {1 << VERIFY_EXHAUSTIVE_EDGES}, when the "
+        f"graph has more than {VERIFY_EXHAUSTIVE_EDGES} edges",
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     add("bracket", cmd_bracket, "Kauffman bracket of a Gauss-code diagram")

@@ -223,8 +223,9 @@ def kauffman_bracket(d: VirtualLinkDiagram) -> Laurent:
 
     Computed through the all-A state graph G: the state that splits the
     crossings of an edge set F by B and the rest by A traces exactly the
-    boundary components of the spanning subgraph F of G, so the sum runs
-    over the same subgraph histogram as R(G), as A^(n-|F|) B^|F| d^(f(F)-1).
+    boundary components of the spanning subgraph F of G, so the engine of
+    R(G) sums A^(n-|F|) B^|F| d^(f(F)-1) over F, keyed as the bracket, on
+    states without the component partition.
 
     Raises:
         TooManyCrossings: more than ``BR_MAX_EDGES`` crossings, the
@@ -236,11 +237,8 @@ def kauffman_bracket(d: VirtualLinkDiagram) -> Laurent:
             f"{n} crossings exceed the state-sum guard of {BR_MAX_EDGES} "
             f"(2^{n} states)"
         )
-    terms: dict[tuple[int, int, int], int] = {}
     g = state_ribbon_graph(d, all_A_state(d))
-    for (size, _, f, _), count in _subgraph_profiles(g).items():
-        key = (n - size, size, f - 1)
-        terms[key] = terms.get(key, 0) + count
+    terms = _subgraph_profiles(g, (-1, 1, 0), (-1, 1, 0), (0, 0, 1), (0, 0, 0), (n, 0, -1))
     return Laurent(RING_ABD, terms)
 
 

@@ -398,7 +398,7 @@ def _trace(first, second, starts) -> list[list[int]]:
 _new = tuple.__new__
 
 
-def _dual_circles(g: SignedRibbonGraph, inside: list[bool], count: bool = False) -> tuple | int:
+def _dual_circles(g: SignedRibbonGraph, inside: list[bool]) -> tuple:
     """The circles of the partial dual of ``g`` with respect to the edges
     whose occurrences i have ``inside[i]``, traced off the table :func:`_flat`
     from each least corner of an inside occurrence not yet passed.  A step
@@ -406,9 +406,7 @@ def _dual_circles(g: SignedRibbonGraph, inside: list[bool], count: bool = False)
     its band to corner 2j + 1 - (c & 1) of its partner j if inside, else over
     itself to c ^ 1 as a mark.  Each crossing emits i's label, Against when
     c is a tail of an inside i or a head of a mark, so that a mark swept
-    forward keeps its flag.  Circles with no inside occurrence follow.
-    With ``count``, the walk emits nothing and returns only the number of
-    circles."""
+    forward keeps its flag.  Circles with no inside occurrence follow."""
     labels, _, home, partner, sigma = _flat(g)
     seen = [False] * len(sigma)
     circles = []
@@ -422,19 +420,17 @@ def _dual_circles(g: SignedRibbonGraph, inside: list[bool], count: bool = False)
             seen[at] = seen[c] = True
             i = c >> 1
             if inside[i]:
-                if not count:
-                    circle.append(_new(Occurrence, (labels[i], not c & 1)))
+                circle.append(_new(Occurrence, (labels[i], not c & 1)))
                 at = 2 * partner[i] + 1 - (c & 1)
             else:
-                if not count:
-                    circle.append(_new(Occurrence, (labels[i], c & 1 == 1)))
+                circle.append(_new(Occurrence, (labels[i], c & 1 == 1)))
                 at = c ^ 1
             if at == start:
                 break
         circles.append(tuple(circle))
     touched = set(compress(home, inside))
     circles += [c for ci, c in enumerate(g.circles) if ci not in touched]
-    return len(circles) if count else tuple(circles)
+    return tuple(circles)
 
 
 def stats(g: SignedRibbonGraph) -> GraphStats:
@@ -443,7 +439,7 @@ def stats(g: SignedRibbonGraph) -> GraphStats:
     v, e = g.num_vertices, g.num_edges
     groups, orientable = _walk(g)
     k = len(groups)
-    f = _dual_circles(g, [True] * 2 * e, count=True)
+    f = len(_dual_circles(g, [True] * 2 * e))
     chi = v - e + f
     return GraphStats(
         v=v,

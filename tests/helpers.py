@@ -1268,8 +1268,61 @@ def sweep_profiles(edges, sigma, tau, parent, v) -> dict[tuple[int, int, int, in
         j += 1
 
 
+def frontier_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
+    """Histogram of (|F|, k(F), f(F), negative edges in F) over the spanning
+    subgraphs F of ``g``, from the frontier engine ``br._subgraph_profiles``
+    with one unit increment per field.  No command reads this view: each
+    passes the engine its own exponent key.  :func:`r_terms_of` and
+    :func:`bracket_terms_of` map it to those keys."""
+    units = (1, 0, 0, 0), (1, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)
+    return br._subgraph_profiles(g, *units, (0, 0, 0, 0))
+
+
+def r_terms_of(
+    g: SignedRibbonGraph, hist: dict[tuple[int, int, int, int], int], restrict: bool
+) -> dict[tuple[int, ...], int]:
+    """R's terms by doubled exponent key (a, b, c), or with ``restrict``
+    the duality invariant's, mapped from a histogram of (|F|, k(F), f(F),
+    negative edges) by R's exponent formulas: the oracle for the keys that
+    ``br._r_terms`` hands the engine.  k(G) is read off the F = E entry,
+    and xyz² = 1 takes (a, b, c) to (a + 2k(G) - c - v - 1, b + v - c - 1)."""
+    e, v = g.num_edges, g.num_vertices
+    k_g = next(k for size, k, _, _ in hist if size == e)
+    neg_total = sum(1 for sign in g.signs.values() if sign < 0)
+    terms: dict[tuple[int, ...], int] = {}
+    for (size, k, f, neg), count in hist.items():
+        n = size - v + k
+        s2 = 2 * neg - neg_total
+        a, b, c = 2 * (k - k_g) + s2, 2 * n - s2, k - f + n
+        key = (a + 2 * k_g - c - v - 1, b + v - c - 1) if restrict else (a, b, c)
+        terms[key] = terms.get(key, 0) + count
+    return terms
+
+
+def bracket_by_engine(g: SignedRibbonGraph) -> dict[tuple[int, int, int], int]:
+    """The engine with the increments that ``links.kauffman_bracket`` passes
+    for its all-A state graph, n = e: A^(e-|F|) B^|F| d^(f(F)-1), here on
+    graphs of either sign."""
+    start = (g.num_edges, 0, -1)
+    return br._subgraph_profiles(g, (-1, 1, 0), (-1, 1, 0), (0, 0, 1), (0, 0, 0), start)
+
+
+def bracket_terms_of(
+    g: SignedRibbonGraph, hist: dict[tuple[int, int, int, int], int]
+) -> dict[tuple[int, int, int], int]:
+    """The bracket's terms A^(e-|F|) B^|F| d^(f(F)-1), mapped from a
+    histogram of (|F|, k(F), f(F), negative edges): the oracle for the key
+    that ``links.kauffman_bracket`` hands the engine on its all-A state
+    graph, e = n."""
+    terms: dict[tuple[int, int, int], int] = {}
+    for (size, _, f, _), count in hist.items():
+        key = (g.num_edges - size, size, f - 1)
+        terms[key] = terms.get(key, 0) + count
+    return terms
+
+
 def split_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
-    """The histogram of ``br._subgraph_profiles`` by the split sweep: one
+    """The histogram of :func:`frontier_profiles` by the split sweep: one
     :func:`sweep_profiles` per join block (:func:`split_blocks`), convolved.
 
     Each sweep toggles only its block's edges on the table of ``g`` and
@@ -1301,7 +1354,7 @@ def split_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]
 
 
 def subset_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
-    """The histogram of ``br._subgraph_profiles`` by one
+    """The histogram of :func:`frontier_profiles` by one
     :class:`SubsetEngine` rebuild per subset."""
     engine = SubsetEngine(g)
     hist: dict[tuple[int, int, int, int], int] = {}

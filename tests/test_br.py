@@ -13,7 +13,7 @@ from ribbongraphs.br import (
     tutte_via_br,
 )
 from ribbongraphs.duality import partial_dual
-from ribbongraphs.errors import FractionalExponent, TooManyEdges
+from ribbongraphs.errors import FractionalExponent, NegativeExponentNonUnit, TooManyEdges
 from ribbongraphs.polynomial import (
     RING_XY,
     RING_XYZ,
@@ -35,10 +35,13 @@ from .helpers import (
     all_subsets,
     bouquet,
     braid_closure,
+    bracket_by_engine,
+    bracket_terms_of,
     chord_ring,
     delete_edge,
     disjoint_union,
     forest,
+    frontier_profiles,
     graph_corpus,
     join_blocks,
     load_graph,
@@ -47,6 +50,7 @@ from .helpers import (
     one_point_join,
     plane_corpus,
     product_duality_invariant,
+    r_terms_of,
     random_link,
     sized_diagram,
     sized_graph,
@@ -204,6 +208,30 @@ class TestJoinBlocks:
         assert block_labels(graph("", "")) == set()
 
 
+def block_chain(rng: random.Random, count: int) -> SignedRibbonGraph:
+    """``count`` random two-edge blocks, each joined at one point to a
+    random corner of the chain before it."""
+    chain = two_edge_block(rng)
+    for _ in range(count - 1):
+        c = rng.randrange(len(chain.circles))
+        at = (c, rng.randint(0, len(chain.circles[c])))
+        chain = one_point_join(chain, two_edge_block(rng), at, (0, 0))
+    return chain
+
+
+def tutte_outcome(g: SignedRibbonGraph, r: Laurent):
+    """``tutte_via_br`` on g with R taken to be ``r``: the Tutte polynomial,
+    or the type of the error the shift raises."""
+    original = br.bollobas_riordan
+    br.bollobas_riordan = lambda _: r
+    try:
+        return tutte_via_br(g)
+    except (FractionalExponent, NegativeExponentNonUnit) as err:
+        return type(err)
+    finally:
+        br.bollobas_riordan = original
+
+
 def all_a(diagram) -> SignedRibbonGraph:
     return state_ribbon_graph(diagram, all_A_state(diagram))
 
@@ -234,9 +262,22 @@ def frontier_corpus() -> list[SignedRibbonGraph]:
     return corpus
 
 
+def wrong_callers(g: SignedRibbonGraph, hist: dict) -> list[str]:
+    """The engine's callers whose own key on ``g`` differs from the 4-field
+    histogram ``hist`` mapped through the exponent formulas.  R carries
+    the component partition; the invariant and the bracket do not."""
+    runs = (
+        ("R", br._r_terms(g, False), r_terms_of(g, hist, False)),
+        ("invariant", br._r_terms(g, True), r_terms_of(g, hist, True)),
+        ("bracket", bracket_by_engine(g), bracket_terms_of(g, hist)),
+    )
+    return [name for name, got, want in runs if got != want]
+
+
 class TestFrontier:
-    """The frontier engine of ``br._subgraph_profiles`` against the split
-    sweep (``split_profiles``) and one rebuild per subset."""
+    """The frontier engine of ``br._subgraph_profiles``, in its 4-field
+    view and with each caller's key, against the split sweep
+    (``split_profiles``) and one rebuild per subset."""
 
     def test_matches_split_sweep_and_subsets(self):
         corpus = frontier_corpus()
@@ -247,9 +288,10 @@ class TestFrontier:
         assert sum(g.num_vertices == 1 and g.num_edges >= 12 for g in corpus) >= 6
         checked = 0
         for g in corpus:
-            hist = br._subgraph_profiles(g)
-            assert hist == split_profiles(g), g
+            hist, want = frontier_profiles(g), split_profiles(g)
+            assert hist == want, g
             assert sum(hist.values()) == 2**g.num_edges
+            assert wrong_callers(g, want) == [], g
             if g.num_edges <= 9 or g.num_edges <= 11 and checked < 40:
                 checked += g.num_edges > 9
                 assert hist == subset_profiles(g), g
@@ -257,8 +299,10 @@ class TestFrontier:
 
     def test_any_edge_order(self, monkeypatch):
         # The plan holds for whatever order decides the edges: with seeded
-        # random permutations in place of _edge_order, the histogram is
-        # the split sweep's and, up to 9 edges, one rebuild per subset's.
+        # random permutations in place of _edge_order, the 4-field
+        # histogram is the split sweep's and, up to 9 edges, one rebuild
+        # per subset's, and each caller's key maps from it, so both the
+        # path that carries the partition and the one that drops it hold.
         rng = random.Random(139)
 
         def shuffled(edges, sigma):
@@ -270,9 +314,63 @@ class TestFrontier:
         for g in frontier_corpus():
             want = split_profiles(g)
             for _ in range(3):
-                assert br._subgraph_profiles(g) == want, g
+                assert frontier_profiles(g) == want, g
+            assert wrong_callers(g, want) == [], g
             if g.num_edges <= 9:
-                assert br._subgraph_profiles(g) == subset_profiles(g), g
+                assert frontier_profiles(g) == subset_profiles(g), g
+
+    @pytest.mark.parametrize(
+        "caller, field, value",
+        [
+            ("invariant", "component", (0, 1)),  # also carries the partition
+            ("invariant", "cycle", (1, 0)),
+            ("R", "cycle", (0, 0, 0)),
+            ("bracket", "cycle", (0, 0, 0)),
+        ],
+    )
+    def test_a_wrong_increment_is_caught(self, monkeypatch, caller, field, value):
+        # Mutation check: one faulty increment in one caller's key, and
+        # the differential check above names that caller.
+        engine = br._subgraph_profiles
+
+        def faulty(g, *steps):
+            component, start = steps[3:]
+            if {2: "invariant", 3: "R" if any(component) else "bracket"}.get(len(start)) == caller:
+                steps = list(steps)
+                steps[("positive", "negative", "cycle", "component", "start").index(field)] = value
+            return engine(g, *steps)
+
+        monkeypatch.setattr(br, "_subgraph_profiles", faulty)
+        caught = [g for g in graph_corpus(151, 40) if caller in wrong_callers(g, split_profiles(g))]
+        assert len(caught) >= 10
+
+    def test_fields_hold_at_the_guard(self):
+        # The packed key carries negative increments and a start bias, so
+        # at the 24-edge guard no field may spill into its neighbour: R,
+        # the invariant, the bracket and the Tutte shift of R all equal
+        # the exponent maps of the 4-field histogram, on graphs that
+        # stretch one field each: 24 loops on one circle, 25 circles, 24
+        # negative edges, and circles with no occurrence.
+        rng = random.Random(157)
+        chain = block_chain(rng, 12)
+        negative = SignedRibbonGraph(chain.circles, dict.fromkeys(chain.signs, -1))
+        empties = SignedRibbonGraph([*block_chain(rng, 12).circles, (), (), ()], dict(chain.signs))
+        graphs = [bouquet(BR_MAX_EDGES), forest(BR_MAX_EDGES), negative, empties]
+        assert all(g.num_edges == BR_MAX_EDGES for g in graphs)
+        assert empties.circles.count(()) == 3 and set(negative.signs.values()) == {-1}
+        for g in graphs:
+            hist = frontier_profiles(g)
+            assert hist == split_profiles(g), g
+            r = bollobas_riordan(g)
+            assert r.terms == r_terms_of(g, hist, False), g
+            assert duality_invariant(g).terms == r_terms_of(g, hist, True), g
+            assert bracket_by_engine(g) == bracket_terms_of(g, hist), g
+            assert sum(r.terms.values()) == 2**BR_MAX_EDGES
+            assert sum(duality_invariant(g).terms.values()) == 2**BR_MAX_EDGES
+            oracle = Laurent(RING_XYZ, r_terms_of(g, hist, False))
+            assert tutte_outcome(g, r) == tutte_outcome(g, oracle)
+        # the shift of the all-negative chain raises, so its error path is held too
+        assert isinstance(tutte_outcome(negative, bollobas_riordan(negative)), type)
 
     def test_edge_order_is_a_deterministic_permutation(self):
         # Every edge is decided once, in an order fixed by the graph alone:

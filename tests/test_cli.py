@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -288,6 +289,30 @@ class TestVerify:
         rng = random.Random(0)
         raw = [frozenset(l for l in labels if rng.random() < 0.5) for _ in range(8000)]
         assert drawn == list(dict.fromkeys(raw))[:4096]
+
+    def test_exhaustive_threshold_is_its_own(self, capsys, monkeypatch):
+        # verify checks all 2^e subsets up to 12 edges and draws samples
+        # above; that threshold, the --samples bound and its help text
+        # stay put when the state-sum guard moves.
+        def graph(e):
+            labels = [f"e{i:02d}" for i in range(e)]
+            return SignedRibbonGraph([[(l, False) for l in labels * 2]], dict.fromkeys(labels, 1))
+
+        def verify_help():
+            with pytest.raises(SystemExit):
+                cli.main(["verify", "--help"])
+            return capsys.readouterr().out
+
+        before = verify_help()
+        assert "1 to 4096, when the graph has more than 12 edges" in " ".join(before.split())
+        for limit in (16, 24, 30):
+            monkeypatch.setattr(cli, "BR_MAX_EDGES", limit)
+            assert cli._subset_pool(graph(12), 200, 0)[0] == 4096
+            assert cli._subset_pool(graph(13), 200, 0)[0] == 200
+            assert cli._sample_count("4096") == 4096
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli._sample_count("4097")
+            assert verify_help() == before
 
     def test_duality_guard_exit_3(self, capsys, tmp_path):
         # 200 samples, each one histogram of 2^17 subgraphs, exceed 2^24; the
