@@ -13,19 +13,22 @@ exponent keys of the polynomial ring.
 No subgraph is rebuilt and no deletion-contraction recursion runs.  One
 frontier engine, :func:`_subgraph_profiles`, sums each caller's exponent
 key at every size: the caller names what an edge of either sign, a
-boundary cycle and a component of F add to its key.  So R (and through
-it Tutte), the duality invariant and, through the all-A state graph of a
-diagram, the bracket of :mod:`ribbongraphs.links` come out keyed; only R
-reads k(F), and the others run on states without the component
-partition.  The cost follows the width of the edge order planned before
-any state exists, not 2^e, and that width is zero at a one-point join or
-disjoint union, over which R is multiplicative (Bollobás and Riordan,
-Math. Ann. 323, 2002).  ``BR_MAX_EDGES`` limits the edge count.
+boundary cycle and a component of F add to its key.  So R, the duality
+invariant and, through the all-A state graph of a diagram, the bracket of
+:mod:`ribbongraphs.links` come out keyed; only R reads k(F), and the
+others run on states without the component partition.  Tutte is a map on
+R's keys: it sums them over z and expands each power of x and of y by the
+binomial theorem, so no Laurent arithmetic runs.  The cost follows the
+width of the edge order planned before any state exists, not 2^e, and
+that width is zero at a one-point join or disjoint union, over which R
+is multiplicative (Bollobás and Riordan, Math. Ann. 323, 2002).
+``BR_MAX_EDGES`` limits the edge count.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 
 from .errors import FractionalExponent, NegativeExponentNonUnit, TooManyEdges
 from .polynomial import RING_XY, RING_XYZ, Laurent
@@ -281,31 +284,48 @@ def bollobas_riordan(g: SignedRibbonGraph) -> Laurent:
 
 
 def tutte_via_br(g: SignedRibbonGraph) -> Laurent:
-    """Tutte polynomial of the underlying signed graph: R(x-1, y-1, 1).
+    """Tutte polynomial of the underlying signed graph: R(x-1, y-1, 1), as
+    a map on R's doubled keys (a, b, c).  z = 1 sums the counts over c,
+    none cancelling, and then x and y shift in turn by the binomial
+    theorem: a term n x^A adds (-1)^(A-i) C(A, i) n at x^i, i = 0..A.
 
     The shift needs nonnegative integer powers of x and y in R, which
-    every all-positive graph has.  Negative edges can give half-integer
-    or negative powers; some sign patterns still shift cleanly.
+    every all-positive graph has; negative edges can break it.
 
     Raises:
-        FractionalExponent, NegativeExponentNonUnit: R has a power of x
-            or y the shift cannot take; the message names the negative
-            edges.
+        TooManyEdges: more than ``BR_MAX_EDGES`` edges.
+        FractionalExponent, NegativeExponentNonUnit: R has a half-integer
+            power of x, the least of which the message names, or else a
+            negative one; or else the same holds of y.  The message names
+            the negative edges too.
     """
-    p = bollobas_riordan(g).substitute("z", Laurent.const(RING_XYZ, 1))
-    x = Laurent.monomial(RING_XYZ, (2, 0, 0))
-    y = Laurent.monomial(RING_XYZ, (0, 2, 0))
-    try:
-        p = p.substitute("x", x - 1)
-        p = p.substitute("y", y - 1)
-    except (FractionalExponent, NegativeExponentNonUnit) as err:
-        negative = " ".join(l for l in g.edge_labels if g.signs[l] < 0)
-        raise type(err)(
-            "the Tutte shift R(x-1, y-1, 1) needs nonnegative integer "
-            f"exponents of x and y, and the negative edges {negative} "
-            f"break it: {err}"
-        ) from err
-    return p.project(RING_XY, (0, 1))
+    terms: dict[tuple[int, int], int] = {}
+    for (a, b, _), n in _r_terms(g, False).items():
+        terms[a, b] = terms.get((a, b), 0) + n
+    # each pass shifts the first variable and moves it last, so the pass
+    # for y finds y first and leaves the keys as (x, y)
+    for name in "xy":
+        odd = [a for a, _ in terms if a & 1]
+        if odd or any(a < 0 for a, _ in terms):
+            error, reason = (
+                (FractionalExponent, f"{name} occurs with exponent {min(odd)}/2")
+                if odd
+                else (NegativeExponentNonUnit, f"{name} - 1 is not a unit monomial")
+            )
+            negative = " ".join(l for l in g.edge_labels if g.signs[l] < 0)
+            raise error(
+                "the Tutte shift R(x-1, y-1, 1) needs nonnegative integer "
+                f"exponents of x and y, and the negative edges {negative} "
+                f"break it: {reason}"
+            )
+        shifted: dict[tuple[int, int], int] = {}
+        for (a, b), n in terms.items():
+            power = a >> 1
+            for i in range(power + 1):
+                at = (b, 2 * i)
+                shifted[at] = shifted.get(at, 0) + (-1) ** (power - i) * comb(power, i) * n
+        terms = shifted
+    return Laurent(RING_XY, terms)
 
 
 def duality_invariant(g: SignedRibbonGraph) -> Laurent:

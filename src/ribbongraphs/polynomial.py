@@ -214,29 +214,6 @@ class Laurent:
             result = result + Laurent(self.ring, bucket) * power
         return result
 
-    def project(self, target: Ring, keep: Sequence[int]) -> "Laurent":
-        """Drop variables not listed in ``keep``; they must not occur.
-        Variable ``keep[pos]`` of this ring becomes variable ``pos`` of
-        ``target``; any other ``keep`` raises RingMismatch."""
-        indices = range(len(self.ring.names))
-        if len(keep) != len(target.names) or any(i not in indices for i in keep):
-            raise RingMismatch(
-                f"cannot map {self.ring.names} onto {target.names} by {tuple(keep)!r}"
-            )
-        for key in self.terms:
-            for i, u in enumerate(key):
-                if i not in keep and u != 0:
-                    raise RingMismatch(
-                        f"cannot project out {self.ring.names[i]} with exponent"
-                        f" {Fraction(u, self.ring.scales[i])}"
-                    )
-        for pos, i in enumerate(keep):
-            if self.ring.scales[i] != target.scales[pos]:
-                raise RingMismatch("projection must preserve exponent scales")
-        return Laurent(
-            target, {tuple(key[i] for i in keep): c for key, c in self.terms.items()}
-        )
-
     def evaluate(self, values: Sequence[int]) -> int:
         """Evaluate at integer points, one value per variable of the ring.
         Exponents must be integers, and nonnegative wherever the value is

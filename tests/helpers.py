@@ -26,11 +26,17 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from ribbongraphs import br, duality, ribbon
 from ribbongraphs.duality import partial_dual
-from ribbongraphs.errors import FractionalExponent, ParseError, UnknownEdge
+from ribbongraphs.errors import (
+    FractionalExponent,
+    NegativeExponentNonUnit,
+    ParseError,
+    UnknownEdge,
+)
 from ribbongraphs.links import VirtualLinkDiagram, parse_gauss, resolve_state, serialize_gauss
 from ribbongraphs.polynomial import (
     RING_ABD,
     RING_T,
+    RING_XY,
     RING_XYZ,
     Laurent,
     Ring,
@@ -1373,6 +1379,30 @@ def product_duality_invariant(g: SignedRibbonGraph) -> Laurent:
     k, v = len(components(g)), g.num_vertices
     prefactor = Laurent.monomial(RING_XYZ, (2 * k, 2 * v, v + 1))
     return restrict_duality_surface(prefactor * br.bollobas_riordan(g))
+
+
+def product_tutte(g: SignedRibbonGraph, r: Laurent) -> Laurent:
+    """R(x-1, y-1, 1) by polynomial arithmetic, with R given as ``r``, as
+    ``br`` computed the Tutte polynomial before it mapped R's exponent
+    keys: ``Laurent.substitute`` of z, then x, then y, and z dropped from
+    the keys.  A shift it cannot take raises what ``br.tutte_via_br``
+    raises, except that a FractionalExponent names the first half-integer
+    power in the term order of the substitutions, not the least."""
+    p = r.substitute("z", Laurent.const(RING_XYZ, 1))
+    x = Laurent.monomial(RING_XYZ, (2, 0, 0))
+    y = Laurent.monomial(RING_XYZ, (0, 2, 0))
+    try:
+        p = p.substitute("x", x - 1)
+        p = p.substitute("y", y - 1)
+    except (FractionalExponent, NegativeExponentNonUnit) as err:
+        negative = " ".join(l for l in g.edge_labels if g.signs[l] < 0)
+        raise type(err)(
+            "the Tutte shift R(x-1, y-1, 1) needs nonnegative integer "
+            f"exponents of x and y, and the negative edges {negative} "
+            f"break it: {err}"
+        ) from err
+    assert all(c == 0 for _, _, c in p.terms)
+    return Laurent(RING_XY, {(a, b): n for (a, b, _), n in p.terms.items()})
 
 
 def subset_sum_br(g: SignedRibbonGraph) -> Laurent:

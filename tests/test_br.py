@@ -1,7 +1,9 @@
 """Signed three-variable polynomial, its transforms, and subgraph stats."""
 
 import random
+import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -50,6 +52,7 @@ from .helpers import (
     one_point_join,
     plane_corpus,
     product_duality_invariant,
+    product_tutte,
     r_terms_of,
     random_link,
     sized_diagram,
@@ -219,17 +222,30 @@ def block_chain(rng: random.Random, count: int) -> SignedRibbonGraph:
     return chain
 
 
-def tutte_outcome(g: SignedRibbonGraph, r: Laurent):
-    """``tutte_via_br`` on g with R taken to be ``r``: the Tutte polynomial,
-    or the type of the error the shift raises."""
-    original = br.bollobas_riordan
-    br.bollobas_riordan = lambda _: r
+def shift_outcome(shift, *args):
+    """The Tutte polynomial ``shift(*args)`` and its render, or the type
+    and message of the error the shift raises."""
     try:
-        return tutte_via_br(g)
+        t = shift(*args)
     except (FractionalExponent, NegativeExponentNonUnit) as err:
-        return type(err)
-    finally:
-        br.bollobas_riordan = original
+        return type(err), str(err)
+    return t, t.render()
+
+
+def assert_tutte_matches(g: SignedRibbonGraph, r: Laurent) -> bool:
+    """Hold ``tutte_via_br(g)`` to ``product_tutte(g, r)``: the same
+    polynomial and render, or the same error type and message, except
+    that a FractionalExponent names the least half-integer power in ``r``
+    of the variable it names.  True when that exponent is another than
+    the product path's, which names the first in its term order."""
+    got = shift_outcome(tutte_via_br, g)
+    want = product = shift_outcome(product_tutte, g, r)
+    if product[0] is FractionalExponent:
+        head, name, _ = re.fullmatch(r"(.*: ([xy]) occurs with exponent )(\S+)", product[1]).groups()
+        i = "xy".index(name)
+        want = (product[0], f"{head}{min(key[i] for key in r.terms if key[i] % 2)}/2")
+    assert got == want, g
+    return got != product
 
 
 def all_a(diagram) -> SignedRibbonGraph:
@@ -367,10 +383,9 @@ class TestFrontier:
             assert bracket_by_engine(g) == bracket_terms_of(g, hist), g
             assert sum(r.terms.values()) == 2**BR_MAX_EDGES
             assert sum(duality_invariant(g).terms.values()) == 2**BR_MAX_EDGES
-            oracle = Laurent(RING_XYZ, r_terms_of(g, hist, False))
-            assert tutte_outcome(g, r) == tutte_outcome(g, oracle)
+            assert_tutte_matches(g, Laurent(RING_XYZ, r_terms_of(g, hist, False)))
         # the shift of the all-negative chain raises, so its error path is held too
-        assert isinstance(tutte_outcome(negative, bollobas_riordan(negative)), type)
+        assert shift_outcome(tutte_via_br, negative)[0] is NegativeExponentNonUnit
 
     def test_edge_order_is_a_deterministic_permutation(self):
         # Every edge is decided once, in an order fixed by the graph alone:
@@ -502,6 +517,27 @@ class TestBollobasRiordan:
         assert BR_MAX_EDGES == 24
 
 
+def product_path_corpus() -> list[SignedRibbonGraph]:
+    """Graphs on which the exponent-key maps meet their product paths:
+    random graphs to e = 12, the benchmark's cells, the fixtures, the
+    graph with no circles (R = 1 and k = v = 0, so the invariant restricts
+    z alone), empty circles and graphs of several components."""
+    rng = random.Random(131)
+    corpus = graph_corpus(131, 250, max_edges=12)
+    for e, v in ((10, 8), (11, 6), (12, 1)):
+        corpus += [sized_graph(rng, e, v) for _ in range(6)]
+    corpus += [load_graph(path.name) for path in sorted(FIXTURES.glob("*.rg"))]
+    none = parse_ribbon_graph("edges:")
+    corpus += [none, SignedRibbonGraph([(), ()], {}), bouquet(3), forest(4)]
+    for a, b in zip(corpus[:80:2], corpus[1:80:2]):
+        if a.num_edges + b.num_edges <= 12:
+            corpus.append(disjoint_union(a, b))
+    assert max(g.num_edges for g in corpus) == 12
+    assert sum(() in g.circles for g in corpus) > 20
+    assert sum(len(components(g)) >= 3 for g in corpus) > 20
+    return corpus
+
+
 class TestDualityInvariant:
     @pytest.mark.parametrize(
         "name, expected",
@@ -542,24 +578,9 @@ class TestDualityInvariant:
 
     def test_matches_product_path(self):
         # The exponent-key map against the product x^k y^v z^(v+1) R and
-        # the restriction it replaced, k from a components walk: random
-        # graphs to e = 12, the benchmark's cells, the graph with no
-        # circles (R = 1 and k = v = 0, so z alone is restricted), empty
-        # circles and graphs of several components.
-        rng = random.Random(131)
-        corpus = graph_corpus(131, 250, max_edges=12)
-        for e, v in ((10, 8), (11, 6), (12, 1)):
-            corpus += [sized_graph(rng, e, v) for _ in range(6)]
-        corpus += [load_graph(path.name) for path in sorted(FIXTURES.glob("*.rg"))]
+        # the restriction it replaced, k from a components walk.
         none = parse_ribbon_graph("edges:")
-        corpus += [none, SignedRibbonGraph([(), ()], {}), bouquet(3), forest(4)]
-        for a, b in zip(corpus[:80:2], corpus[1:80:2]):
-            if a.num_edges + b.num_edges <= 12:
-                corpus.append(disjoint_union(a, b))
-        assert max(g.num_edges for g in corpus) == 12
-        assert sum(() in g.circles for g in corpus) > 20
-        assert sum(len(components(g)) >= 3 for g in corpus) > 20
-        for g in corpus:
+        for g in product_path_corpus():
             fast, slow = duality_invariant(g), product_duality_invariant(g)
             assert fast == slow, g
             assert fast.render() == slow.render()
@@ -627,6 +648,35 @@ class TestTutte:
         g = SignedRibbonGraph([[("b", False)], [("b", False)]], {"b": -1})
         with pytest.raises(FractionalExponent):
             tutte_via_br(g)
+
+    def test_matches_product_path(self):
+        # The map on R's keys against the substitutions it replaced, in
+        # value and render, on the duality invariant's corpus; its signed
+        # graphs hold the error path too.
+        shifted = 0
+        for g in product_path_corpus():
+            assert_tutte_matches(g, bollobas_riordan(g))
+            shifted += isinstance(shift_outcome(tutte_via_br, g)[0], Laurent)
+        assert shifted > 40
+
+    def test_signed_graphs_raise_as_the_product_path(self):
+        # Seeded signed graphs with each way the shift fails: an odd count
+        # of negative edges gives half-integer powers, and an even count
+        # negative powers of x only or of y only.  The error's type and
+        # text are the product path's, but for the exponent a
+        # FractionalExponent names: the least, where the product path
+        # named the first in its term order, so some messages differ.
+        rng = random.Random(163)
+        corpus = [sized_graph(rng, e, rng.randint(1, 2 * e)) for e in range(1, 10) for _ in range(60)]
+        cases, renamed = Counter(), 0
+        for g in corpus:
+            r = bollobas_riordan(g)
+            minus = sum(sign < 0 for sign in g.signs.values())
+            x, y = (any(key[i] < 0 for key in r.terms) for i in (0, 1))
+            cases["odd" if minus % 2 else "x only" if x and not y else "y only" if y and not x else "other"] += 1
+            renamed += assert_tutte_matches(g, r)
+        assert min(cases["odd"], cases["x only"], cases["y only"]) >= 20, cases
+        assert renamed > 0
 
     def test_matches_networkx(self):
         # networkx computes T of the underlying multigraph, circles as

@@ -170,6 +170,22 @@ class TestPolynomials:
         assert "nonnegative integer exponents" in err
         assert "negative edges knot7 " in err
 
+    def test_tutte_names_least_half_power(self, capsys, tmp_path):
+        # A negative twisted loop: R = x^(1/2) y^(1/2) z + x^(-1/2) y^(1/2),
+        # whose first term in the engine's order is not the least power of
+        # x; the message names the least, whatever that order.
+        text = "edges: 1:-\ncircle: 1' 1\n"
+        r = ribbongraphs.bollobas_riordan(parse_ribbon_graph(text))
+        assert next(iter(r.terms))[0] != min(a for a, _, _ in r.terms)
+        path = tmp_path / "twisted_loop.rg"
+        path.write_text(text)
+        code, out, err = run(capsys, "tutte", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the Tutte shift R(x-1, y-1, 1) needs nonnegative integer exponents"
+            " of x and y, and the negative edges 1 break it: x occurs with exponent -1/2\n"
+        )
+
     @pytest.mark.parametrize("command", ["poly", "tutte", "invariant"])
     def test_guard_exit_3(self, capsys, tmp_path, command):
         # the frontier engine needs one state per step for a forest, and
@@ -596,6 +612,24 @@ class TestGoldens:
         code, out, _ = run(capsys, *GOLDEN_CASES[case]["argv"])
         assert code == GOLDEN_CASES[case]["exit"]
         assert out.encode("utf-8") == (GOLDENS / f"{case}.out").read_bytes()
+
+    def test_no_laurent_arithmetic(self, capsys, monkeypatch):
+        # Every polynomial a command prints is an exponent map of the
+        # subgraph histogram: with Laurent's arithmetic patched to raise,
+        # every golden still replays.
+        def refuse(*args):
+            raise AssertionError("a command did Laurent arithmetic")
+
+        for op in ("__mul__", "__rmul__", "__pow__", "substitute", "inverse_unit",
+                   "__add__", "__radd__", "__sub__", "__neg__"):
+            monkeypatch.setattr(Laurent, op, refuse)
+        with pytest.raises(AssertionError):
+            Laurent.const(RING_XY, 1) + 1
+        monkeypatch.chdir(FIXTURES)
+        for case in sorted(GOLDEN_CASES):
+            code, out, _ = run(capsys, *GOLDEN_CASES[case]["argv"])
+            assert code == GOLDEN_CASES[case]["exit"], case
+            assert out.encode("utf-8") == (GOLDENS / f"{case}.out").read_bytes(), case
 
     def test_seeded_corpus_digests(self, capsys, monkeypatch):
         # The sha256 of exit code and stdout of every run of the seeded

@@ -68,10 +68,6 @@ class TestArithmetic:
                 "ring mismatch: ('x', 'y', 'z') vs ('x', 'y')",
             ),
             (
-                lambda: (X * Z).project(RING_XY, (0, 1)),
-                "cannot project out z with exponent 1",
-            ),
-            (
                 lambda: restrict_duality_surface(Laurent.const(RING_T, 1)),
                 "restriction is defined on the (x, y, z) ring",
             ),
@@ -82,18 +78,6 @@ class TestArithmetic:
             (
                 lambda: Laurent(RING_XYZ, {(2, 0, 1): 1}).evaluate([2, 2, 2, 2]),
                 "4 values for the 3 variables of ring ('x', 'y', 'z')",
-            ),
-            (  # an index past the ring
-                lambda: (X * X).project(RING_XY, (0, 5)),
-                "cannot map ('x', 'y', 'z') onto ('x', 'y') by (0, 5)",
-            ),
-            (  # one index more than the target has variables
-                lambda: (X * X).project(RING_XY, (0, 1, 2)),
-                "cannot map ('x', 'y', 'z') onto ('x', 'y') by (0, 1, 2)",
-            ),
-            (  # a negative index would read z from the end
-                lambda: (X * X).project(RING_XY, (0, -1)),
-                "cannot map ('x', 'y', 'z') onto ('x', 'y') by (0, -1)",
             ),
             (
                 lambda: X.substitute("w", Y),
@@ -216,18 +200,6 @@ class TestEvaluateAndProject:
         p = Laurent.monomial(RING_XY, (-2, 0))
         with pytest.raises(NegativeExponentNonUnit):
             p.evaluate((0, 1))
-
-    def test_project_drops_silent_variable(self):
-        p = X + Y
-        q = p.project(RING_XY, (0, 1))
-        assert q.ring is RING_XY
-        assert q == Laurent.monomial(RING_XY, (2, 0)) + Laurent.monomial(
-            RING_XY, (0, 2)
-        )
-
-    def test_project_requires_zero_exponents(self):
-        with pytest.raises(ValueError):
-            (X * Z).project(RING_XY, (0, 1))
 
     def test_permute_vars_swaps(self):
         p = X * X + Y

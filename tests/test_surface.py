@@ -16,7 +16,8 @@ import ribbongraphs
 
 from . import helpers
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # (old home, name, its name in tests.helpers, or None when callers use
 # a replacement: Laurent.monomial, the tuple of state curves that
@@ -24,7 +25,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # IndexError that the helpers' one_point_join raises, canonical_form
 # and the circle walk for the form-and-orientability pair of _form, and
 # the frontier engine, which now runs at every size, for the crossover
-# constants _SPLIT_MIN_EDGES and _FRONTIER_MIN_EDGES)
+# constants _SPLIT_MIN_EDGES and _FRONTIER_MIN_EDGES, and the map on R's
+# keys in tutte_via_br, which drops z itself, for Laurent.project)
 REMOVED = [
     ("polynomial", "monomial", None),
     ("polynomial", "parse_poly", "parse_poly"),
@@ -34,6 +36,7 @@ REMOVED = [
     ("polynomial", "MonomialImage", "MonomialImage"),
     ("polynomial.Laurent", "monomial_map", "monomial_map"),
     ("polynomial.Laurent", "permute_vars", "permute_vars"),
+    ("polynomial.Laurent", "project", None),
     ("br", "subgraph_stats", "subgraph_stats"),
     ("br", "SubgraphStats", "SubgraphStats"),
     ("br", "_join_blocks", "split_blocks"),
@@ -101,6 +104,23 @@ def test_removed_names_are_gone(home, name, moved_to):
     assert not hasattr(ribbongraphs, name)
     if moved_to is not None:
         assert hasattr(helpers, moved_to)
+
+
+def test_traced_names_exist():
+    # perfbench/spans.py looks up every name of its TARGETS when its tracer
+    # is built, a module attribute or, as "Laurent.<name>", a method of
+    # Laurent, so removing one of them breaks a traced bench run.
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    ]
+    for layer, names in targets.items():
+        home = importlib.import_module(f"ribbongraphs.{layer}")
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            assert hasattr(getattr(home, owner) if owner else home, attr), (layer, name)
 
 
 def test_errors_are_package_errors():
