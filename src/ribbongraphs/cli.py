@@ -81,16 +81,17 @@ def cmd_dual(args: argparse.Namespace) -> tuple[int, str]:
     return 0, serialize_ribbon_graph(partial_dual(g, subset))
 
 
-def _polynomial(parse, compute):
-    """The subcommand printing ``compute`` of the parsed input file."""
-    return lambda args: (0, compute(parse(_read_text(args.file))).render() + "\n")
-
-
-cmd_poly = _polynomial(parse_ribbon_graph, bollobas_riordan)
-cmd_tutte = _polynomial(parse_ribbon_graph, tutte_via_br)
-cmd_invariant = _polynomial(parse_ribbon_graph, duality_invariant)
-cmd_bracket = _polynomial(parse_gauss, kauffman_bracket)
-cmd_jones = _polynomial(parse_gauss, jones)
+def cmd_polynomial(args: argparse.Namespace) -> tuple[int, str]:
+    # the functions are looked up at call time, so a rebinding of them in
+    # this module (by a tracer or a test) is seen
+    parse, compute = {
+        "poly": (parse_ribbon_graph, bollobas_riordan),
+        "tutte": (parse_ribbon_graph, tutte_via_br),
+        "invariant": (parse_ribbon_graph, duality_invariant),
+        "bracket": (parse_gauss, kauffman_bracket),
+        "jones": (parse_gauss, jones),
+    }[args.command]
+    return 0, compute(parse(_read_text(args.file))).render() + "\n"
 
 
 def cmd_duals(args: argparse.Namespace) -> tuple[int, str]:
@@ -257,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma-separated edge labels (empty for the identity dual)",
     )
-    add("poly", cmd_poly, "two-variable-plus-genus polynomial of the graph")
-    add("tutte", cmd_tutte, "Tutte polynomial via the x,y shift at z=1")
-    add("invariant", cmd_invariant, "duality-invariant restricted polynomial")
+    add("poly", cmd_polynomial, "two-variable-plus-genus polynomial of the graph")
+    add("tutte", cmd_polynomial, "Tutte polynomial via the x,y shift at z=1")
+    add("invariant", cmd_polynomial, "duality-invariant restricted polynomial")
     add("duals", cmd_duals, "isomorphism classes among all partial duals")
     p = add("verify", cmd_verify, "check duality identities, exit 1 on failure")
     p.add_argument("--mode", choices=("duality", "lemmas"), default="duality")
@@ -271,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         f"graph has more than {VERIFY_EXHAUSTIVE_EDGES} edges",
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    add("bracket", cmd_bracket, "Kauffman bracket of a Gauss-code diagram")
-    add("jones", cmd_jones, "Jones polynomial of a Gauss-code diagram")
+    add("bracket", cmd_polynomial, "Kauffman bracket of a Gauss-code diagram")
+    add("jones", cmd_polynomial, "Jones polynomial of a Gauss-code diagram")
     p = add("stategraph", cmd_stategraph, "ribbon graph of a splitting state")
     p.add_argument(
         "--state",

@@ -33,7 +33,7 @@ from .errors import (
     UnknownSign,
 )
 from .polynomial import RING_ABD, RING_T, Laurent
-from .ribbon import Occurrence, SignedRibbonGraph, _LABEL_BAD, _trace
+from .ribbon import Occurrence, SignedRibbonGraph, _LABEL_BAD, _new
 from .ribbon import _read_lines, _write_lines
 
 __all__ = [
@@ -149,25 +149,6 @@ def writhe(d: VirtualLinkDiagram) -> int:
     return sum(d.signs.values())
 
 
-def _strand_edges(d: VirtualLinkDiagram) -> tuple[list[int], int]:
-    """Pair strand ends; ends are numbered 4j.. 4j+3 per sorted crossing:
-    over-in, over-out, under-in, under-out.  Every end is paired."""
-    index = {cid: j for j, cid in enumerate(d.crossing_ids)}
-    strand = [0] * (4 * len(index))
-    empties = 0
-    for comp in d.components:
-        if not comp:
-            empties += 1
-            continue
-        for i, p in enumerate(comp):
-            q = comp[(i + 1) % len(comp)]
-            out_end = 4 * index[p.crossing] + (1 if p.over else 3)
-            in_end = 4 * index[q.crossing] + (0 if q.over else 2)
-            strand[out_end] = in_end
-            strand[in_end] = out_end
-    return strand, empties
-
-
 def resolve_state(
     d: VirtualLinkDiagram, state: Mapping[str, str]
 ) -> tuple[tuple[Occurrence, ...], ...]:
@@ -176,18 +157,22 @@ def resolve_state(
     Returns the state's closed curves, each the cyclic sequence of
     crossings it passes, as ``Occurrence``s whose flags record the band
     arrow against the curve's traversal.  A component with no crossings
-    is an empty curve.
+    is an empty curve, listed after the others.
 
     ``state`` maps each crossing id to "A" or "B".  The A-splitting at a
     positive crossing (and the B-splitting at a negative one) joins each
     incoming strand end to an outgoing one; the other choice joins the
     two incoming ends together.  Band arrows run from the under-strand
     end to the over-strand end on both arcs of an A-splitting, and from
-    over to under for B.  The curves are the cycles
-    (:func:`ribbongraphs.ribbon._trace`) of the strand matching, which
-    joins each crossing exit to the next entry along its strand, and the
-    splitting matching; each splitting passed from end c adds its
-    crossing, flagged Against when the band arrow points at c.
+    over to under for B.
+
+    The strand ends of crossing j are 4j..4j+3, over-in, over-out,
+    under-in, under-out, over the sorted ids.  One pass pairs each exit
+    with the next entry along its strand.  A walk starts at each least
+    end not yet passed and steps along that pairing to an end c, then
+    turns through the splitting to c ^ 3 if it respects orientation,
+    else to c ^ 2.  Each step emits c's crossing, flagged Against when
+    the band arrow points at c.
 
     Raises:
         InvalidState: ``state`` does not choose A or B at some crossing.
@@ -196,25 +181,32 @@ def resolve_state(
     for cid in ids:
         if state.get(cid) not in ("A", "B"):
             raise InvalidState(f"state does not choose A or B at {cid!r}")
-    strand, empties = _strand_edges(d)
-    # ends 4j..4j+3 are over-in, over-out, under-in, under-out: the
-    # orientation-respecting splitting pairs end c with c ^ 3, the other
-    # with c ^ 2
+    index = {cid: j for j, cid in enumerate(ids)}
+    strand = [0] * (4 * len(ids))
+    for comp in d.components:
+        for p, q in zip(comp, comp[1:] + comp[:1]):
+            out_end = 4 * index[p.crossing] + (1 if p.over else 3)
+            in_end = 4 * index[q.crossing] + (0 if q.over else 2)
+            strand[out_end], strand[in_end] = in_end, out_end
     is_a = [state[cid] == "A" for cid in ids]
-    smooth = [
-        c ^ (3 if (d.signs[ids[c >> 2]] > 0) == is_a[c >> 2] else 2)
-        for c in range(4 * len(ids))
-    ]
-    circles = [
-        tuple(
-            [
-                Occurrence(ids[c >> 2], (c & 2 == 0) == is_a[c >> 2])
-                for c in cycle[1::2]
-            ]
-        )
-        for cycle in _trace(strand, smooth, range(len(strand)))
-    ]
-    circles.extend(() for _ in range(empties))
+    turn = [3 if (d.signs[cid] > 0) == a else 2 for cid, a in zip(ids, is_a)]
+    seen = [False] * len(strand)
+    circles = []
+    for start in range(len(strand)):
+        if seen[start]:
+            continue
+        circle = []
+        at = start
+        while True:
+            c = strand[at]
+            seen[at] = seen[c] = True
+            j = c >> 2
+            circle.append(_new(Occurrence, (ids[j], (c & 2 == 0) == is_a[j])))
+            at = c ^ turn[j]
+            if at == start:
+                break
+        circles.append(tuple(circle))
+    circles += [() for comp in d.components if not comp]
     return tuple(circles)
 
 
@@ -279,8 +271,9 @@ def state_ribbon_graph(
 ) -> SignedRibbonGraph:
     """Ribbon graph of a state: state curves become vertices, crossings
     become edges signed +1 for an A-splitting and -1 for B."""
+    circles = resolve_state(d, state)  # validates the state first
     signs = {cid: (1 if state[cid] == "A" else -1) for cid in d.crossing_ids}
-    return SignedRibbonGraph._derived(resolve_state(d, state), signs)
+    return SignedRibbonGraph._derived(circles, signs)
 
 
 # ----------------------------------------------------------------------

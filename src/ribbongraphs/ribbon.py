@@ -366,33 +366,6 @@ def is_orientable(g: SignedRibbonGraph) -> bool:
     return _walk(g)[1]
 
 
-def _trace(first, second, starts) -> list[list[int]]:
-    """Cycles of the alternating walk over two perfect matchings.
-
-    ``first`` and ``second`` are lists holding each point's partner.
-    Each cycle starts at the first point of ``starts`` not yet seen,
-    leaves it along ``first``, and is returned as its list of points:
-    even positions step along ``first``, odd ones along ``second``.
-    The curves of a link state are traced here.
-    """
-    seen: set[int] = set()
-    cycles: list[list[int]] = []
-    for start in starts:
-        if start in seen:
-            continue
-        cycle: list[int] = []
-        at = start
-        while True:
-            nxt = first[at]
-            cycle += (at, nxt)
-            at = second[nxt]
-            if at == start:
-                break
-        seen.update(cycle)
-        cycles.append(cycle)
-    return cycles
-
-
 # Builds an Occurrence from a (label, flag) pair in C, without the
 # NamedTuple's Python-level __new__, which takes over half as long again.
 _new = tuple.__new__

@@ -47,7 +47,6 @@ from ribbongraphs.ribbon import (
     SignedRibbonGraph,
     _flat,
     _runs,
-    _trace,
     components,
     parse_ribbon_graph,
     serialize_ribbon_graph,
@@ -871,12 +870,94 @@ def chord_ring(
 
 
 # ----------------------------------------------------------------------
+# cycles of two matchings, and the oracles traced by them
+# ----------------------------------------------------------------------
+
+
+def _trace(first, second, starts) -> list[list[int]]:
+    """Cycles of the alternating walk over two perfect matchings.
+
+    ``first`` and ``second`` are lists holding each point's partner.
+    Each cycle starts at the first point of ``starts`` not yet seen,
+    leaves it along ``first``, and is returned as its list of points:
+    even positions step along ``first``, odd ones along ``second``.
+    The oracles :func:`traced_state`, :func:`traced_partial_dual` and
+    :func:`boundary_components` trace their curves here.
+    """
+    seen: set[int] = set()
+    cycles: list[list[int]] = []
+    for start in starts:
+        if start in seen:
+            continue
+        cycle: list[int] = []
+        at = start
+        while True:
+            nxt = first[at]
+            cycle += (at, nxt)
+            at = second[nxt]
+            if at == start:
+                break
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
+def _strand_edges(d: VirtualLinkDiagram) -> tuple[list[int], int]:
+    """Pair strand ends; ends are numbered 4j.. 4j+3 per sorted crossing:
+    over-in, over-out, under-in, under-out.  Every end is paired."""
+    index = {cid: j for j, cid in enumerate(d.crossing_ids)}
+    strand = [0] * (4 * len(index))
+    empties = 0
+    for comp in d.components:
+        if not comp:
+            empties += 1
+            continue
+        for i, p in enumerate(comp):
+            q = comp[(i + 1) % len(comp)]
+            out_end = 4 * index[p.crossing] + (1 if p.over else 3)
+            in_end = 4 * index[q.crossing] + (0 if q.over else 2)
+            strand[out_end] = in_end
+            strand[in_end] = out_end
+    return strand, empties
+
+
+def traced_state(d: VirtualLinkDiagram, state) -> tuple[tuple[Occurrence, ...], ...]:
+    """The curves of a state as the cycles (:func:`_trace`) of the strand
+    matching (:func:`_strand_edges`) and the splitting matching, each odd
+    step of a cycle emitting the crossing it lands on.  The reference for
+    :func:`ribbongraphs.links.resolve_state`, which took over from this
+    path with one walk, in the same circle order and with the same flags;
+    ``state`` must choose A or B at every crossing."""
+    ids = d.crossing_ids
+    strand, empties = _strand_edges(d)
+    # ends 4j..4j+3 are over-in, over-out, under-in, under-out: the
+    # orientation-respecting splitting pairs end c with c ^ 3, the other
+    # with c ^ 2
+    is_a = [state[cid] == "A" for cid in ids]
+    smooth = [
+        c ^ (3 if (d.signs[ids[c >> 2]] > 0) == is_a[c >> 2] else 2)
+        for c in range(4 * len(ids))
+    ]
+    circles = [
+        tuple(
+            [
+                Occurrence(ids[c >> 2], (c & 2 == 0) == is_a[c >> 2])
+                for c in cycle[1::2]
+            ]
+        )
+        for cycle in _trace(strand, smooth, range(len(strand)))
+    ]
+    circles.extend(() for _ in range(empties))
+    return tuple(circles)
+
+
+# ----------------------------------------------------------------------
 # partial-duality oracle
 # ----------------------------------------------------------------------
 
 
 def traced_partial_dual(g: SignedRibbonGraph, edges) -> SignedRibbonGraph:
-    """Partial dual from the cycles (``ribbon._trace``) of the arc matching
+    """Partial dual from the cycles (:func:`_trace`) of the arc matching
     and the side matching of the subset (``label_bands``), each odd step
     of a cycle emitting the occurrence it lands on.  The reference for
     ``ribbon._dual_circles``, the walk that ``duality.partial_dual`` took
@@ -1608,7 +1689,7 @@ class BoundaryWalk:
 def boundary_components(g: SignedRibbonGraph) -> tuple[BoundaryWalk, ...]:
     """Trace the boundary of the surface; one walk per component.
 
-    The boundary components are the cycles (``ribbon._trace``) of the
+    The boundary components are the cycles (:func:`_trace`) of the
     arc matching, along the circles, and the side matching, along the
     edge bands (``label_bands``): as many as the circles that ``stats``
     counts for f.  Walks start at their smallest corner and leave it

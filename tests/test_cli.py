@@ -186,6 +186,25 @@ class TestPolynomials:
             " of x and y, and the negative edges 1 break it: x occurs with exponent -1/2\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, name, path",
+        [
+            ("poly", "bollobas_riordan", "klein.rg"),
+            ("tutte", "tutte_via_br", "bridge.rg"),
+            ("invariant", "duality_invariant", "annulus.rg"),
+            ("bracket", "kauffman_bracket", "trefoil.gauss"),
+            ("jones", "jones", "trefoil.gauss"),
+        ],
+    )
+    def test_computed_through_the_cli_attribute(self, capsys, monkeypatch, command, name, path):
+        # Each subcommand looks its function up in cli when it runs, so a
+        # rebinding there, a tracer's or a test's, sees the one call.
+        code, out, _ = run(capsys, command, fixture(path))
+        calls: list = []
+        monkeypatch.setattr(cli, name, counting(calls, getattr(cli, name)))
+        assert run(capsys, command, fixture(path)) == (code, out, "")
+        assert (code, len(calls)) == (0, 1)
+
     @pytest.mark.parametrize("command", ["poly", "tutte", "invariant"])
     def test_guard_exit_3(self, capsys, tmp_path, command):
         # the frontier engine needs one state per step for a forest, and

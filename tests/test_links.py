@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -50,6 +51,7 @@ from .helpers import (
     state_counts,
     state_sum_bracket,
     subgraph_stats,
+    traced_state,
 )
 
 A = Laurent.monomial(RING_ABD, (1, 0, 0))
@@ -242,15 +244,52 @@ class TestStates:
 
     def test_bad_state_is_a_package_error(self):
         kink = load_diagram("kink.gauss")
-        for state in ({}, {"1": "C"}):
+        trefoil = load_diagram("trefoil.gauss")
+        # missing, unknown and partial states; state_ribbon_graph reads the
+        # state's signs only after resolve_state has checked it
+        bad = ((kink, {}), (kink, {"1": "C"}), (trefoil, {"1": "A"}))
+        for resolve, (diag, state) in product((resolve_state, state_ribbon_graph), bad):
             with pytest.raises(InvalidState) as err:
-                resolve_state(kink, state)
+                resolve(diag, state)
             assert isinstance(err.value, RibbonGraphError)
             assert isinstance(err.value, ValueError)
 
     def test_empty_component_counts_as_circle(self):
         diag = parse_gauss("")
         assert state_counts(diag, {}) == (0, 0, 1)
+
+    def test_matches_traced_oracle(self):
+        # The one walk of resolve_state against the two-matching trace it
+        # replaced: the same circles in the same order, with the same flags.
+        rng = random.Random(25)
+        pairs = []
+        for diag in diagram_corpus(25, 150, max_crossings=6):
+            pairs += [(diag, state) for state in all_states(diag)]
+        links = (random_link(rng, 11) for _ in range(400))
+        sized = [diag for diag in links if diag.num_crossings >= 9][:80]
+        words = [
+            [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(n)]
+            for n in range(25)
+            for _ in range(4)
+        ]
+        braids = [braid_word_closure(4, word) for word in words]
+        empty = [
+            parse_gauss("component:\ncomponent: O1+ U2- O2- U1+\ncomponent:"),
+            parse_gauss("component: O1- U1-\ncomponent:"),
+            VirtualLinkDiagram([], {}),
+        ]
+        for diag in sized + braids + empty:
+            ids = diag.crossing_ids
+            for _ in range(20 if ids else 1):
+                pairs.append((diag, {cid: rng.choice("AB") for cid in ids}))
+        for diag, state in pairs:
+            got, want = resolve_state(diag, state), traced_state(diag, state)
+            assert got == want and repr(got) == repr(want), (diag, state)
+            assert all(type(o.against) is bool for circle in got for o in circle)
+        assert len(pairs) >= 5000
+        assert {0, 6, 9, 11, 24} <= {diag.num_crossings for diag, _ in pairs}
+        assert sum(() in resolve_state(diag, state) for diag, state in pairs) > 100
+        assert resolve_state(VirtualLinkDiagram([], {}), {}) == ()
 
 
 class TestStateRibbonGraphs:

@@ -4,6 +4,7 @@ package."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -26,7 +27,8 @@ README = ROOT / "README.md"
 # and the circle walk for the form-and-orientability pair of _form, and
 # the frontier engine, which now runs at every size, for the crossover
 # constants _SPLIT_MIN_EDGES and _FRONTIER_MIN_EDGES, and the map on R's
-# keys in tutte_via_br, which drops z itself, for Laurent.project)
+# keys in tutte_via_br, which drops z itself, for Laurent.project, and
+# the one walk inside resolve_state for the strand matching _strand_edges)
 REMOVED = [
     ("polynomial", "monomial", None),
     ("polynomial", "parse_poly", "parse_poly"),
@@ -46,6 +48,7 @@ REMOVED = [
     ("br", "_FRONTIER_MIN_EDGES", None),
     ("links", "StateExpansion", None),
     ("links", "BRACKET_MAX_CROSSINGS", None),
+    ("links", "_strand_edges", None),
     ("ribbon", "boundary_components", "boundary_components"),
     ("ribbon", "BoundaryWalk", "BoundaryWalk"),
     ("ribbon", "Corner", "Corner"),
@@ -58,6 +61,7 @@ REMOVED = [
     ("ribbon", "_bands", "label_bands"),
     ("ribbon", "_circle_union", "parity_union_find"),
     ("ribbon", "_form", None),
+    ("ribbon", "_trace", "_trace"),
     ("ribbon.SignedRibbonGraph", "occurrences", "occurrences"),
     ("duality", "delete_edge", "delete_edge"),
     ("duality", "contract_edge", "contract_edge"),
@@ -177,12 +181,25 @@ def test_derived_graphs_only_from_operations():
 
 
 def test_each_walk_keeps_its_callers():
-    # Two walks trace cycles over corner matchings: the table walk gives
-    # the circles of partial duals and, as those of the full dual, the
-    # boundary count f; _trace gives the curves of link states.  A third
-    # caller would be a third walk growing back.
+    # One walk over the occurrence table gives the circles of partial
+    # duals and, as those of the full dual, the boundary count f; its two
+    # callers are pinned.  The curves of link states are walked inside
+    # resolve_state, and the two-matching kernel _trace that traced them
+    # is a test oracle now, so none is left in the package.
     assert sites("_dual_circles") == [("duality", "partial_dual"), ("ribbon", "stats")]
-    assert sites("_trace") == [("links", "resolve_state")]
+    assert sites("_trace") == []
+
+
+@pytest.mark.parametrize(
+    "script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda path: path.name
+)
+def test_script_loads(script, monkeypatch):
+    # The scripts import private names of the package and oracles of
+    # tests.helpers; loading one runs its imports (its __main__ guard keeps
+    # the rest from running), so renaming or removing such a name fails here.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(f"scripts_{script.stem}", script)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_import_loads_no_dataclasses():
