@@ -41,10 +41,12 @@ def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGrap
     occurrence i); untouched circles follow in their original order.
     Subset edge signs are flipped.
 
+    A bare ``str`` names one edge, not a set of one-character labels.
+
     Raises:
         UnknownEdge: a requested edge is not in the graph.
     """
-    subset = set(edges)
+    subset = {edges} if isinstance(edges, str) else set(edges)
     if unknown := subset - g.signs.keys():
         raise UnknownEdge(f"not edges of the graph: {sorted(unknown)}")
     inside = [label in subset for label in _flat(g)[0]]

@@ -27,14 +27,13 @@ from .errors import (
     InvalidLabel,
     InvalidState,
     NegativeExponentNonUnit,
-    ParseError,
     RoleConflict,
     TooManyCrossings,
     UnknownSign,
 )
 from .polynomial import RING_ABD, RING_T, Laurent
 from .ribbon import Occurrence, SignedRibbonGraph, _LABEL_BAD, _new
-from .ribbon import _read_lines, _write_lines
+from .ribbon import _SIGNS, _error, _read_lines, _write_lines
 
 __all__ = [
     "Pass",
@@ -87,20 +86,21 @@ class VirtualLinkDiagram:
         components: Iterable[Iterable[Pass | tuple[str, bool]]],
         signs: Mapping[str, int],
     ):
-        fixed = tuple(
-            tuple(Pass(p[0], bool(p[1])) for p in comp) for comp in components
-        )
+        fixed = tuple([tuple([_new(Pass, (p[0], bool(p[1]))) for p in c]) for c in components])
         roles: dict[str, list[bool]] = {}
-        for comp in fixed:
-            for cid, over in comp:  # ids checked in first-seen order
-                if not isinstance(cid, str) or not cid or _LABEL_BAD.search(cid):
-                    raise InvalidLabel(f"invalid crossing id {cid!r}")
-                roles.setdefault(cid, []).append(over)
+        try:
+            for comp in fixed:
+                for cid, over in comp:
+                    roles.setdefault(cid, []).append(over)
+            ids = roles  # each id once, in first-seen order
+        except TypeError:  # an unhashable id: every pass in order, up to it
+            ids = [cid for comp in fixed for cid, _ in comp]
+        for cid in ids:
+            if not isinstance(cid, str) or not cid or _LABEL_BAD.search(cid):
+                raise InvalidLabel(f"invalid crossing id {cid!r}")
         for cid, seen in roles.items():
             if len(seen) != 2:
-                raise DanglingCrossing(
-                    f"crossing {cid!r} met {len(seen)} times, expected 2"
-                )
+                raise DanglingCrossing(f"crossing {cid!r} met {len(seen)} times, expected 2")
             if seen[0] == seen[1]:
                 word = "over" if seen[0] else "under"
                 raise RoleConflict(f"crossing {cid!r} passed {word} twice")
@@ -293,33 +293,31 @@ def parse_gauss(text: str) -> VirtualLinkDiagram:
         ParseError: malformed tokens or clashing signs, with line/column.
         DanglingCrossing, RoleConflict, UnknownSign: invalid diagrams.
     """
-    components: list[list[Pass]] = []
+    components: list[list[tuple[str, bool]]] = []
     signs: dict[str, int] = {}
-    for keyword, lineno, _, tokens in _read_lines(text, "gauss v1", ("component:",)):
+    for keyword, lineno, tokens in _read_lines(text, "gauss v1", ("component:",)):
         if keyword != "component:":  # the header
             continue
-        comp: list[Pass] = []
-        for tok, col in tokens:
-            if len(tok) < 3 or tok[0] not in "OU" or tok[-1] not in "+-":
-                raise ParseError(
-                    f"expected (O|U)<id><+|->, got {tok!r}", lineno, col
-                )
-            cid = tok[1:-1]
-            if _LABEL_BAD.search(cid):
-                raise ParseError(f"invalid crossing id {cid!r}", lineno, col)
-            sign = 1 if tok[-1] == "+" else -1
-            if cid in signs and signs[cid] != sign:
-                raise ParseError(
-                    f"crossing {cid!r} already declared with the other sign",
-                    lineno,
-                    col,
-                )
-            signs[cid] = sign
-            comp.append(Pass(cid, tok[0] == "O"))
+        comp: list[tuple[str, bool]] = []
+        for tok in tokens:
+            cid, sign = tok[1:-1], _SIGNS.get(tok[-1])
+            if cid not in signs and sign and len(tok) > 2 and not _LABEL_BAD.search(cid):
+                signs[cid] = sign  # a new id, checked once
+            if signs.get(cid, 0) != sign or tok[0] not in "OU":
+                raise _error(_pass_message(tok), text, lineno, keyword, len(comp))
+            comp.append((cid, tok[0] == "O"))
         components.append(comp)
     if not components:
         components.append([])
     return VirtualLinkDiagram(components, signs)
+
+
+def _pass_message(token: str) -> str:
+    if len(token) < 3 or token[0] not in "OU" or token[-1] not in "+-":
+        return f"expected (O|U)<id><+|->, got {token!r}"
+    if _LABEL_BAD.search(token[1:-1]):
+        return f"invalid crossing id {token[1:-1]!r}"
+    return f"crossing {token[1:-1]!r} already declared with the other sign"
 
 
 def serialize_gauss(d: VirtualLinkDiagram) -> str:

@@ -17,7 +17,7 @@ single edge (move M2).
 from __future__ import annotations
 
 import re
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -114,9 +114,7 @@ class SignedRibbonGraph:
         # tuple() of a list, not of a generator: a generator's tuple is
         # allocated at a guessed size and resized, and the interpreter's
         # free lists then keep up to 2000 blocks per circle length.
-        fixed = tuple(
-            [tuple([Occurrence(o[0], bool(o[1])) for o in c]) for c in circles]
-        )
+        fixed = tuple([tuple([_new(Occurrence, (o[0], bool(o[1]))) for o in c]) for c in circles])
         counts: dict[str, int] = {}
         try:
             for circle in fixed:
@@ -128,16 +126,12 @@ class SignedRibbonGraph:
             _check_label(label)
         for label, count in counts.items():
             if count != 2:
-                raise DuplicateLabelCount(
-                    f"label {label!r} occurs {count} times, expected 2"
-                )
+                raise DuplicateLabelCount(f"label {label!r} occurs {count} times, expected 2")
             if label not in signs:
                 raise UnknownSign(f"no sign given for edge {label!r}")
         for label, sign in signs.items():
-            if counts.get(label, 0) != 2:
-                raise DuplicateLabelCount(
-                    f"label {label!r} occurs 0 times, expected 2"
-                )
+            if label not in counts:  # every counted label occurs twice by now
+                raise DuplicateLabelCount(f"label {label!r} occurs 0 times, expected 2")
             if type(sign) is not int or sign not in (1, -1):  # no bool, no float
                 raise UnknownSign(f"sign of edge {label!r} must be +1 or -1")
         object.__setattr__(self, "circles", fixed)
@@ -218,9 +212,7 @@ class SignedRibbonGraph:
     def m1(self, index: int) -> "SignedRibbonGraph":
         """Reverse circle ``index`` and flip every flag on it; ``InvalidMove``
         if ``index`` is not in 0..v-1."""
-        return self._move_circle(
-            index, lambda c: tuple(Occurrence(o.label, not o.against) for o in c[::-1])
-        )
+        return self._move_circle(index, lambda c: [(l, not a) for l, a in c[::-1]])
 
     def m2(self, label: str) -> "SignedRibbonGraph":
         """Flip both flags of edge ``label``.
@@ -229,13 +221,7 @@ class SignedRibbonGraph:
             UnknownEdge: ``label`` is not an edge of the graph.
         """
         self.sign(label)  # raises UnknownEdge for a label the graph lacks
-        circles = tuple(
-            tuple(
-                Occurrence(o.label, not o.against) if o.label == label else o
-                for o in circle
-            )
-            for circle in self.circles
-        )
+        circles = [[(l, not a if l == label else a) for l, a in c] for c in self.circles]
         return SignedRibbonGraph(circles, self.signs)
 
     def rotate(self, index: int, shift: int) -> "SignedRibbonGraph":
@@ -249,22 +235,15 @@ class SignedRibbonGraph:
         """Reorder circles; ``order[i]`` is the old index placed at i."""
         if sorted(order) != list(range(len(self.circles))):
             raise InvalidMove("not a permutation of circle indices")
-        return SignedRibbonGraph(
-            tuple(self.circles[i] for i in order), self.signs
-        )
+        return SignedRibbonGraph([self.circles[i] for i in order], self.signs)
 
     def relabel(self, mapping: Mapping[str, str]) -> "SignedRibbonGraph":
         """Rename edges; labels absent from ``mapping`` keep their names."""
         full = {l: _check_label(mapping.get(l, l)) for l in self.signs}
         if len(set(full.values())) != len(full):
             raise InvalidMove("relabeling is not injective")
-        circles = tuple(
-            tuple(Occurrence(full[o.label], o.against) for o in circle)
-            for circle in self.circles
-        )
-        return SignedRibbonGraph(
-            circles, {full[l]: s for l, s in self.signs.items()}
-        )
+        circles = [[(full[l], a) for l, a in c] for c in self.circles]
+        return SignedRibbonGraph(circles, {full[l]: s for l, s in self.signs.items()})
 
 
 # ----------------------------------------------------------------------
@@ -552,35 +531,60 @@ def is_isomorphic(
 # ----------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\S+")
+_SIGNS = {":+": 1, ":-": -1, "+": 1, "-": -1}  # token ends: .rg after a colon, gauss bare
+
+
+def _error(message: str, text: str, lineno: int, keyword: str = "", index: int = -1):
+    """The ``ParseError`` of ``message`` at the first character of line
+    ``lineno`` of ``text``, or at its token ``index`` after ``keyword``."""
+    line = text.splitlines()[lineno - 1].split("#", 1)[0]
+    col = len(line) - len(line.lstrip())
+    if index >= 0:
+        col = next(islice(_TOKEN_RE.finditer(line, col + len(keyword)), index, None)).start()
+    return ParseError(message, lineno, col + 1)
 
 
 def _read_lines(text: str, header: str, keywords: tuple[str, ...]) -> Iterator:
-    """Yield (keyword, line, column, tokens) per content line of either text
-    format, each token a (text, 1-based column) pair.  ``#`` starts a
-    comment, blank lines are skipped, the first content line may be
-    ``header`` (yielded with no tokens), and any other line opens with one
-    of ``keywords``.  Lazy, so a caller's error wins over later lines."""
-    first = True
+    """Yield (keyword, line, tokens) per content line of either text format,
+    lazily, so that a caller's error wins over later lines.  Tokens are the
+    words ``str.split`` finds after the keyword; :func:`_error` finds the
+    column of a failing one.  ``#`` starts a comment, blank lines are skipped,
+    the first content line may be ``header`` (yielded with no tokens), and
+    others open with one of ``keywords``, none a prefix of another."""
+    first, comments = True, "#" in text
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        stripped = line.strip()
-        if not stripped:
+        tokens = (raw.split("#", 1)[0] if comments else raw).split()
+        if not tokens:
             continue
-        col = len(line) - len(line.lstrip()) + 1
-        if first and stripped == header:
-            yield header, lineno, col, []
-        else:
-            keyword = next((k for k in keywords if stripped.startswith(k)), None)
+        if first:
+            first = False
+            if raw.split("#", 1)[0].strip() == header:
+                yield header, lineno, []
+                continue
+        head = tokens[0]
+        if head in keywords:
+            keyword = tokens.pop(0)
+        else:  # a keyword glued to its first token, or none
+            keyword = next((k for k in keywords if head.startswith(k)), None)
             if keyword is None:
-                raise ParseError(f"unrecognized line {stripped.split()[0]!r}", lineno, col)
-            body = _TOKEN_RE.finditer(line, col - 1 + len(keyword))
-            yield keyword, lineno, col, [(m.group(), m.start() + 1) for m in body]
-        first = False
+                raise _error(f"unrecognized line {head!r}", text, lineno)
+            tokens[0] = head[len(keyword) :]
+        yield keyword, lineno, tokens
 
 
 def _write_lines(header: str, lines: Iterable[tuple[str, list[str]]]) -> str:
     """``header``, then a ``keyword token ...`` line per (keyword, tokens)."""
     return "\n".join([header, *(" ".join([k, *toks]) for k, toks in lines)]) + "\n"
+
+
+def _edge_message(token: str) -> str:
+    label, _, sign_txt = token.rpartition(":")
+    if not label:
+        return f"expected label:sign, got {token!r}"
+    if sign_txt not in ("+", "-"):
+        return f"sign must be + or -, got {sign_txt!r}"
+    bad = _LABEL_BAD.search(label)
+    return f"invalid edge label {label!r}" if bad else f"edge {label!r} declared twice"
 
 
 def parse_ribbon_graph(text: str) -> SignedRibbonGraph:
@@ -589,45 +593,40 @@ def parse_ribbon_graph(text: str) -> SignedRibbonGraph:
     Format: optional header line ``ribbon-graph v1``; one line
     ``edges: <label>:<+|-> ...``; one ``circle:`` line per vertex whose
     tokens are labels, with a trailing ``'`` marking an Against flag.
-    ``#`` starts a comment anywhere; blank lines are skipped.
+    ``#`` starts a comment anywhere; blank lines are skipped.  A circle
+    token is valid exactly when it is a declared label, quoted or not.
 
     Raises:
         ParseError: malformed syntax, with line and column.
         DuplicateLabelCount, UnknownSign: label/sign inconsistencies.
     """
     signs: dict[str, int] | None = None
-    circles: list[list[Occurrence]] = []
+    circles: list[list[tuple[str, bool]]] = []
     keyword = None
     lines = _read_lines(text, "ribbon-graph v1", ("edges:", "circle:"))
-    for keyword, lineno, col, tokens in lines:
+    for keyword, lineno, tokens in lines:
         if keyword == "edges:":
             if signs is not None:
-                raise ParseError("second edges: line", lineno, col)
+                raise _error("second edges: line", text, lineno)
             signs = {}
-            for tok, col in tokens:
-                label, sep, sign_txt = tok.rpartition(":")
-                if not sep or not label:
-                    raise ParseError(f"expected label:sign, got {tok!r}", lineno, col)
-                if sign_txt not in ("+", "-"):
-                    raise ParseError(f"sign must be + or -, got {sign_txt!r}", lineno, col)
-                if _LABEL_BAD.search(label):
-                    raise ParseError(f"invalid edge label {label!r}", lineno, col)
-                if label in signs:
-                    raise ParseError(f"edge {label!r} declared twice", lineno, col)
-                signs[label] = 1 if sign_txt == "+" else -1
+            for tok in tokens:  # valid: a label with no colon, then :+ or :-
+                label, sign = tok[:-2], _SIGNS.get(tok[-2:])
+                if sign is None or not label or label in signs or _LABEL_BAD.search(label):
+                    raise _error(_edge_message(tok), text, lineno, keyword, len(signs))
+                signs[label] = sign
+            pairs = {label: (label, False) for label in signs}  # token to occurrence
+            pairs.update({label + "'": (label, True) for label in signs})
         elif keyword == "circle:":
             if signs is None:
-                raise ParseError("circle: before edges:", lineno, col)
-            circle: list[Occurrence] = []
-            for tok, col in tokens:
-                against = tok.endswith("'")
-                label = tok[:-1] if against else tok
-                if not label or _LABEL_BAD.search(label):
-                    raise ParseError(f"invalid occurrence {tok!r}", lineno, col)
-                if label not in signs:
-                    raise ParseError(f"edge {label!r} not declared", lineno, col)
-                circle.append(Occurrence(label, against))
-            circles.append(circle)
+                raise _error("circle: before edges:", text, lineno)
+            try:
+                circles.append([pairs[tok] for tok in tokens])
+            except KeyError:
+                i, tok = next((i, t) for i, t in enumerate(tokens) if t not in pairs)
+                label = tok[:-1] if tok[-1] == "'" else tok
+                bad = not label or _LABEL_BAD.search(label)
+                message = f"invalid occurrence {tok!r}" if bad else f"edge {label!r} not declared"
+                raise _error(message, text, lineno, keyword, i) from None
     if signs is None:  # no line but the header, if that, was read
         raise ParseError("missing edges: line" if keyword else "empty input", 1, 1)
     return SignedRibbonGraph(circles, signs)

@@ -32,7 +32,13 @@ from ribbongraphs.errors import (
     ParseError,
     UnknownEdge,
 )
-from ribbongraphs.links import VirtualLinkDiagram, parse_gauss, resolve_state, serialize_gauss
+from ribbongraphs.links import (
+    Pass,
+    VirtualLinkDiagram,
+    parse_gauss,
+    resolve_state,
+    serialize_gauss,
+)
 from ribbongraphs.polynomial import (
     RING_ABD,
     RING_T,
@@ -43,6 +49,7 @@ from ribbongraphs.polynomial import (
     restrict_duality_surface,
 )
 from ribbongraphs.ribbon import (
+    _LABEL_BAD,
     Occurrence,
     SignedRibbonGraph,
     _flat,
@@ -1914,3 +1921,108 @@ def parse_poly(text: str, ring: Ring) -> Laurent:
         if not (tok[0] == "op" and tok[1] in "+-"):
             raise ParseError(f"unexpected token {tok[1]!r}", 1, tok[2])
     return Laurent(ring, terms)
+
+
+# ----------------------------------------------------------------------
+# eager text readers: the parsers as they were before columns were deferred
+# ----------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(r"\S+")
+
+
+def eager_read_lines(text: str, header: str, keywords: tuple[str, ...]) -> Iterator:
+    """Yield (keyword, line, column, tokens) per content line of either text
+    format, each token a (text, 1-based column) pair.  ``#`` starts a
+    comment, blank lines are skipped, the first content line may be
+    ``header`` (yielded with no tokens), and any other line opens with one
+    of ``keywords``.  Lazy, so a caller's error wins over later lines."""
+    first = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        stripped = line.strip()
+        if not stripped:
+            continue
+        col = len(line) - len(line.lstrip()) + 1
+        if first and stripped == header:
+            yield header, lineno, col, []
+        else:
+            keyword = next((k for k in keywords if stripped.startswith(k)), None)
+            if keyword is None:
+                raise ParseError(f"unrecognized line {stripped.split()[0]!r}", lineno, col)
+            body = _TOKEN_RE.finditer(line, col - 1 + len(keyword))
+            yield keyword, lineno, col, [(m.group(), m.start() + 1) for m in body]
+        first = False
+
+
+def eager_parse_ribbon_graph(text: str) -> SignedRibbonGraph:
+    """The ``.rg`` parser over :func:`eager_read_lines`, which checks every
+    token in turn with its column at hand: the oracle of
+    ``parse_ribbon_graph``, which finds a column only for an error."""
+    signs: dict[str, int] | None = None
+    circles: list[list[Occurrence]] = []
+    keyword = None
+    lines = eager_read_lines(text, "ribbon-graph v1", ("edges:", "circle:"))
+    for keyword, lineno, col, tokens in lines:
+        if keyword == "edges:":
+            if signs is not None:
+                raise ParseError("second edges: line", lineno, col)
+            signs = {}
+            for tok, col in tokens:
+                label, sep, sign_txt = tok.rpartition(":")
+                if not sep or not label:
+                    raise ParseError(f"expected label:sign, got {tok!r}", lineno, col)
+                if sign_txt not in ("+", "-"):
+                    raise ParseError(f"sign must be + or -, got {sign_txt!r}", lineno, col)
+                if _LABEL_BAD.search(label):
+                    raise ParseError(f"invalid edge label {label!r}", lineno, col)
+                if label in signs:
+                    raise ParseError(f"edge {label!r} declared twice", lineno, col)
+                signs[label] = 1 if sign_txt == "+" else -1
+        elif keyword == "circle:":
+            if signs is None:
+                raise ParseError("circle: before edges:", lineno, col)
+            circle: list[Occurrence] = []
+            for tok, col in tokens:
+                against = tok.endswith("'")
+                label = tok[:-1] if against else tok
+                if not label or _LABEL_BAD.search(label):
+                    raise ParseError(f"invalid occurrence {tok!r}", lineno, col)
+                if label not in signs:
+                    raise ParseError(f"edge {label!r} not declared", lineno, col)
+                circle.append(Occurrence(label, against))
+            circles.append(circle)
+    if signs is None:  # no line but the header, if that, was read
+        raise ParseError("missing edges: line" if keyword else "empty input", 1, 1)
+    return SignedRibbonGraph(circles, signs)
+
+
+def eager_parse_gauss(text: str) -> VirtualLinkDiagram:
+    """The gauss parser over :func:`eager_read_lines`: the oracle of
+    ``parse_gauss``."""
+    components: list[list[Pass]] = []
+    signs: dict[str, int] = {}
+    for keyword, lineno, _, tokens in eager_read_lines(text, "gauss v1", ("component:",)):
+        if keyword != "component:":  # the header
+            continue
+        comp: list[Pass] = []
+        for tok, col in tokens:
+            if len(tok) < 3 or tok[0] not in "OU" or tok[-1] not in "+-":
+                raise ParseError(
+                    f"expected (O|U)<id><+|->, got {tok!r}", lineno, col
+                )
+            cid = tok[1:-1]
+            if _LABEL_BAD.search(cid):
+                raise ParseError(f"invalid crossing id {cid!r}", lineno, col)
+            sign = 1 if tok[-1] == "+" else -1
+            if cid in signs and signs[cid] != sign:
+                raise ParseError(
+                    f"crossing {cid!r} already declared with the other sign",
+                    lineno,
+                    col,
+                )
+            signs[cid] = sign
+            comp.append(Pass(cid, tok[0] == "O"))
+        components.append(comp)
+    if not components:
+        components.append([])
+    return VirtualLinkDiagram(components, signs)

@@ -16,6 +16,7 @@ from ribbongraphs.ribbon import (
     Occurrence,
     SignedRibbonGraph,
     is_isomorphic,
+    parse_ribbon_graph,
     serialize_ribbon_graph,
     stats,
 )
@@ -110,6 +111,14 @@ class TestPartialDual:
     def test_unknown_edge(self):
         with pytest.raises(UnknownEdge):
             partial_dual(load_graph("torus.rg"), {"zz"})
+
+    def test_a_bare_string_names_one_edge(self):
+        # set("12") would be {"1", "2"}: two other edges, or none at all.
+        g = parse_ribbon_graph("edges: 1:+ 2:+ 12:+\ncircle: 1 2 12 1 2 12\n")
+        assert partial_dual(g, "12") == partial_dual(g, {"12"})
+        assert partial_dual(g, "12") != partial_dual(g, {"1", "2"})
+        with pytest.raises(UnknownEdge, match=r"\['ab'\]"):
+            partial_dual(g, "ab")
 
     def test_signs_flip_only_on_subset(self):
         g = load_graph("klein.rg")

@@ -180,6 +180,12 @@ def test_derived_graphs_only_from_operations():
     ]
 
 
+def test_one_line_reader_for_both_formats():
+    # One grammar: both parsers read lines, comments, headers and
+    # keywords through the one shared reader, and nothing else does.
+    assert sites("_read_lines") == [("links", "parse_gauss"), ("ribbon", "parse_ribbon_graph")]
+
+
 def test_each_walk_keeps_its_callers():
     # One walk over the occurrence table gives the circles of partial
     # duals and, as those of the full dual, the boundary count f; its two
