@@ -6,8 +6,8 @@ plan.
 The engine runs with each caller's exponent key: R (``br._r_terms``),
 which carries the component partition in its states, and the duality
 invariant (``br._r_terms`` with ``restrict``) and the bracket
-(``tests.helpers.bracket_by_engine``, the increments of
-``links.kauffman_bracket``), which do not.
+(``links._bracket_terms``, which ``links.kauffman_bracket`` runs on its
+all-A state graph), which do not.
 
 Small cells: for each, a seeded set of graphs goes through the engine
 once per caller and through the depth-first sweep over all 2^e subsets
@@ -21,9 +21,9 @@ per graph; ``ratio`` is R over sweep.
 Large families, at e = n = 16, 20, 24 and 28: the all-A state graphs of
 one-strand diagrams, one-circle graphs, and graphs on v = e/2 circles,
 a few seeds each.  Each graph gets its own line: its engine time per
-caller (best of three, ms), the sweep's up to 16 edges, the widest
-frontier of the engine's planned edge order, and the state-free proxy
-sum of 2^(w/2) over the planned width w after each step; each family
+caller (best of three, ms), the sweep's up to 16 edges, and, read off
+the engine's plan (``br._plan``), the widest frontier and the state-free
+proxy sum of 2^(w/2) over the planned width w after each step; each family
 and size ends with the median time per caller.  A guard on the engine's
 work would be calibrated from these figures, so the script lifts
 ``br.BR_MAX_EDGES`` to time R and the invariant past it.
@@ -44,9 +44,9 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from ribbongraphs import br
-from ribbongraphs.links import all_A_state, state_ribbon_graph
+from ribbongraphs.links import _bracket_terms, all_A_state, state_ribbon_graph
 from ribbongraphs.ribbon import _flat
-from tests.helpers import bracket_by_engine, sized_diagram, sized_graph, sweep_profiles
+from tests.helpers import sized_diagram, sized_graph, sweep_profiles
 
 SEED = 2007
 SWEEP_MAX_EDGES = 16
@@ -54,7 +54,7 @@ LARGE_SEEDS = 4
 CALLERS = {
     "R": lambda g: br._r_terms(g, False),
     "inv": lambda g: br._r_terms(g, True),
-    "bracket": bracket_by_engine,
+    "bracket": _bracket_terms,
 }
 
 
@@ -64,27 +64,6 @@ def whole_sweep(g) -> dict:
     sigma = _flat(g)[4]
     tau = [c ^ 1 for c in range(len(sigma))]  # every band excluded
     return sweep_profiles(br._edges(g), sigma, tau, list(range(g.num_vertices)), g.num_vertices)
-
-
-def planned_widths(g) -> list[int]:
-    """The frontier width after each step of the engine's planned order:
-    a corner is on the frontier once the edge at its arc's other end is
-    decided, until its own edge is."""
-    edges, sigma = br._edges(g), _flat(g)[4]
-    order = br._edge_order(edges, sigma)
-    due = [0] * len(sigma)  # the step that decides each corner's edge
-    for t, n in enumerate(order):
-        for x in edges[n][:4]:
-            due[x] = t
-    widths, w = [], 0
-    for t, n in enumerate(order):
-        for x in edges[n][:4]:
-            if due[sigma[x]] < t:  # x leaves the frontier
-                w -= 1
-            elif due[sigma[x]] > t:  # the other end of x's arc joins it
-                w += 1
-        widths.append(w)
-    return widths
 
 
 def per_graph_us(graphs, profiles) -> float:
@@ -112,7 +91,7 @@ def large(name: str, graphs) -> None:
     times = []
     for seed, g in enumerate(graphs, 1):
         _flat(g)
-        widths = planned_widths(g)
+        widths = br._plan(g)[2]
         times.append([per_graph_us([g], caller) / 1000 for caller in CALLERS.values()])
         sweep = f"{per_graph_us([g], whole_sweep) / 1000:.1f}" if g.num_edges <= SWEEP_MAX_EDGES else "-"
         proxy = sum(2 ** (w / 2) for w in widths)

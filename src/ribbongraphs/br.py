@@ -19,10 +19,11 @@ invariant and, through the all-A state graph of a diagram, the bracket of
 others run on states without the component partition.  Tutte is a map on
 R's keys: it sums them over z and expands each power of x and of y by the
 binomial theorem, so no Laurent arithmetic runs.  The cost follows the
-width of the edge order planned before any state exists, not 2^e, and
-that width is zero at a one-point join or disjoint union, over which R
-is multiplicative (Bollobás and Riordan, Math. Ann. 323, 2002).
-``BR_MAX_EDGES`` limits the edge count.
+frontier width of the plan made before any state exists, not 2^e.  R is
+multiplicative over disjoint unions and one-point joins (Bollobás and
+Riordan, Math. Ann. 323, 2002), but the width is zero between the parts
+of a union only if the order finishes one first, and never between those
+of a join, which two arcs link.  ``BR_MAX_EDGES`` limits the edge count.
 """
 
 from __future__ import annotations
@@ -124,43 +125,22 @@ def _edge_order(edges: list[tuple], sigma: list[int]) -> list[int]:
     return order
 
 
-def _subgraph_profiles(
-    g: SignedRibbonGraph, positive, negative, cycle, component, start
-) -> dict[tuple[int, ...], int]:
-    """Histogram of the caller's exponent key over all 2^e spanning
-    subgraphs F: ``start``, plus ``positive`` per positive edge of F,
-    ``negative`` per negative one, ``cycle`` per boundary cycle and
-    ``component`` per component, each a vector as long as the key.
-    Frontier dynamic programming on the boundary walk, as Sekine, Imai and
-    Tani (ISAAC 1995) compute the Tutte polynomial, planned before any state
-    exists: the order of :func:`_edge_order`, and a frontier slot per corner
+def _plan(g: SignedRibbonGraph) -> tuple[list[int], list[tuple], list[int]]:
+    """The steps of :func:`_subgraph_profiles` on ``g``, from the graph
+    alone: the order of :func:`_edge_order`, and a frontier slot per corner
     from the step that decides its arc's other end to the step that decides
-    its own edge.  A state is the matching the decided bands induce on the
-    frontier and, only if ``component`` is nonzero, the partition of the
-    circles in play into components, each named by its least circle.  Its
-    histogram counts packed keys, as an offset and a dict that states share
-    until a merge copies one.
-    """
+    its own edge.  Returns each corner's slot; per step the edge's corners,
+    circles, closed circles and sign bit, then per corner its slot or -1
+    and its arc's end, the slots opened and those left free; and the
+    frontier width (slots in use) after each step."""
     sigma, edges = _flat(g)[4], _edges(g)
-    v, e = g.num_vertices, len(edges)
-    # no partial sum of a field leaves +-reach (at most e edges, v + e boundary
-    # cycles and v components), so a bias of 2^(width-1) keeps each field in place
-    reach = max(abs(s) + e * max(abs(p), abs(n)) + (v + e) * abs(f) + v * abs(k)
-                for p, n, f, k, s in zip(positive, negative, cycle, component, start))
-    width = reach.bit_length() + 1
-    fields, bias = range(0, width * len(start), width), 1 << width - 1
-    *gains, per_cycle, per_component, off = (  # each packed into one integer
-        sum(x << at for x, at in zip(vector, fields))
-        for vector in (positive, negative, cycle, component, [x + bias for x in start])
-    )
     order = _edge_order(edges, sigma)
     due = [0] * len(sigma)  # the step that decides each corner's edge
     for t, n in enumerate(order):
         a, _, c, *_ = edges[n]
         due[a] = due[a + 1] = due[c] = due[c + 1] = t
     left = [len(circle) for circle in g.circles]  # undecided occurrences
-    # a corner keeps its slot for its whole stay, so the run reads slot too
-    slot, free, wide, plan = [-1] * len(sigma), [], 0, []
+    slot, free, wide, steps, widths = [-1] * len(sigma), [], 0, [], []
     for t, n in enumerate(order):
         a, b, c, d, u, w, minus = edges[n]
         probe, grown = [], wide  # per corner, its slot or -1 and its arc's end
@@ -174,20 +154,48 @@ def _subgraph_profiles(
                 wide += slot[y] == wide
         left[u] -= 1
         left[w] -= 1
-        plan.append((
-            (a, b, c, d, u, w, [x for x in {u, w} if not left[x]], gains[minus]),
-            probe,
-            (0,) * (wide - grown),  # the slots opened at this step
-            [s for s in probe[::2] if s in free],  # the slots left free at this step
-        ))
+        done = [x for x in {u, w} if not left[x]]  # the circles this step closes
+        opened, cleared = (0,) * (wide - grown), [s for s in probe[::2] if s in free]
+        steps.append(((a, b, c, d, u, w, done, minus), probe, opened, cleared))
+        widths.append(wide - len(free))
+    return slot, steps, widths
+
+
+def _subgraph_profiles(
+    g: SignedRibbonGraph, positive, negative, cycle, component, start
+) -> dict[tuple[int, ...], int]:
+    """Histogram of the caller's exponent key over all 2^e spanning
+    subgraphs F: ``start``, plus ``positive`` per positive edge of F,
+    ``negative`` per negative one, ``cycle`` per boundary cycle and
+    ``component`` per component, each a vector as long as the key.
+    Frontier dynamic programming on the boundary walk, as Sekine, Imai and
+    Tani (ISAAC 1995) compute the Tutte polynomial, on the steps of
+    :func:`_plan`.  A state is the matching the decided bands induce on the
+    frontier and, only if ``component`` is nonzero, the partition of the
+    circles in play into components, each named by its least circle.  Its
+    histogram counts packed keys, as an offset and a dict that states share
+    until a merge copies one."""
+    slot, plan, _ = _plan(g)
+    v, e = g.num_vertices, len(plan)
+    # no partial sum of a field leaves +-reach (at most e edges, v + e boundary
+    # cycles and v components), so a bias of 2^(width-1) keeps each field in place
+    reach = max(abs(s) + e * max(abs(p), abs(n)) + (v + e) * abs(f) + v * abs(k)
+                for p, n, f, k, s in zip(positive, negative, cycle, component, start))
+    width = reach.bit_length() + 1
+    fields, bias = range(0, width * len(start), width), 1 << width - 1
+    *gains, per_cycle, per_component, off = (  # each packed into one integer
+        sum(x << at for x, at in zip(vector, fields))
+        for vector in (positive, negative, cycle, component, [x + bias for x in start])
+    )
     outcomes = {inner: ((i * per_cycle, p), (x * per_cycle, q))  # closed cycles packed
                 for inner, ((i, p), (x, q)) in _OUTCOMES.items()}
     empty = g.circles.count(())  # each a closed component and boundary cycle
     off, track = off + empty * (per_cycle + per_component), any(component)
     states: dict = {((), (-1,) * v if track else ()): (off, {0: 1})}
-    inner = [-1] * len(sigma)  # 0-3 at the corners of the edge being decided
-    for (a, b, c, d, u, w, done, gain), (sa, ya, sb, yb, sc, yc, sd, yd), pad, clear in plan:
+    inner = [-1] * len(slot)  # 0-3 at the corners of the edge being decided
+    for (a, b, c, d, u, w, done, minus), (sa, ya, sb, yb, sc, yc, sd, yd), pad, clear in plan:
         inner[a], inner[b], inner[c], inner[d] = 0, 1, 2, 3
+        gain = gains[minus]
         nxt: dict = {}
         owned = set()  # keys of nxt whose dict was copied at this step
         moved: dict = {} if track else {(): (((), gain), ((), 0))}  # partition -> in, out

@@ -210,14 +210,19 @@ def resolve_state(
     return tuple(circles)
 
 
+def _bracket_terms(g: SignedRibbonGraph) -> dict[tuple[int, int, int], int]:
+    """The engine's sum of A^(e-|F|) B^|F| d^(f(F)-1) over the spanning
+    subgraphs F of ``g``, on states without the component partition."""
+    return _subgraph_profiles(g, (-1, 1, 0), (-1, 1, 0), (0, 0, 1), (0, 0, 0), (g.num_edges, 0, -1))
+
+
 def kauffman_bracket(d: VirtualLinkDiagram) -> Laurent:
     """State sum of A^alpha B^beta d^(delta-1) over all splittings.
 
-    Computed through the all-A state graph G: the state that splits the
-    crossings of an edge set F by B and the rest by A traces exactly the
-    boundary components of the spanning subgraph F of G, so the engine of
-    R(G) sums A^(n-|F|) B^|F| d^(f(F)-1) over F, keyed as the bracket, on
-    states without the component partition.
+    Computed through the all-A state graph G, by :func:`_bracket_terms`:
+    the state that splits the crossings of an edge set F by B and the rest
+    by A traces exactly the boundary components of the spanning subgraph F
+    of G, one edge per crossing.
 
     Raises:
         TooManyCrossings: more than ``BR_MAX_EDGES`` crossings, the
@@ -229,9 +234,7 @@ def kauffman_bracket(d: VirtualLinkDiagram) -> Laurent:
             f"{n} crossings exceed the state-sum guard of {BR_MAX_EDGES} "
             f"(2^{n} states)"
         )
-    g = state_ribbon_graph(d, all_A_state(d))
-    terms = _subgraph_profiles(g, (-1, 1, 0), (-1, 1, 0), (0, 0, 1), (0, 0, 0), (n, 0, -1))
-    return Laurent(RING_ABD, terms)
+    return Laurent(RING_ABD, _bracket_terms(state_ribbon_graph(d, all_A_state(d))))
 
 
 def jones(d: VirtualLinkDiagram) -> Laurent:

@@ -1393,14 +1393,6 @@ def r_terms_of(
     return terms
 
 
-def bracket_by_engine(g: SignedRibbonGraph) -> dict[tuple[int, int, int], int]:
-    """The engine with the increments that ``links.kauffman_bracket`` passes
-    for its all-A state graph, n = e: A^(e-|F|) B^|F| d^(f(F)-1), here on
-    graphs of either sign."""
-    start = (g.num_edges, 0, -1)
-    return br._subgraph_profiles(g, (-1, 1, 0), (-1, 1, 0), (0, 0, 1), (0, 0, 0), start)
-
-
 def bracket_terms_of(
     g: SignedRibbonGraph, hist: dict[tuple[int, int, int, int], int]
 ) -> dict[tuple[int, int, int], int]:

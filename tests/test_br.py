@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from ribbongraphs import br
+from ribbongraphs import br, links
 from ribbongraphs.br import (
     BR_MAX_EDGES,
     bollobas_riordan,
@@ -37,7 +37,6 @@ from .helpers import (
     all_subsets,
     bouquet,
     braid_closure,
-    bracket_by_engine,
     bracket_terms_of,
     chord_ring,
     delete_edge,
@@ -285,7 +284,7 @@ def wrong_callers(g: SignedRibbonGraph, hist: dict) -> list[str]:
     runs = (
         ("R", br._r_terms(g, False), r_terms_of(g, hist, False)),
         ("invariant", br._r_terms(g, True), r_terms_of(g, hist, True)),
-        ("bracket", bracket_by_engine(g), bracket_terms_of(g, hist)),
+        ("bracket", links._bracket_terms(g), bracket_terms_of(g, hist)),
     )
     return [name for name, got, want in runs if got != want]
 
@@ -357,6 +356,7 @@ class TestFrontier:
             return engine(g, *steps)
 
         monkeypatch.setattr(br, "_subgraph_profiles", faulty)
+        monkeypatch.setattr(links, "_subgraph_profiles", faulty)  # bound at import
         caught = [g for g in graph_corpus(151, 40) if caller in wrong_callers(g, split_profiles(g))]
         assert len(caught) >= 10
 
@@ -380,7 +380,7 @@ class TestFrontier:
             r = bollobas_riordan(g)
             assert r.terms == r_terms_of(g, hist, False), g
             assert duality_invariant(g).terms == r_terms_of(g, hist, True), g
-            assert bracket_by_engine(g) == bracket_terms_of(g, hist), g
+            assert links._bracket_terms(g) == bracket_terms_of(g, hist), g
             assert sum(r.terms.values()) == 2**BR_MAX_EDGES
             assert sum(duality_invariant(g).terms.values()) == 2**BR_MAX_EDGES
             assert_tutte_matches(g, Laurent(RING_XYZ, r_terms_of(g, hist, False)))
@@ -408,6 +408,25 @@ class TestFrontier:
         labels, edges = _flat(g)[0], br._edges(g)
         order = br._edge_order(edges, _flat(g)[4])
         assert [labels[edges[n][0] >> 1] for n in order] == ["3", "4", "1", "2"]
+
+    def test_planned_widths(self):
+        # The plan's width after step t is, by definition, the number of
+        # corners whose arc's far end is decided by step t and whose own
+        # edge is not.  Those corners hold distinct slots, and once every
+        # edge is decided the frontier is empty.
+        for g in frontier_corpus():
+            sigma, edges = _flat(g)[4], br._edges(g)
+            due = [0] * len(sigma)  # the step that decides each corner's edge
+            for t, n in enumerate(br._edge_order(edges, sigma)):
+                for x in edges[n][:4]:
+                    due[x] = t
+            slot, steps, widths = br._plan(g)
+            assert len(steps) == len(widths) == len(edges), g
+            for t, width in enumerate(widths):
+                frontier = [x for x in range(len(sigma)) if due[sigma[x]] <= t < due[x]]
+                assert width == len(frontier) == len({slot[x] for x in frontier}), g
+                assert min((slot[x] for x in frontier), default=0) >= 0, g
+            assert widths == [] or widths[-1] == 0, g
 
     def test_guard_size_in_time(self):
         # At the 24-edge guard the frontier stays narrow: R and the
@@ -454,8 +473,9 @@ class TestBollobasRiordan:
 
     def test_multiplicative_under_unions(self):
         # twelve two-edge blocks joined in a chain: 2^24 subsets, but the
-        # frontier empties at each join, so the engine's states collapse
-        # to one there and no layer holds more than a few
+        # planned frontier never holds more than six corners (nor empties
+        # before the last step: two arcs link the parts of each join), so
+        # no layer holds more than a few states
         rng = random.Random(59)
         blocks = [two_edge_block(rng) for _ in range(12)]
         chain = blocks[0]

@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import ribbongraphs
+from ribbongraphs import br
 
 from . import helpers
 
@@ -196,16 +198,44 @@ def test_each_walk_keeps_its_callers():
     assert sites("_trace") == []
 
 
+def test_the_engine_is_planned_in_one_place():
+    # The order, the slots and the widths come from br._plan alone, which
+    # the engine, the cost script and the tests read; each caller's key is
+    # set in one place, the bracket's in links._bracket_terms.
+    assert sites("_edge_order") == [("br", "_plan")]
+    assert sites("_plan") == [("br", "_subgraph_profiles")]
+    assert set(sites("_subgraph_profiles")) == {("br", "_r_terms"), ("links", "_bracket_terms")}
+
+
+def load_script(script: Path, monkeypatch):
+    """The module of ``script``, loaded with its imports run; its
+    ``__main__`` guard keeps the rest from running."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(f"scripts_{script.stem}", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize(
     "script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda path: path.name
 )
 def test_script_loads(script, monkeypatch):
     # The scripts import private names of the package and oracles of
-    # tests.helpers; loading one runs its imports (its __main__ guard keeps
-    # the rest from running), so renaming or removing such a name fails here.
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location(f"scripts_{script.stem}", script)
-    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    # tests.helpers, so renaming or removing such a name fails here.
+    load_script(script, monkeypatch)
+
+
+def test_frontier_cost_prints_the_planned_peak(monkeypatch, capsys):
+    # The cost script's large-family lines run every caller on each graph
+    # and print its widest frontier, read off the engine's plan.
+    script = load_script(ROOT / "scripts" / "frontier_cost.py", monkeypatch)
+    rng = random.Random(167)
+    graphs = [helpers.sized_graph(rng, 9, 1), helpers.sized_graph(rng, 9, 5)]
+    script.large("smoke", graphs)
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[:2] for line in lines] == [["smoke", "1"], ["smoke", "2"], ["smoke", "all"]]
+    assert [int(line[-2]) for line in lines[:2]] == [max(br._plan(g)[2]) for g in graphs]
 
 
 def test_import_loads_no_dataclasses():
