@@ -41,16 +41,21 @@ def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGrap
     occurrence i); untouched circles follow in their original order.
     Subset edge signs are flipped.
 
-    A bare ``str`` names one edge, not a set of one-character labels.
+    A bare ``str`` names one edge, not a set of one-character labels; a set
+    or frozenset is read as it is, never copied or changed.
 
     Raises:
         UnknownEdge: a requested edge is not in the graph.
     """
-    subset = {edges} if isinstance(edges, str) else set(edges)
-    if unknown := subset - g.signs.keys():
-        raise UnknownEdge(f"not edges of the graph: {sorted(unknown)}")
-    inside = [label in subset for label in _flat(g)[0]]
-    signs = {l: -s if l in subset else s for l, s in g.signs.items()}
+    subset = edges
+    if not isinstance(subset, (set, frozenset)):
+        subset = {edges} if isinstance(edges, str) else set(edges)
+    if not subset <= g.signs.keys():
+        raise UnknownEdge(f"not edges of the graph: {sorted(subset - g.signs.keys())}")
+    inside = list(map(subset.__contains__, _flat(g)[0]))
+    signs = g.signs.copy()
+    for label in subset:
+        signs[label] = -signs[label]
     return SignedRibbonGraph._derived(_dual_circles(g, inside), signs)
 
 
@@ -80,11 +85,14 @@ def dual_orbit(g: SignedRibbonGraph) -> tuple[OrbitClass, ...]:
             f"{e} edges exceed the orbit guard of {DUAL_ORBIT_MAX_EDGES} "
             f"(2^{e} partial duals)"
         )
-    classes: dict[tuple, OrbitClass] = {}
+    classes: dict[tuple, list] = {}  # form to [first subset, its dual, size]
     for mask in range(1 << e):
         subset = tuple(l for i, l in enumerate(labels) if mask >> i & 1)
         dual = partial_dual(g, subset)
         key = canonical_form(dual, ignore_signs=True)
-        old = classes.get(key, OrbitClass(subset, dual, 0))
-        classes[key] = OrbitClass(old.subset, old.graph, old.size + 1)
-    return tuple(classes.values())
+        found = classes.get(key)
+        if found is None:
+            classes[key] = [subset, dual, 1]
+        else:
+            found[2] += 1
+    return tuple(OrbitClass(*found) for found in classes.values())

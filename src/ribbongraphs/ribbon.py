@@ -294,8 +294,9 @@ def _runs(g: SignedRibbonGraph) -> list[range]:
     return [range(end - len(circle), end) for circle, end in zip(g.circles, ends)]
 
 
-def _walk(g: SignedRibbonGraph) -> tuple[list[list[int]], bool]:
-    """Components and orientability of ``g``, from its table :func:`_flat`.
+def _walk(g: SignedRibbonGraph, runs: list[range] | None = None) -> tuple[list[list[int]], bool]:
+    """Components and orientability of ``g``, from its table :func:`_flat`
+    and its :func:`_runs`, which a caller that has them may pass.
 
     A walk starts at each circle not yet reached, in ascending order, and
     crosses every edge at its occurrences on the circles it reaches.  It
@@ -306,7 +307,7 @@ def _walk(g: SignedRibbonGraph) -> tuple[list[list[int]], bool]:
     least circle.
     """
     _, flags, home, partner, _ = _flat(g)
-    runs = _runs(g)
+    runs = _runs(g) if runs is None else runs
     reversal: list[int | None] = [None] * len(runs)
     groups: list[list[int]] = []
     orientable = True
@@ -358,7 +359,9 @@ def _dual_circles(g: SignedRibbonGraph, inside: list[bool]) -> tuple:
     its band to corner 2j + 1 - (c & 1) of its partner j if inside, else over
     itself to c ^ 1 as a mark.  Each crossing emits i's label, Against when
     c is a tail of an inside i or a head of a mark, so that a mark swept
-    forward keeps its flag.  Circles with no inside occurrence follow."""
+    forward keeps its flag.  Only the corners of band crossings are marked
+    passed, as a circle starts only at an inside corner.  Circles with no
+    inside occurrence follow."""
     labels, _, home, partner, sigma = _flat(g)
     seen = [False] * len(sigma)
     circles = []
@@ -369,11 +372,11 @@ def _dual_circles(g: SignedRibbonGraph, inside: list[bool]) -> tuple:
         at = start
         while True:
             c = sigma[at]
-            seen[at] = seen[c] = True
             i = c >> 1
             if inside[i]:
                 circle.append(_new(Occurrence, (labels[i], not c & 1)))
                 at = 2 * partner[i] + 1 - (c & 1)
+                seen[c] = seen[at] = True
             else:
                 circle.append(_new(Occurrence, (labels[i], c & 1 == 1)))
                 at = c ^ 1
@@ -475,17 +478,18 @@ def canonical_form(
     """
     labels, _, home, partner, _ = _flat(g)
     runs = _runs(g)
+    lengths = [len(run) for run in runs]
     rings = [list(run) * 2 for run in runs]
     signs = None if ignore_signs else [g.signs[label] for label in labels]
     codes = []
-    for group in _walk(g)[0]:
+    for group in _walk(g, runs)[0]:
         keys: dict[tuple, list[int]] = {}
         for i in [i for c in group for i in runs[c]]:
             j = partner[i]
-            m = len(runs[home[i]])
+            m = lengths[home[i]]
             gap = abs(j - i) if home[i] == home[j] else -1
             sign = signs[i] if signs else 0
-            key = (m, len(runs[home[j]]), gap if 2 * gap <= m else m - gap, sign)
+            key = (m, lengths[home[j]], gap if 2 * gap <= m else m - gap, sign)
             keys.setdefault(key, []).append(i)
         # the least (count, key) group; none on an empty circle, coded ()
         roots = min([(len(r), k, r) for k, r in keys.items()], default=(0, (), []))[2]
@@ -497,19 +501,25 @@ def canonical_form(
     return tuple(sorted(codes))
 
 
-def _presentation(g: SignedRibbonGraph) -> tuple:
+def _presentation(g: SignedRibbonGraph, reads: dict | None = None) -> tuple:
     """The sorted circles of ``g``, each read from an occurrence of its least
     label whichever way reads least: forward from an Along occurrence, or
-    backward with its flags flipped (move M1) from an Against one."""
+    backward with its flags flipped (move M1) from an Against one.  A circle
+    already in ``reads`` takes the reading kept there; each new one is kept,
+    so a caller presenting many graphs reads each distinct circle once."""
+    reads = {} if reads is None else reads
     read = [()] * g.circles.count(())
     for c in filter(None, g.circles):
-        least = min(c)[0]
-        reads = [
-            tuple([(l, not a) for l, a in c[i::-1] + c[:i:-1]]) if against else c[i:] + c[:i]
-            for i, (label, against) in enumerate(c)
-            if label == least
-        ]
-        read.append(reads[0] if len(reads) == 1 else min(reads))
+        got = reads.get(c)
+        if got is None:
+            least = min(c)[0]
+            found = [
+                tuple([(l, not a) for l, a in c[i::-1] + c[:i:-1]]) if against else c[i:] + c[:i]
+                for i, (label, against) in enumerate(c)
+                if label == least
+            ]
+            got = reads[c] = found[0] if len(found) == 1 else min(found)
+        read.append(got)
     read.sort()
     return tuple(read)
 

@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 
 import ribbongraphs
-from ribbongraphs import cli
+from ribbongraphs import cli, ribbon
 from ribbongraphs.duality import partial_dual
 from ribbongraphs.links import serialize_gauss
 from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XY, Laurent
@@ -449,6 +449,42 @@ class TestLemmaGate:
             "symmetric-difference",
         }
         assert got.count(" exit=1\n") == got.count("## graph")
+
+    def test_each_run_reads_into_its_own_memo(self):
+        # A lemma run reads each circle once into a memo of its own.  Back to
+        # back runs on graphs sharing circles (signs negated, circle order
+        # reversed, one circle rotated) give the verdicts and lines of runs
+        # that read every circle afresh, with partial_dual sound or faulty.
+        runs = []
+        for g in [g for g in graph_corpus(4071, 40, max_edges=7) if g.num_edges >= 3][:4]:
+            runs += [
+                g,
+                SignedRibbonGraph(g.circles, {l: -s for l, s in g.signs.items()}),
+                g.permute_circles(range(len(g.circles))[::-1]),
+                g.rotate(0, 1),
+            ]
+        memos: list = []
+
+        def shared(x, reads):
+            memos.append(reads)
+            return ribbon._presentation(x, reads)
+
+        def fresh(x, reads):
+            return ribbon._presentation(x)
+
+        for dual in (partial_dual, faulty_partial_dual):
+            verdicts = {}
+            for present in (shared, fresh):
+                with mock.patch.object(cli, "partial_dual", dual):
+                    with mock.patch.object(cli, "_presentation", present):
+                        verdicts[present] = [
+                            cli._verify_lemmas(g, cli._subset_pool(g, 200, 0)[1]) for g in runs
+                        ]
+            assert verdicts[shared] == verdicts[fresh]
+            assert {ok for ok, _ in verdicts[shared]} == {dual is partial_dual}
+        memo_ids = [id(reads) for reads in memos]
+        assert len(set(memo_ids)) == 2 * len(runs)  # one memo per run, kept alive in memos
+        assert memo_ids == sorted(memo_ids, key=memo_ids.index)  # each used in one run alone
 
     def test_sign_fault_fails(self):
         # A presentation holds no signs, so a dual wrong in one sign alone

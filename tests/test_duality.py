@@ -1,6 +1,7 @@
 """Partial duality, contraction, deletion, edge classes, orbits."""
 
 import random
+import re
 
 import pytest
 
@@ -119,6 +120,48 @@ class TestPartialDual:
         assert partial_dual(g, "12") != partial_dual(g, {"1", "2"})
         with pytest.raises(UnknownEdge, match=r"\['ab'\]"):
             partial_dual(g, "ab")
+
+    def test_every_iterable_names_the_same_edges(self):
+        # A set or frozenset is read without a copy, any other iterable
+        # (a one-shot generator too) is copied once, and a str is one edge:
+        # all give the same dual, with the signs in label order.
+        g = parse_ribbon_graph("edges: 1:+ 2:- 12:+ b:-\ncircle: 1 2 12 b' 1 2' 12 b\n")
+        for labels in (["12"], ["1", "12"], ["b", "2", "1"], list(g.signs)):
+            forms = [list(labels), tuple(labels), set(labels), frozenset(labels)]
+            forms.append(label for label in labels)
+            if len(labels) == 1:
+                forms.append(labels[0])
+            want = partial_dual(g, set(labels))
+            for edges in forms:
+                got = partial_dual(g, edges)
+                assert got == want and repr(got) == repr(want), type(edges)
+                assert list(got.signs) == list(g.signs) == sorted(g.signs)
+                assert {l for l in g.signs if got.signs[l] != g.signs[l]} == set(labels)
+
+    def test_the_callers_set_is_kept(self):
+        g = load_graph("klein.rg")
+        chosen, frozen = {"1", "3"}, frozenset({"2"})
+        partial_dual(g, chosen)
+        partial_dual(g, frozen)
+        assert chosen == {"1", "3"} and frozen == frozenset({"2"})
+        assert g == load_graph("klein.rg")
+
+    def test_unknown_edges_are_named_sorted(self):
+        # Eight unknown labels, so that no set order is sorted by chance.
+        g = load_graph("torus.rg")
+        unknown = ["zz", "q", "aa", "m7", "b", "x", "c", "k"]
+        message = re.escape(str(sorted(unknown)))
+        for edges in (
+            {*unknown, "1"},
+            frozenset(unknown),
+            [*unknown, "2"],
+            tuple(unknown[::-1]),
+            (label for label in unknown),
+        ):
+            with pytest.raises(UnknownEdge, match=message):
+                partial_dual(g, edges)
+        with pytest.raises(UnknownEdge, match=r"\['zz'\]"):
+            partial_dual(g, "zz")
 
     def test_signs_flip_only_on_subset(self):
         g = load_graph("klein.rg")

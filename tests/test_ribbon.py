@@ -48,6 +48,7 @@ from .helpers import (
     parity_union_find,
     plane_corpus,
     random_graph,
+    sized_graph,
     tuple_canonical_form,
 )
 
@@ -691,6 +692,34 @@ class TestPresentation:
         assert moved > 0 and clashes > 0
         moved, clashes = self.faults(lambda g: least_readings(g, flags=False), graphs)
         assert clashes > 0
+
+    def test_one_memo_reads_every_dual(self):
+        # verify --mode lemmas keeps one reads dict over a run: a circle
+        # read for one graph presents every later graph holding it as a
+        # fresh reading would, and graphs with the same circles share their
+        # readings.  A moved copy of a dual reads its moved circles afresh.
+        rng = random.Random(29)
+        graphs = [sized_graph(rng, e, rng.randint(1, 2 * e)) for e in range(1, 8) for _ in range(4)]
+        graphs += [bouquet(e) for e in range(6)]
+        graphs += [g for g in graph_corpus(29, 300, max_edges=5) if () in g.circles][:30]
+        reads: dict = {}
+        hits = 0
+        for g in graphs:
+            labels = g.edge_labels
+            for mask in range(1 << len(labels)):
+                dual = partial_dual(g, {l for i, l in enumerate(labels) if mask >> i & 1})
+                moved = shuffle_presentation(dual, rng)
+                for x in (dual, moved):
+                    hits += sum(c in reads for c in x.circles)
+                    got = ribbon._presentation(x, reads)
+                    assert got == ribbon._presentation(x) == least_readings(x)
+                same = dual.permute_circles(range(len(dual.circles))[::-1])
+                again = ribbon._presentation(same, reads)
+                first = ribbon._presentation(dual, reads)
+                assert sorted(map(id, again)) == sorted(map(id, first))
+        assert hits > len(reads) > 1000
+        assert {len(g.signs) for g in graphs} == set(range(8))
+        assert sum(() in g.circles for g in graphs) >= 30
 
     def test_flags_tell_loops_apart(self):
         plain = parse_ribbon_graph("edges: a:+\ncircle: a a\n")

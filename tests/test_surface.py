@@ -198,6 +198,27 @@ def test_each_walk_keeps_its_callers():
     assert sites("_trace") == []
 
 
+def test_the_lemma_gate_patches_every_partial_dual():
+    # tests/lemma_gate.out is written with cli.partial_dual patched to a
+    # faulty one, so the gate holds only while every partial dual that the
+    # CLI takes is a call through that module name; the one walk behind it
+    # keeps its two callers (test_each_walk_keeps_its_callers).  The reading
+    # memo of _presentation lives in the lemma run, through its helper
+    # presented.
+    tree = ast.parse((Path(ribbongraphs.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    called = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    uses = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "partial_dual"]
+    assert uses and all(node in called for node in uses)  # never bound to another name
+    assert {site for site in sites("partial_dual") if site[0] == "cli"} == {
+        ("cli", "cmd_dual"),
+        ("cli", "_verify_duality"),
+        ("cli", "_verify_lemmas"),
+    }
+    assert {module for module, _ in sites("partial_dual")} == {"cli", "duality"}
+    assert sites("_presentation") == [("cli", "presented")]
+    assert set(sites("presented")) == {("cli", "_verify_lemmas")}
+
+
 def test_the_engine_is_planned_in_one_place():
     # The order, the slots and the widths come from br._plan alone, which
     # the engine, the cost script and the tests read; each caller's key is
