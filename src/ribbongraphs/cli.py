@@ -116,8 +116,9 @@ def _verify_duality(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
 def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
     # Checks compare (graph, key) pairs, the key its presentation and signs:
     # equal keys mean that two graphs differ by rotation, circle order and M1
-    # alone.  Only unequal keys compare canonical forms, once per key.  The
-    # run reads each distinct circle once, into ``reads``.
+    # alone.  Only unequal keys compare canonical forms, once per key.  An
+    # exhaustive run reads each distinct circle once, into ``reads``; a sampled
+    # run, whose subsets share few circles, keeps them for one subset only.
     forms: dict[tuple, tuple] = {}
     reads: dict[tuple, tuple] = {}
 
@@ -149,7 +150,10 @@ def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
     lines: list[str] = []
     previous: frozenset[str] | None = None
     previous_dual = g
+    sampled = g.num_edges > VERIFY_EXHAUSTIVE_EDGES
     for subset in subsets:
+        if sampled:
+            reads.clear()
         missing, prefix = [], subset
         while prefix not in chains:
             missing.append(max(prefix))

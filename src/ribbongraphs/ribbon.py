@@ -294,9 +294,8 @@ def _runs(g: SignedRibbonGraph) -> list[range]:
     return [range(end - len(circle), end) for circle, end in zip(g.circles, ends)]
 
 
-def _walk(g: SignedRibbonGraph, runs: list[range] | None = None) -> tuple[list[list[int]], bool]:
-    """Components and orientability of ``g``, from its table :func:`_flat`
-    and its :func:`_runs`, which a caller that has them may pass.
+def _walk(g: SignedRibbonGraph) -> tuple[list[list[int]], bool]:
+    """Components and orientability of ``g``, from its table :func:`_flat`.
 
     A walk starts at each circle not yet reached, in ascending order, and
     crosses every edge at its occurrences on the circles it reaches.  It
@@ -307,7 +306,7 @@ def _walk(g: SignedRibbonGraph, runs: list[range] | None = None) -> tuple[list[l
     least circle.
     """
     _, flags, home, partner, _ = _flat(g)
-    runs = _runs(g) if runs is None else runs
+    runs = _runs(g)
     reversal: list[int | None] = [None] * len(runs)
     groups: list[list[int]] = []
     orientable = True
@@ -478,18 +477,17 @@ def canonical_form(
     """
     labels, _, home, partner, _ = _flat(g)
     runs = _runs(g)
-    lengths = [len(run) for run in runs]
     rings = [list(run) * 2 for run in runs]
     signs = None if ignore_signs else [g.signs[label] for label in labels]
     codes = []
-    for group in _walk(g, runs)[0]:
+    for group in _walk(g)[0]:
         keys: dict[tuple, list[int]] = {}
         for i in [i for c in group for i in runs[c]]:
             j = partner[i]
-            m = lengths[home[i]]
+            m = len(runs[home[i]])
             gap = abs(j - i) if home[i] == home[j] else -1
             sign = signs[i] if signs else 0
-            key = (m, lengths[home[j]], gap if 2 * gap <= m else m - gap, sign)
+            key = (m, len(runs[home[j]]), gap if 2 * gap <= m else m - gap, sign)
             keys.setdefault(key, []).append(i)
         # the least (count, key) group; none on an empty circle, coded ()
         roots = min([(len(r), k, r) for k, r in keys.items()], default=(0, (), []))[2]
@@ -501,13 +499,12 @@ def canonical_form(
     return tuple(sorted(codes))
 
 
-def _presentation(g: SignedRibbonGraph, reads: dict | None = None) -> tuple:
+def _presentation(g: SignedRibbonGraph, reads: dict) -> tuple:
     """The sorted circles of ``g``, each read from an occurrence of its least
     label whichever way reads least: forward from an Along occurrence, or
     backward with its flags flipped (move M1) from an Against one.  A circle
     already in ``reads`` takes the reading kept there; each new one is kept,
     so a caller presenting many graphs reads each distinct circle once."""
-    reads = {} if reads is None else reads
     read = [()] * g.circles.count(())
     for c in filter(None, g.circles):
         got = reads.get(c)

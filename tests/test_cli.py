@@ -33,6 +33,7 @@ from .helpers import (
     forest,
     graph_corpus,
     parse_poly,
+    sized_graph,
     table_builds,
 )
 
@@ -470,7 +471,7 @@ class TestLemmaGate:
             return ribbon._presentation(x, reads)
 
         def fresh(x, reads):
-            return ribbon._presentation(x)
+            return ribbon._presentation(x, {})
 
         for dual in (partial_dual, faulty_partial_dual):
             verdicts = {}
@@ -485,6 +486,28 @@ class TestLemmaGate:
         memo_ids = [id(reads) for reads in memos]
         assert len(set(memo_ids)) == 2 * len(runs)  # one memo per run, kept alive in memos
         assert memo_ids == sorted(memo_ids, key=memo_ids.index)  # each used in one run alone
+
+    def test_a_sampled_run_reads_each_subset_afresh(self):
+        # Subsets drawn at random share few circles, so above the exhaustive
+        # bound the memo holds one subset's circles alone: it is empty at the
+        # base presentation and at the first presentation of every subset.
+        # An exhaustive run empties it only once, before the base.
+        rng = random.Random(41)
+        small = sized_graph(rng, 6, 4)
+        large = sized_graph(rng, cli.VERIFY_EXHAUSTIVE_EDGES + 2, 8)
+        for g, samples, emptied in ((small, 0, 1), (large, 40, 41)):
+            sizes: list[int] = []
+
+            def present(x, reads):
+                sizes.append(len(reads))
+                return ribbon._presentation(x, reads)
+
+            count, subsets = cli._subset_pool(g, samples, 0)
+            with mock.patch.object(cli, "_presentation", present):
+                ok, lines = cli._verify_lemmas(g, subsets)
+            assert (ok, lines) == (True, [])
+            assert sizes.count(0) == emptied
+            assert len(sizes) > 4 * count
 
     def test_sign_fault_fails(self):
         # A presentation holds no signs, so a dual wrong in one sign alone

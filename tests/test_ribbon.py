@@ -311,7 +311,7 @@ class TestOccurrenceTable:
             is_orientable,
             canonical_form,
             lambda g: canonical_form(g, ignore_signs=True),
-            ribbon._presentation,
+            lambda g: ribbon._presentation(g, {}),
             bollobas_riordan,
             lambda g: partial_dual(g, [l for l in g.signs if rng.random() < 0.5]),
             dual_orbit,
@@ -680,11 +680,11 @@ class TestPresentation:
     def test_invariant_and_sound(self):
         graphs = self.corpus()
         for g in graphs:
-            assert ribbon._presentation(g) == least_readings(g)
+            assert ribbon._presentation(g, {}) == least_readings(g)
         for g, subset in dual_corpus():  # and on partial duals with up to 12 edges
             dual = partial_dual(g, subset)
-            assert ribbon._presentation(dual) == least_readings(dual)
-        assert self.faults(ribbon._presentation, graphs) == (0, 0)
+            assert ribbon._presentation(dual, {}) == least_readings(dual)
+        assert self.faults(lambda g: ribbon._presentation(g, {}), graphs) == (0, 0)
 
     def test_faulty_variants_fail(self):
         graphs = self.corpus()[:400]
@@ -712,7 +712,7 @@ class TestPresentation:
                 for x in (dual, moved):
                     hits += sum(c in reads for c in x.circles)
                     got = ribbon._presentation(x, reads)
-                    assert got == ribbon._presentation(x) == least_readings(x)
+                    assert got == ribbon._presentation(x, {}) == least_readings(x)
                 same = dual.permute_circles(range(len(dual.circles))[::-1])
                 again = ribbon._presentation(same, reads)
                 first = ribbon._presentation(dual, reads)
@@ -724,8 +724,8 @@ class TestPresentation:
     def test_flags_tell_loops_apart(self):
         plain = parse_ribbon_graph("edges: a:+\ncircle: a a\n")
         twisted = parse_ribbon_graph("edges: a:+\ncircle: a a'\n")
-        assert ribbon._presentation(plain) != ribbon._presentation(twisted)
-        assert ribbon._presentation(plain.m1(0)) == ribbon._presentation(plain)
+        assert ribbon._presentation(plain, {}) != ribbon._presentation(twisted, {})
+        assert ribbon._presentation(plain.m1(0), {}) == ribbon._presentation(plain, {})
 
 
 def _near_miss(g: SignedRibbonGraph, rng: random.Random) -> SignedRibbonGraph:
