@@ -131,8 +131,8 @@ def _plan(g: SignedRibbonGraph) -> tuple[list[int], list[tuple], list[int]]:
     from the step that decides its arc's other end to the step that decides
     its own edge.  Returns each corner's slot; per step the edge's corners,
     circles, closed circles and sign bit, then per corner its slot or -1
-    and its arc's end, the slots opened and those left free; and the
-    frontier width (slots in use) after each step."""
+    and its arc's end, and the slots left free; and the frontier width
+    (slots in use) after each step."""
     sigma, edges = _flat(g)[4], _edges(g)
     order = _edge_order(edges, sigma)
     due = [0] * len(sigma)  # the step that decides each corner's edge
@@ -143,7 +143,7 @@ def _plan(g: SignedRibbonGraph) -> tuple[list[int], list[tuple], list[int]]:
     slot, free, wide, steps, widths = [-1] * len(sigma), [], 0, [], []
     for t, n in enumerate(order):
         a, b, c, d, u, w, minus = edges[n]
-        probe, grown = [], wide  # per corner, its slot or -1 and its arc's end
+        probe = []  # per corner, its slot or -1 and its arc's end
         for x in (a, b, c, d):
             s, y = slot[x], sigma[x]
             probe += (s, y)
@@ -155,8 +155,8 @@ def _plan(g: SignedRibbonGraph) -> tuple[list[int], list[tuple], list[int]]:
         left[u] -= 1
         left[w] -= 1
         done = [x for x in {u, w} if not left[x]]  # the circles this step closes
-        opened, cleared = (0,) * (wide - grown), [s for s in probe[::2] if s in free]
-        steps.append(((a, b, c, d, u, w, done, minus), probe, opened, cleared))
+        cleared = [s for s in probe[::2] if s in free]
+        steps.append(((a, b, c, d, u, w, done, minus), probe, cleared))
         widths.append(wide - len(free))
     return slot, steps, widths
 
@@ -191,9 +191,10 @@ def _subgraph_profiles(
                 for inner, ((i, p), (x, q)) in _OUTCOMES.items()}
     empty = g.circles.count(())  # each a closed component and boundary cycle
     off, track = off + empty * (per_cycle + per_component), any(component)
-    states: dict = {((), (-1,) * v if track else ()): (off, {0: 1})}
+    slots = (0,) * (max(slot, default=-1) + 1)  # every slot of the plan, a free one 0
+    states: dict = {(slots, (-1,) * v if track else ()): (off, {0: 1})}
     inner = [-1] * len(slot)  # 0-3 at the corners of the edge being decided
-    for (a, b, c, d, u, w, done, minus), (sa, ya, sb, yb, sc, yc, sd, yd), pad, clear in plan:
+    for (a, b, c, d, u, w, done, minus), (sa, ya, sb, yb, sc, yc, sd, yd), clear in plan:
         inner[a], inner[b], inner[c], inner[d] = 0, 1, 2, 3
         gain = gains[minus]
         nxt: dict = {}
@@ -206,7 +207,7 @@ def _subgraph_profiles(
                 m[sc] if sc >= 0 else yc,
                 m[sd] if sd >= 0 else yd,
             )
-            base = [*m, *pad] if pad else list(m)
+            base = list(m)
             for s in clear:  # free slots hold 0
                 base[s] = 0
             steps = moved.get(comp)
@@ -230,12 +231,10 @@ def _subgraph_profiles(
                     steps.append((tuple(lab), gain * include + shut * per_component))
             both = outcomes[inner[ends[0]], inner[ends[1]], inner[ends[2]], inner[ends[3]]]
             for (closed, pairs), (comp2, at) in zip(both, steps):
-                new = base  # shared by a child that joins no ends
-                if pairs:
-                    new = base.copy()
-                    for y, z in pairs:
-                        new[slot[ends[y]]] = ends[z]
-                        new[slot[ends[z]]] = ends[y]
+                new = base.copy()
+                for y, z in pairs:
+                    new[slot[ends[y]]] = ends[z]
+                    new[slot[ends[z]]] = ends[y]
                 key = (tuple(new), comp2)
                 at += off + closed
                 old = nxt.get(key)

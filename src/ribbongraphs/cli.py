@@ -116,22 +116,16 @@ def _verify_duality(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
 def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
     # Checks compare (graph, key) pairs, the key its presentation and signs:
     # equal keys mean that two graphs differ by rotation, circle order and M1
-    # alone.  Only unequal keys compare canonical forms, once per key.  An
-    # exhaustive run reads each distinct circle once, into ``reads``; a sampled
-    # run, whose subsets share few circles, keeps them for one subset only.
-    forms: dict[tuple, tuple] = {}
+    # alone.  Only unequal keys compare canonical forms.  An exhaustive run
+    # reads each distinct circle once, into ``reads``; a sampled run, whose
+    # subsets share few circles, keeps them for one subset only.
     reads: dict[tuple, tuple] = {}
 
     def presented(x: SignedRibbonGraph) -> tuple:
         return x, (_presentation(x, reads), *x.signs.items())
 
     def same(a: tuple, b: tuple) -> bool:
-        if a[1] == b[1]:
-            return True
-        for x, key in (a, b):
-            if key not in forms:
-                forms[key] = canonical_form(x)
-        return forms[a[1]] == forms[b[1]]
+        return a[1] == b[1] or canonical_form(a[0]) == canonical_form(b[0])
 
     base = presented(g)
     groups, orientable = _walk(g)

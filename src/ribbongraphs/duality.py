@@ -41,15 +41,13 @@ def partial_dual(g: SignedRibbonGraph, edges: Iterable[str]) -> SignedRibbonGrap
     occurrence i); untouched circles follow in their original order.
     Subset edge signs are flipped.
 
-    A bare ``str`` names one edge, not a set of one-character labels; a set
-    or frozenset is read as it is, never copied or changed.
+    A bare ``str`` names one edge, not a set of one-character labels.  The
+    caller's iterable is never changed.
 
     Raises:
         UnknownEdge: a requested edge is not in the graph.
     """
-    subset = edges
-    if not isinstance(subset, (set, frozenset)):
-        subset = {edges} if isinstance(edges, str) else set(edges)
+    subset = {edges} if isinstance(edges, str) else set(edges)
     if not subset <= g.signs.keys():
         raise UnknownEdge(f"not edges of the graph: {sorted(subset - g.signs.keys())}")
     inside = list(map(subset.__contains__, _flat(g)[0]))

@@ -104,11 +104,7 @@ class Laurent:
         self._same_ring(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            new = out.get(key, 0) + coeff
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + coeff
         return Laurent(self.ring, out)
 
     __radd__ = __add__
@@ -117,8 +113,6 @@ class Laurent:
         return Laurent(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Laurent | int") -> "Laurent":
-        if isinstance(other, int):
-            other = Laurent.const(self.ring, other)
         return self + (-other)
 
     def __rsub__(self, other: int) -> "Laurent":
@@ -126,19 +120,13 @@ class Laurent:
 
     def __mul__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
-            if other == 0:
-                return Laurent(self.ring)
             return Laurent(self.ring, {k: c * other for k, c in self.terms.items()})
         self._same_ring(other)
         out: dict[Key, int] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(k1, k2))
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + c1 * c2
         return Laurent(self.ring, out)
 
     __rmul__ = __mul__

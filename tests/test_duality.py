@@ -122,9 +122,9 @@ class TestPartialDual:
             partial_dual(g, "ab")
 
     def test_every_iterable_names_the_same_edges(self):
-        # A set or frozenset is read without a copy, any other iterable
-        # (a one-shot generator too) is copied once, and a str is one edge:
-        # all give the same dual, with the signs in label order.
+        # Any iterable (a one-shot generator too) is copied once into a
+        # set, and a str is one edge: all give the same dual, with the
+        # signs in label order.
         g = parse_ribbon_graph("edges: 1:+ 2:- 12:+ b:-\ncircle: 1 2 12 b' 1 2' 12 b\n")
         for labels in (["12"], ["1", "12"], ["b", "2", "1"], list(g.signs)):
             forms = [list(labels), tuple(labels), set(labels), frozenset(labels)]

@@ -141,6 +141,15 @@ class TestParsing:
         assert diag.signs == {"1": 1, "2": 1}
         assert diag.components[0][0] == Pass("1", True)
 
+    def test_hash_and_repr(self):
+        diag = load_diagram("hopf.gauss")
+        again = parse_gauss(serialize_gauss(diag))
+        assert hash(again) == hash(diag) and len({diag, again}) == 1
+        assert repr(diag) == "VirtualLinkDiagram('O1+ U2+ / O2+ U1+')"
+        assert repr(parse_gauss("component: O1+ U1+\ncomponent:")) == (
+            "VirtualLinkDiagram('O1+ U1+ / (empty)')"
+        )
+
     @pytest.mark.parametrize(
         "text, exc",
         [

@@ -102,6 +102,26 @@ class TestArithmetic:
     def test_integer_scalars(self):
         assert 2 * X == X + X
         assert X - 2 * X == -X
+        assert (0 * X).terms == (X * 0).terms == {}
+
+    def test_integers_on_either_side(self):
+        one = Laurent.const(RING_XYZ, 1)
+        assert X + 1 == 1 + X == X + one
+        assert X - 1 == X + Laurent.const(RING_XYZ, -1)
+        assert 1 - X == one - X == -(X - 1)
+        assert 0 + X == X + 0 == X
+
+    def test_zero_sums_leave_no_term(self):
+        # Only the constructor drops zero coefficients; sums and products
+        # reach it with theirs.
+        assert (X + 1 - 1).terms == X.terms
+        assert (X - X).terms == {}
+        assert ((X + Y) * (X - Y)).terms == {(4, 0, 0): 1, (0, 4, 0): -1}
+
+    def test_repr_shows_the_rendering(self):
+        assert repr(X + 2 * Y) == "Laurent('x + 2*y')"
+        assert repr(Laurent(RING_XYZ, {(1, -2, 3): -2})) == "Laurent('-2*x^(1/2)*y^(-1)*z^3')"
+        assert repr(Laurent.zero(RING_T)) == "Laurent('0')"
 
     def test_power_negative_unit(self):
         u = Laurent.monomial(RING_XYZ, (2, -2, 1), -1)
@@ -110,6 +130,12 @@ class TestArithmetic:
     def test_power_negative_nonunit(self):
         with pytest.raises(NegativeExponentNonUnit):
             (X + Y) ** -1
+
+    def test_inverse_needs_a_unit_coefficient(self):
+        with pytest.raises(NegativeExponentNonUnit) as err:
+            (2 * X) ** -1
+        assert str(err.value) == "coefficient 2 is not invertible"
+        assert (-X).inverse_unit() == Laurent.monomial(RING_XYZ, (-2, 0, 0), -1)
 
     @given(laurents(RING_XYZ), laurents(RING_XYZ), laurents(RING_XYZ))
     @settings(max_examples=60, deadline=None)
@@ -200,6 +226,19 @@ class TestEvaluateAndProject:
         p = Laurent.monomial(RING_XY, (-2, 0))
         with pytest.raises(NegativeExponentNonUnit):
             p.evaluate((0, 1))
+
+    def test_negative_powers_of_units(self):
+        # 1 and -1 take any power: x^-2 y^-3 is 1 at x = 1 and -1 at y = -1.
+        p = Laurent.monomial(RING_XY, (-4, -6), 3) + Laurent.monomial(RING_XY, (-2, 0), 5)
+        assert p.evaluate((1, -1)) == -3 + 5
+        assert p.evaluate((-1, 1)) == 3 - 5
+        assert p.evaluate((-1, -1)) == -3 - 5
+
+    def test_fractional_exponent_refused(self):
+        p = Laurent.monomial(RING_XYZ, (1, 0, 0))
+        with pytest.raises(FractionalExponent) as err:
+            p.evaluate((4, 1, 1))
+        assert str(err.value) == "cannot evaluate fractional exponent 1/2"
 
     def test_permute_vars_swaps(self):
         p = X * X + Y
