@@ -114,18 +114,21 @@ def _verify_duality(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
 
 
 def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
-    # Checks compare (graph, key) pairs, the key its presentation and signs:
-    # equal keys mean that two graphs differ by rotation, circle order and M1
-    # alone.  Only unequal keys compare canonical forms.  An exhaustive run
-    # reads each distinct circle once, into ``reads``; a sampled run, whose
-    # subsets share few circles, keeps them for one subset only.
+    # Checks compare (graph, presentation) pairs: equal presentations and
+    # equal signs (each dict in label order) mean that two graphs differ by
+    # rotation, circle order and M1 alone.  Only other pairs compare
+    # canonical forms.  An exhaustive run reads each distinct circle once,
+    # into ``reads``; a sampled run, whose subsets share few circles, keeps
+    # them for one subset only.
     reads: dict[tuple, tuple] = {}
 
     def presented(x: SignedRibbonGraph) -> tuple:
-        return x, (_presentation(x, reads), *x.signs.items())
+        return x, _presentation(x, reads)
 
     def same(a: tuple, b: tuple) -> bool:
-        return a[1] == b[1] or canonical_form(a[0]) == canonical_form(b[0])
+        if a[1] == b[1] and a[0].signs == b[0].signs:
+            return True
+        return canonical_form(a[0]) == canonical_form(b[0])
 
     base = presented(g)
     groups, orientable = _walk(g)

@@ -11,7 +11,9 @@ fresh occurrence of that edge.  Circles without E' occurrences survive
 verbatim.  Signs flip on E' and survive elsewhere.
 
 Enumeration of the whole orbit of duals, up to isomorphism, is built
-on top.
+on top.  Since (G^X)^A = G^(X△A), the subsets X whose dual is G again,
+labels kept, form a group L under △, and the dual on A△X is the dual on
+A again for every X in L; the orbit is walked over the cosets of L.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import TooManyEdges, UnknownEdge
-from .ribbon import SignedRibbonGraph, _dual_circles, _flat, canonical_form
+from .ribbon import SignedRibbonGraph, _coloured_form, _dual_circles, _flat, canonical_form
 
 __all__ = [
     "partial_dual",
@@ -65,6 +67,36 @@ class OrbitClass(NamedTuple):
     size: int
 
 
+def _stabilizer(g: SignedRibbonGraph, labels: tuple[str, ...]) -> list[int]:
+    """Masks over ``labels`` (bit i for ``labels[i]``) spanning a subgroup
+    of the labeled stabilizer L of ``g``: every single edge and pair X
+    whose dual has the circle lengths of ``g`` and its form, coloured by
+    label rank, unless X is spanned already.  The masks are kept in reduced
+    echelon form over GF(2): each has its own leading (highest) bit, set in
+    no other mask.  Any subgroup of L walks the orbit exactly."""
+    e = len(labels)
+    rank = {label: i for i, label in enumerate(labels)}
+
+    def labeled_form(h: SignedRibbonGraph) -> tuple:
+        return _coloured_form(h, [rank[label] for label in _flat(h)[0]])
+
+    lengths = sorted(map(len, g.circles))
+    own = labeled_form(g)
+    basis: list[int] = []
+    for x in [1 << i for i in range(e)] + [1 << i | 1 << j for j in range(e) for i in range(j)]:
+        for b in basis:
+            if x & 1 << b.bit_length() - 1:
+                x ^= b
+        if not x:
+            continue
+        dual = partial_dual(g, [l for i, l in enumerate(labels) if x >> i & 1])
+        if sorted(map(len, dual.circles)) != lengths or labeled_form(dual) != own:
+            continue
+        top = 1 << x.bit_length() - 1
+        basis = [b ^ x if b & top else b for b in basis] + [x]
+    return basis
+
+
 def dual_orbit(g: SignedRibbonGraph) -> tuple[OrbitClass, ...]:
     """Partial duals over all edge subsets, up to unsigned isomorphism.
 
@@ -72,6 +104,12 @@ def dual_orbit(g: SignedRibbonGraph) -> tuple[OrbitClass, ...]:
     over the sorted label list, holding the first subset, its dual, and
     the number of subsets landing in the class.  Duals are grouped by
     their unsigned :func:`ribbongraphs.ribbon.canonical_form`.
+
+    Each class is a union of cosets A△L of a group L of subsets whose
+    duals give ``g`` back with its labels (:func:`_stabilizer`, searched
+    anew in each call over single edges and pairs).  So one partial dual
+    and one form are taken per coset, on its least mask, the one with no
+    leading bit of L set, and the class grows by |L| for each.
 
     Raises:
         TooManyEdges: more than ``DUAL_ORBIT_MAX_EDGES`` edges.
@@ -83,14 +121,19 @@ def dual_orbit(g: SignedRibbonGraph) -> tuple[OrbitClass, ...]:
             f"{e} edges exceed the orbit guard of {DUAL_ORBIT_MAX_EDGES} "
             f"(2^{e} partial duals)"
         )
+    basis = _stabilizer(g, labels)
+    lead = sum(1 << b.bit_length() - 1 for b in basis)
+    size = 1 << len(basis)
     classes: dict[tuple, list] = {}  # form to [first subset, its dual, size]
-    for mask in range(1 << e):
+    mask, end = 0, 1 << e
+    while mask < end:
         subset = tuple(l for i, l in enumerate(labels) if mask >> i & 1)
         dual = partial_dual(g, subset)
         key = canonical_form(dual, ignore_signs=True)
         found = classes.get(key)
         if found is None:
-            classes[key] = [subset, dual, 1]
+            classes[key] = [subset, dual, size]
         else:
-            found[2] += 1
+            found[2] += size
+        mask = ((mask | lead) + 1) & ~lead  # the next mask with no leading bit
     return tuple(OrbitClass(*found) for found in classes.values())

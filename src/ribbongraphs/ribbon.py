@@ -413,12 +413,12 @@ def stats(g: SignedRibbonGraph) -> GraphStats:
 # ----------------------------------------------------------------------
 
 
-def _rooted_code(g, rings, signs, root, best):
+def _rooted_code(g, rings, colours, root, best):
     """Code of one component of ``g`` read from ``root``, an (occurrence,
     reversed) pair, or None as soon as it exceeds ``best``.  Occurrence i
-    has sign ``signs[i]`` (``signs`` is None under ``ignore_signs``), and
-    ``rings[c]`` lists the occurrences of circle c twice over, so that one
-    slice reads the circle from any start either way."""
+    has colour ``colours[i]`` (``colours`` is None when edges are not
+    coloured), and ``rings[c]`` lists the occurrences of circle c twice
+    over, so that one slice reads the circle from any start either way."""
     _, flags, home, partner, _ = _flat(g)
     queue = [root]
     placed = {home[root[0]]}
@@ -442,8 +442,8 @@ def _rooted_code(g, rings, signs, root, best):
             first[j] = (number, flag)
             code.append(number)
             number += 1
-            if signs is not None:
-                code.append(signs[i])
+            if colours is not None:
+                code.append(colours[i])
             if home[j] not in placed:
                 placed.add(home[j])
                 queue.append((j, flags[j] ^ flag))
@@ -475,10 +475,19 @@ def canonical_form(
     (ties to the least key).  That choice, and abandoning a root once its
     code exceeds the best, are invariant under isomorphism.
     """
-    labels, _, home, partner, _ = _flat(g)
+    labels = _flat(g)[0]
+    return _coloured_form(g, None if ignore_signs else [g.signs[label] for label in labels])
+
+
+def _coloured_form(g: SignedRibbonGraph, colours: list[int] | None) -> tuple[tuple[int, ...], ...]:
+    """:func:`canonical_form` of ``g`` with occurrence i coloured
+    ``colours[i]`` in place of its sign, or uncoloured for None.  Both
+    occurrences of an edge share its colour, and an isomorphism must
+    keep colours: coloured by label rank, two graphs have equal forms
+    exactly when moves that keep every label turn one into the other."""
+    _, _, home, partner, _ = _flat(g)
     runs = _runs(g)
     rings = [list(run) * 2 for run in runs]
-    signs = None if ignore_signs else [g.signs[label] for label in labels]
     codes = []
     for group in _walk(g)[0]:
         keys: dict[tuple, list[int]] = {}
@@ -486,14 +495,14 @@ def canonical_form(
             j = partner[i]
             m = len(runs[home[i]])
             gap = abs(j - i) if home[i] == home[j] else -1
-            sign = signs[i] if signs else 0
-            key = (m, len(runs[home[j]]), gap if 2 * gap <= m else m - gap, sign)
+            colour = colours[i] if colours else 0
+            key = (m, len(runs[home[j]]), gap if 2 * gap <= m else m - gap, colour)
             keys.setdefault(key, []).append(i)
         # the least (count, key) group; none on an empty circle, coded ()
         roots = min([(len(r), k, r) for k, r in keys.items()], default=(0, (), []))[2]
         best: list[int] = []
         for root in [(i, rev) for i in roots for rev in (0, 1)]:
-            code = _rooted_code(g, rings, signs, root, best)
+            code = _rooted_code(g, rings, colours, root, best)
             best = code or best
         codes.append(tuple(best))
     return tuple(sorted(codes))

@@ -1052,6 +1052,41 @@ def arc_partial_dual(g: SignedRibbonGraph, edges) -> SignedRibbonGraph:
     return SignedRibbonGraph(new_circles, signs)
 
 
+def mask_orbit(g: SignedRibbonGraph) -> tuple[duality.OrbitClass, ...]:
+    """The reference for ``duality.dual_orbit``, with the same classes in
+    the same order: one partial dual and one unsigned canonical form for
+    every one of the 2^e subsets, in bitmask order over the sorted labels."""
+    labels = g.edge_labels
+    classes: dict[tuple, list] = {}
+    for mask in range(1 << len(labels)):
+        subset = tuple(l for i, l in enumerate(labels) if mask >> i & 1)
+        dual = partial_dual(g, subset)
+        key = ribbon.canonical_form(dual, ignore_signs=True)
+        classes.setdefault(key, [subset, dual, 0])[2] += 1
+    return tuple(duality.OrbitClass(*found) for found in classes.values())
+
+
+def labeled_stabilizer(g: SignedRibbonGraph) -> set[int]:
+    """Every mask X over the sorted labels (bit i for label i) whose
+    partial dual equals ``g`` up to rotation, circle order, M1 and M2,
+    labels kept and signs ignored: some set T of edges flipped by M2 gives
+    ``g`` the presentation (``ribbon._presentation``) of its dual on X."""
+    labels = g.edge_labels
+    flipped = set()
+    for mask in range(1 << len(labels)):
+        flip = {l for i, l in enumerate(labels) if mask >> i & 1}
+        circles = [[(l, a != (l in flip)) for l, a in c] for c in g.circles]
+        flipped.add(ribbon._presentation(SignedRibbonGraph(circles, g.signs), {}))
+    return {
+        mask
+        for mask in range(1 << len(labels))
+        if ribbon._presentation(
+            partial_dual(g, [l for i, l in enumerate(labels) if mask >> i & 1]), {}
+        )
+        in flipped
+    }
+
+
 # ----------------------------------------------------------------------
 # state-sum oracles
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from ribbongraphs import duality
 from ribbongraphs.duality import DUAL_ORBIT_MAX_EDGES, dual_orbit, partial_dual
 from ribbongraphs.errors import TooManyEdges, UnknownEdge
 from ribbongraphs.links import (
@@ -27,13 +28,16 @@ from .helpers import (
     all_subsets,
     arc_partial_dual,
     bouquet,
+    chord_ring,
     classify_edge,
     contract_edge,
     delete_edge,
     diagram_corpus,
     dual_corpus,
     graph_corpus,
+    labeled_stabilizer,
     load_graph,
+    mask_orbit,
     subgraph_stats,
     table_builds,
     traced_partial_dual,
@@ -383,18 +387,99 @@ class TestDualOrbit:
             assert partial_dual(g, cls.subset) == cls.graph
 
     def test_one_table_per_orbit(self, monkeypatch):
-        # dual_orbit builds g's occurrence table once and dualises every
-        # subset from it; the canonical form of each dual builds the dual's,
-        # and its walk over the circles reads it again.
-        g = load_graph("klein.rg")
-        builds = table_builds(monkeypatch)
-        classes = dual_orbit(g)
-        assert [h is g for h in builds].count(True) == 1
-        assert len({id(h) for h in builds}) == len(builds) == 1 + (1 << g.num_edges)
-        assert len(classes) == 6
+        # dual_orbit builds g's occurrence table once and dualises from it;
+        # the form of each dual builds the dual's, and its walk over the
+        # circles reads it again.  The search for L takes the form of each
+        # single and pair whose dual keeps g's circle lengths: on the
+        # Klein fixture one of six, and L is trivial, so all 2^3 subsets
+        # follow; on the torus {1, 2}, which is L, and two cosets follow.
+        for name, searched, cosets in (("klein.rg", 1, 8), ("torus.rg", 1, 2)):
+            g = load_graph(name)
+            builds = table_builds(monkeypatch)
+            dual_orbit(g)
+            assert [h is g for h in builds].count(True) == 1
+            assert len({id(h) for h in builds}) == len(builds) == 1 + searched + cosets
 
     def test_guard(self):
         # one edge over the constant; the guard trips before any dual
         with pytest.raises(TooManyEdges, match=r"\(2\^21 partial duals\)$"):
             dual_orbit(bouquet(DUAL_ORBIT_MAX_EDGES + 1))
         assert DUAL_ORBIT_MAX_EDGES == 20
+
+
+def orbit_corpus() -> list[SignedRibbonGraph]:
+    """300 seeded graphs with up to 8 edges, empty circles among them,
+    then bouquets and chord rings, whose automorphisms join cosets."""
+    graphs = graph_corpus(311, 300, max_edges=8)
+    graphs += [bouquet(e) for e in range(8)]
+    for e in range(2, 7):
+        for flags in (((False, False),), ((False, True),), ((False, False), (True, False))):
+            graphs += [chord_ring(e, 2, reach, flags) for reach in range(1, 2 * e, 2)]
+            graphs.append(chord_ring(e, 1, e, flags))
+    return graphs
+
+
+def span(basis: list[int]) -> set[int]:
+    group = {0}
+    for b in basis:
+        group |= {x ^ b for x in group}
+    return group
+
+
+class TestCosetWalk:
+    """dual_orbit walks one least mask per coset of the subgroup of the
+    labeled stabilizer L that ``duality._stabilizer`` spans, against the
+    walk over every mask (``mask_orbit``) and a brute-force L."""
+
+    def test_matches_mask_walk(self):
+        graphs = orbit_corpus()
+        assert len(graphs) >= 300
+        stabilized = 0
+        for g in graphs:
+            got = dual_orbit(g)
+            assert got == mask_orbit(g), g  # subset, graph and size
+            stabilized += bool(duality._stabilizer(g, g.edge_labels))
+        assert stabilized > 100
+
+    def test_generators_span_the_labeled_stabilizer(self):
+        graphs = [g for g in orbit_corpus() if g.num_edges <= 6]
+        assert len(graphs) > 200
+        orders = set()
+        for g in graphs:
+            group = labeled_stabilizer(g)
+            assert all(x ^ y in group for x in group for y in group)
+            basis = duality._stabilizer(g, g.edge_labels)
+            leads = [1 << b.bit_length() - 1 for b in basis]
+            assert all(b & lead == (b == c) * lead for b in basis for c, lead in zip(basis, leads))
+            assert set(basis) <= group
+            assert span(basis) == group, g
+            orders.add(len(group))
+        assert {1, 2, 4, 8} <= orders
+
+    def test_walk_needs_a_subgroup(self, monkeypatch):
+        # Any subgroup of L walks the orbit exactly, the trivial one too;
+        # one generator outside L merges duals that differ.
+        search = duality._stabilizer
+        drop = [True]
+
+        def mutant(g, labels):
+            basis = search(g, labels)
+            if drop[0]:
+                return basis[:-1]
+            leads = sum(1 << b.bit_length() - 1 for b in basis)
+            free = [1 << i for i in range(len(labels)) if not leads >> i & 1]
+            return basis + free[:1]  # a single outside L, with a leading bit of its own
+
+        monkeypatch.setattr(duality, "_stabilizer", mutant)
+        tried = wrong = 0
+        for g in orbit_corpus():
+            if g.num_edges > 6:
+                continue
+            want = mask_orbit(g)
+            drop[0] = True
+            assert dual_orbit(g) == want
+            drop[0] = False
+            if len(search(g, g.edge_labels)) < g.num_edges:
+                tried += 1
+                wrong += dual_orbit(g) != want
+        assert wrong == tried > 150
