@@ -6,18 +6,18 @@ For each graph, a line gives its cell, |L| (``2^rank`` of the basis
 that ``duality._stabilizer`` finds over single edges and pairs), the
 cosets of L (``2^e / |L|``: the partial duals and forms taken), the
 classes of the orbit, and the ``dual_orbit`` time in milliseconds,
-stabilizer search included (the median of ``--repeat`` calls, in
-process time).  Each group ends with the graph count, cosets, classes
-and summed time of its two families, |L| = 1 and |L| > 1.
+stabilizer search included (the median of 3 calls, in process time).
+Each group ends with the graph count, cosets, classes and summed time
+of its two families, |L| = 1 and |L| > 1.
 
 Inputs:
 
-* the ``dual_orbit`` inputs of the benchmark's ``orbit`` workload, the
-  first ``--cycles`` cycles of the pool of ``--seed``, drawn in the pool's
-  order by ``perfbench/gen.ribbon_text`` (the ``verify --mode lemmas``
-  cells draw their text too and are skipped);
-* ``gen.ribbon_text(Random(s), e, e // 2)`` for s = 1 .. ``--graphs`` at
-  e = 12 and 14, the inputs of the ``duals`` rows in ROADMAP.md.
+* the 48 ``dual_orbit`` inputs of the benchmark's ``orbit`` workload,
+  the first 8 cycles of the pool of seed 1, drawn in the pool's order by
+  ``perfbench/gen.ribbon_text`` (the ``verify --mode lemmas`` cells draw
+  their text too and are skipped);
+* ``gen.ribbon_text(Random(s), e, e // 2)`` for s = 1-6 at e = 12 and
+  s = 1-4 at e = 14, the inputs of the ``duals`` rows of BENCH_30.json.
 
 Run from the repository root:  python3 scripts/orbit_families.py
 (about half a minute on a 2-core host).
@@ -25,7 +25,6 @@ Run from the repository root:  python3 scripts/orbit_families.py
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
 import statistics
@@ -42,12 +41,16 @@ from ribbongraphs import duality  # noqa: E402
 from ribbongraphs.ribbon import parse_ribbon_graph  # noqa: E402
 
 
-def orbit_inputs(seed: int, cycles: int) -> list[tuple[str, str]]:
-    """(cell, text) of each ``dual_orbit`` operation in the first
-    ``cycles`` cycles of the orbit pool of ``seed``."""
-    rng = random.Random(f"orbit/{seed}")
+REPEAT = 3  # timed calls per graph
+SEEDS = {12: range(1, 7), 14: range(1, 5)}
+
+
+def orbit_inputs() -> list[tuple[str, str]]:
+    """(cell, text) of each ``dual_orbit`` operation in the first 8
+    cycles of the orbit pool of seed 1."""
+    rng = random.Random("orbit/1")
     inputs = []
-    for _ in range(cycles):
+    for _ in range(8):
         for kind, e, v in _orbit_cells():
             text = ribbon_text(rng, e, min(v, 2 * e))
             if kind == "dual_orbit":
@@ -55,12 +58,12 @@ def orbit_inputs(seed: int, cycles: int) -> list[tuple[str, str]]:
     return inputs
 
 
-def measure(text: str, repeat: int) -> tuple[int, int, int, float]:
+def measure(text: str) -> tuple[int, int, int, float]:
     """|L|, cosets, classes and the median ``dual_orbit`` time (ms)."""
     g = parse_ribbon_graph(text)
-    order = 1 << len(duality._stabilizer(g, g.edge_labels))
+    order = 1 << len(duality._stabilizer(g))
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         g = parse_ribbon_graph(text)  # a fresh graph keeps no table
         start = time.process_time()
         classes = duality.dual_orbit(g)
@@ -68,10 +71,10 @@ def measure(text: str, repeat: int) -> tuple[int, int, int, float]:
     return order, (1 << g.num_edges) // order, len(classes), statistics.median(times)
 
 
-def report(group: str, inputs: list[tuple[str, str]], repeat: int) -> None:
+def report(group: str, inputs: list[tuple[str, str]]) -> None:
     families: dict[str, list[tuple[int, int, float]]] = {"|L|=1": [], "|L|>1": []}
     for cell, text in inputs:
-        order, cosets, classes, ms = measure(text, repeat)
+        order, cosets, classes, ms = measure(text)
         print(f"{group:6} {cell:10} |L|={order:<4} cosets={cosets:<6} "
               f"classes={classes:<6} {ms:9.1f} ms")
         families["|L|=1" if order == 1 else "|L|>1"].append((cosets, classes, ms))
@@ -82,17 +85,10 @@ def report(group: str, inputs: list[tuple[str, str]], repeat: int) -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=1, help="orbit pool seed")
-    parser.add_argument("--cycles", type=int, default=8, help="orbit pool cycles read")
-    parser.add_argument("--graphs", type=int, default=4, help="seeds per size at e = 12, 14")
-    parser.add_argument("--repeat", type=int, default=3, help="timed calls per graph")
-    args = parser.parse_args()
-    report("orbit", orbit_inputs(args.seed, args.cycles), args.repeat)
-    for e in (12, 14):
-        inputs = [(f"e={e},s={s}", ribbon_text(random.Random(s), e, e // 2))
-                  for s in range(1, args.graphs + 1)]
-        report(f"e={e}", inputs, args.repeat)
+    report("orbit", orbit_inputs())
+    for e, seeds in SEEDS.items():
+        report(f"e={e}", [(f"e={e},s={s}", ribbon_text(random.Random(s), e, e // 2))
+                          for s in seeds])
 
 
 if __name__ == "__main__":

