@@ -1,5 +1,7 @@
 """Laurent arithmetic, substitutions, rendering, and parsing."""
 
+import re
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,22 @@ Y = Laurent.monomial(RING_XYZ, (0, 2, 0))
 Z = Laurent.monomial(RING_XYZ, (0, 0, 1))
 
 
+class ListKeys(Mapping):
+    """A mapping whose keys come out as lists."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __getitem__(self, key):
+        return self.terms[tuple(key)]
+
+    def __iter__(self):
+        return (list(key) for key in self.terms)
+
+    def __len__(self):
+        return len(self.terms)
+
+
 def keys_for(ring):
     bounds = st.integers(min_value=-8, max_value=8)
     return st.tuples(*[bounds for _ in ring.names])
@@ -45,6 +63,29 @@ class TestArithmetic:
         p = Laurent(RING_XYZ, {(2, 0, 0): 1, (0, 2, 0): 0})
         assert p == X
         assert len(p.terms) == 1
+
+    def test_constructor_contract(self):
+        # Zero terms go before the width check, so a zero coefficient on a
+        # key of the wrong width is ignored, not raised.
+        assert Laurent(RING_XY, {(1, 2, 3): 0, (2, 0): 1}).terms == {(2, 0): 1}
+        assert Laurent(RING_XY, {(1,): 0}) == Laurent.zero(RING_XY)
+        # The first key of the wrong width, in the caller's order, is named.
+        for terms, named in [
+            ({(0, 0): 1, (1,): 2, (1, 2, 3): 3}, "(1,)"),
+            ({(1, 2, 3): 3, (0, 0): 1, (1,): 2}, "(1, 2, 3)"),
+            ({(1,): 0, (0, 0): 1, (1, 2, 3): 3}, "(1, 2, 3)"),
+        ]:
+            with pytest.raises(RingMismatch, match=rf"^key {re.escape(named)} does not fit"):
+                Laurent(RING_XY, terms)
+        # Keys are stored as tuples, whatever sequence the mapping yields.
+        p = Laurent(RING_XY, ListKeys({(2, 0): 1, (0, 2): -1}))
+        assert p.terms == {(2, 0): 1, (0, 2): -1}
+        assert all(type(key) is tuple for key in p.terms)
+        with pytest.raises(RingMismatch, match=r"^key \[1\] does not fit"):
+            Laurent(RING_XY, ListKeys({(0, 0): 1, (1,): 2}))
+        for empty in (None, {}):
+            assert Laurent(RING_XYZ, empty) == Laurent.zero(RING_XYZ)
+            assert Laurent(RING_XYZ, empty).terms == {}
 
     def test_constants(self):
         assert Laurent.const(RING_XYZ, 0) == Laurent.zero(RING_XYZ)
