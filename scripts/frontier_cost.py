@@ -16,7 +16,9 @@ occurrence table.  Graphs come from ``tests.helpers.sized_graph``
 (e edges on v circles, e = 2-16) and from the all-A state graphs of
 ``tests.helpers.sized_diagram`` (n crossings on one or two strands,
 n = 4-14).  Each figure is the best of three passes, in microseconds
-per graph; ``ratio`` is R over sweep.
+per graph; ``ratio`` is R over sweep, and ``plan/R``, ``plan/inv`` and
+``plan/bracket`` are the share of each caller's engine call that its plan
+(``br._plan``, the same for every caller) takes.
 
 Large families, at e = n = 16, 20, 24 and 28: the all-A state graphs of
 one-strand diagrams, one-circle graphs, and graphs on v = e/2 circles,
@@ -83,8 +85,10 @@ def row(name: str, graphs) -> None:
         _flat(g)  # the tables are built outside the timing
     sweep = per_graph_us(graphs, whole_sweep)
     times = [per_graph_us(graphs, caller) for caller in CALLERS.values()]
+    plan = per_graph_us(graphs, br._plan)
     cells = "".join(f" {t:>10.0f}" for t in times)
-    print(f"{name:<20} {len(graphs):>6} {sweep:>10.0f}{cells} {times[0] / sweep:>7.2f}")
+    shares = "".join(f" {plan / t:>{len(name) + 5}.2f}" for name, t in zip(CALLERS, times))
+    print(f"{name:<20} {len(graphs):>6} {sweep:>10.0f}{cells} {times[0] / sweep:>7.2f}{shares}")
 
 
 def large(name: str, graphs) -> None:
@@ -105,7 +109,8 @@ def main() -> None:
     br.BR_MAX_EDGES = 10**6  # the large families pass the guard of 24 edges
     rng = random.Random(SEED)
     callers = "".join(f" {name + '_us':>10}" for name in CALLERS)
-    print(f"{'cell':<20} {'graphs':>6} {'sweep_us':>10}{callers} {'ratio':>7}")
+    shares = "".join(f" plan/{name}" for name in CALLERS)
+    print(f"{'cell':<20} {'graphs':>6} {'sweep_us':>10}{callers} {'ratio':>7}{shares}")
     for e in range(2, SWEEP_MAX_EDGES + 1):
         count = 40 if e <= 10 else 12 if e <= 13 else 3
         for v in sorted({1, max(1, e // 2), e, 2 * e * 3 // 4}):

@@ -101,7 +101,8 @@ def _edge_order(edges: list[tuple], sigma: list[int]) -> list[int]:
     for n, (a, _, c, *_) in enumerate(edges):
         where[a] = where[a + 1] = where[c] = where[c + 1] = n
     # the edges that each edge's arcs lead to: m is near n as often as n is near m
-    near = [[where[sigma[x]] for x in edge[:4]] for edge in edges]
+    near = [(where[sigma[a]], where[sigma[b]], where[sigma[c]], where[sigma[d]])
+            for a, b, c, d, *_ in edges]
     score = [ends.count(n) for n, ends in enumerate(near)]
     # rank = 32 * score + the scores of the other undecided edges that the
     # arcs lead to, at most 4 * 4; a decided edge ranks below 0
@@ -131,32 +132,34 @@ def _plan(g: SignedRibbonGraph) -> tuple[list[int], list[tuple], list[int]]:
     from the step that decides its arc's other end to the step that decides
     its own edge.  Returns each corner's slot; per step the edge's corners,
     circles, closed circles and sign bit, then per corner its slot or -1
-    and its arc's end, and the slots left free; and the frontier width
+    and its arc's end, and the slots it frees; and the frontier width
     (slots in use) after each step."""
     sigma, edges = _flat(g)[4], _edges(g)
     order = _edge_order(edges, sigma)
     due = [0] * len(sigma)  # the step that decides each corner's edge
+    last = [-1] * len(g.circles)  # the step that decides each circle's last occurrence
     for t, n in enumerate(order):
-        a, _, c, *_ = edges[n]
-        due[a] = due[a + 1] = due[c] = due[c + 1] = t
-    left = [len(circle) for circle in g.circles]  # undecided occurrences
+        a, _, c, _, u, w, _ = edges[n]
+        due[a] = due[a + 1] = due[c] = due[c + 1] = last[u] = last[w] = t
+    closes: list[list[int]] = [[] for _ in order]  # per step, the circles it closes
+    for x, t in enumerate(last):
+        if t >= 0:
+            closes[t].append(x)
     slot, free, wide, steps, widths = [-1] * len(sigma), [], 0, [], []
     for t, n in enumerate(order):
         a, b, c, d, u, w, minus = edges[n]
-        probe = []  # per corner, its slot or -1 and its arc's end
+        # per corner, its slot or -1 and its arc's end
+        probe = (slot[a], sigma[a], slot[b], sigma[b], slot[c], sigma[c], slot[d], sigma[d])
+        cleared = []  # the slots it frees; one taken again at once is zeroed, then written
         for x in (a, b, c, d):
             s, y = slot[x], sigma[x]
-            probe += (s, y)
             if s >= 0:  # x leaves the frontier
                 free.append(s)
+                cleared.append(s)
             elif due[y] > t:  # y joins the frontier
                 slot[y] = free.pop() if free else wide
                 wide += slot[y] == wide
-        left[u] -= 1
-        left[w] -= 1
-        done = [x for x in {u, w} if not left[x]]  # the circles this step closes
-        cleared = [s for s in probe[::2] if s in free]
-        steps.append(((a, b, c, d, u, w, done, minus), probe, cleared))
+        steps.append(((a, b, c, d, u, w, closes[t], minus), probe, cleared))
         widths.append(wide - len(free))
     return slot, steps, widths
 
@@ -259,7 +262,13 @@ def _subgraph_profiles(
         states = nxt
         inner[a] = inner[b] = inner[c] = inner[d] = -1
     ((off, hist),) = states.values()
-    mask = (1 << width) - 1
+    # no field borrows from the next, so the top one needs no mask
+    mask, top = (1 << width) - 1, fields[-1]
+    if len(start) == 2:  # the invariant
+        return {(((x := h + off) & mask) - bias, (x >> top) - bias): n for h, n in hist.items()}
+    if len(start) == 3:  # R and the bracket
+        return {(((x := h + off) & mask) - bias, (x >> width & mask) - bias, (x >> top) - bias): n
+                for h, n in hist.items()}
     return {tuple([(h + off >> at & mask) - bias for at in fields]): n for h, n in hist.items()}
 
 

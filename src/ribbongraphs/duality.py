@@ -69,11 +69,12 @@ class OrbitClass(NamedTuple):
 
 def _stabilizer(g: SignedRibbonGraph) -> list[int]:
     """Masks over ``g.edge_labels`` (bit i for the i-th label) spanning
-    a subgroup of the labeled stabilizer L of ``g``: every single edge and pair X
-    whose dual has the circle lengths of ``g`` and its form, coloured by
-    label rank, unless X is spanned already.  The masks are kept in reduced
-    echelon form over GF(2): each has its own leading (highest) bit, set in
-    no other mask.  Any subgroup of L walks the orbit exactly."""
+    a subgroup of the labeled stabilizer L of ``g``: every twisted loop and
+    every pair of edges X whose dual has the circle lengths of ``g`` and
+    its form, coloured by label rank, unless X is spanned already.  The
+    masks are kept in reduced echelon form over GF(2): each has its own
+    leading (highest) bit, set in no other mask.  Any subgroup of L walks
+    the orbit exactly."""
     labels = g.edge_labels
     e = len(labels)
     rank = {label: i for i, label in enumerate(labels)}
@@ -81,10 +82,17 @@ def _stabilizer(g: SignedRibbonGraph) -> list[int]:
     def labeled_form(h: SignedRibbonGraph) -> tuple:
         return _coloured_form(h, [rank[label] for label in _flat(h)[0]])
 
+    # a single edge keeps the circle count only as a loop whose two flags
+    # differ: any other edge merges two circles or splits one
+    occ, flags, home, partner, _ = _flat(g)
+    twisted = {
+        occ[i] for i, j in enumerate(partner) if home[i] == home[j] and flags[i] != flags[j]
+    }
+    singles = [1 << i for i, label in enumerate(labels) if label in twisted]
     lengths = sorted(map(len, g.circles))
     own = labeled_form(g)
     basis: list[int] = []
-    for x in [1 << i for i in range(e)] + [1 << i | 1 << j for j in range(e) for i in range(j)]:
+    for x in singles + [1 << i | 1 << j for j in range(e) for i in range(j)]:
         for b in basis:
             if x & 1 << b.bit_length() - 1:
                 x ^= b

@@ -18,6 +18,7 @@ from ribbongraphs.ribbon import (
     Occurrence,
     SignedRibbonGraph,
     is_isomorphic,
+    _flat,
     parse_ribbon_graph,
     serialize_ribbon_graph,
     stats,
@@ -38,6 +39,7 @@ from .helpers import (
     labeled_stabilizer,
     load_graph,
     mask_orbit,
+    sized_graph,
     subgraph_stats,
     table_builds,
     traced_partial_dual,
@@ -455,6 +457,31 @@ class TestCosetWalk:
             assert span(basis) == group, g
             orders.add(len(group))
         assert {1, 2, 4, 8} <= orders
+
+    def test_only_twisted_loops_keep_the_circle_count(self):
+        # The search tries no other single edge: a non-loop merges two
+        # circles and an untwisted loop splits one, so no such dual is g.
+        twisted = 0
+        for g in orbit_corpus():
+            occ, flags, home, partner, _ = _flat(g)
+            for i, j in enumerate(partner):
+                if i < j:
+                    kept = len(partial_dual(g, occ[i]).circles) == len(g.circles)
+                    assert kept == (home[i] == home[j] and flags[i] != flags[j]), (g, occ[i])
+                    twisted += kept
+        assert twisted > 100
+
+    def test_singles_and_pairs_span_it_at_8_to_10_edges(self):
+        # Graphs drawn as the benchmark draws them, past the sizes above.
+        rng = random.Random(173)
+        orders = []
+        for e in (8, 9, 10):
+            for _ in range(8):
+                g = sized_graph(rng, e, rng.randint(e // 2, e))
+                group, basis = labeled_stabilizer(g), duality._stabilizer(g)
+                assert set(basis) <= group and span(basis) == group, g
+                orders.append(len(group))
+        assert sum(order > 1 for order in orders) >= 8, orders
 
     def test_walk_needs_a_subgroup(self, monkeypatch):
         # Any subgroup of L walks the orbit exactly, the trivial one too;
