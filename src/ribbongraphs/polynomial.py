@@ -47,10 +47,6 @@ RING_T = Ring(("t",), (4,))
 Key = tuple[int, ...]
 
 
-def _misfit(key, ring: Ring):
-    raise RingMismatch(f"key {key!r} does not fit ring {ring.names}")
-
-
 class Laurent:
     """Immutable sparse Laurent polynomial attached to a :class:`Ring`.
 
@@ -62,14 +58,15 @@ class Laurent:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: Mapping[Key, int] | None = None):
-        # one pass: a zero term is dropped before its width is checked, and
-        # the first nonzero key of another width raises
+        clean: dict[Key, int] = {}
         width = len(ring.names)
-        clean = {
-            tuple(key): coeff
-            for key, coeff in (terms or {}).items()
-            if coeff and (len(key) == width or _misfit(key, ring))
-        }
+        if terms:
+            for key, coeff in terms.items():
+                if coeff == 0:
+                    continue
+                if len(key) != width:
+                    raise RingMismatch(f"key {key!r} does not fit ring {ring.names}")
+                clean[tuple(key)] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
 
