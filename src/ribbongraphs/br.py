@@ -150,7 +150,7 @@ def _plan(g: SignedRibbonGraph) -> tuple[list[int], list[tuple], list[int]]:
         a, b, c, d, u, w, minus = edges[n]
         # per corner, its slot or -1 and its arc's end
         probe = (slot[a], sigma[a], slot[b], sigma[b], slot[c], sigma[c], slot[d], sigma[d])
-        cleared = []  # the slots it frees; one taken again at once is zeroed, then written
+        cleared = []  # the slots it frees and leaves free, last on the stack free
         for x in (a, b, c, d):
             s, y = slot[x], sigma[x]
             if s >= 0:  # x leaves the frontier
@@ -159,6 +159,8 @@ def _plan(g: SignedRibbonGraph) -> tuple[list[int], list[tuple], list[int]]:
             elif due[y] > t:  # y joins the frontier
                 slot[y] = free.pop() if free else wide
                 wide += slot[y] == wide
+                if cleared and cleared[-1] == slot[y]:  # freed and taken again at once
+                    cleared.pop()
         steps.append(((a, b, c, d, u, w, closes[t], minus), probe, cleared))
         widths.append(wide - len(free))
     return slot, steps, widths
