@@ -3,7 +3,7 @@
 over, and the time the walk takes, per input and per family.
 
 For each graph, a line gives its cell, |L| (``2^rank`` of the basis
-that ``duality._stabilizer`` finds over single edges and pairs), the
+that ``duality._stabilizer`` finds over twisted loops and pairs), the
 cosets of L (``2^e / |L|``: the partial duals and forms taken), the
 classes of the orbit, and the ``dual_orbit`` time in milliseconds,
 stabilizer search included (the median of 3 calls, in process time).

@@ -150,7 +150,7 @@ def _plan(g: SignedRibbonGraph) -> tuple[list[int], list[tuple], list[int]]:
         a, b, c, d, u, w, minus = edges[n]
         # per corner, its slot or -1 and its arc's end
         probe = (slot[a], sigma[a], slot[b], sigma[b], slot[c], sigma[c], slot[d], sigma[d])
-        cleared = []  # the slots it frees and leaves free, last on the stack free
+        cleared = []  # the slots it frees and no corner takes again: the top of free
         for x in (a, b, c, d):
             s, y = slot[x], sigma[x]
             if s >= 0:  # x leaves the frontier
