@@ -98,11 +98,11 @@ def _edge_order(edges: list[tuple], sigma: list[int]) -> list[int]:
     tie goes to the edge whose arcs lead to the highest-scored undecided
     edges, by the sum of their scores, and then to the lowest occurrence."""
     where = [0] * len(sigma)  # the edge of each corner
-    for n, (a, _, c, *_) in enumerate(edges):
+    for n, (a, _, c, _, _, _, _) in enumerate(edges):
         where[a] = where[a + 1] = where[c] = where[c + 1] = n
     # the edges that each edge's arcs lead to: m is near n as often as n is near m
     near = [(where[sigma[a]], where[sigma[b]], where[sigma[c]], where[sigma[d]])
-            for a, b, c, d, *_ in edges]
+            for a, b, c, d, _, _, _ in edges]
     score = [ends.count(n) for n, ends in enumerate(near)]
     # rank = 32 * score + the scores of the other undecided edges that the
     # arcs lead to, at most 4 * 4; a decided edge ranks below 0
