@@ -108,7 +108,7 @@ def _edge_order(edges: list[tuple], sigma: list[int]) -> list[int]:
     # arcs lead to, at most 4 * 4; a decided edge ranks below 0
     rank = [32 * s for s in score]
     for m, s in enumerate(score):
-        for k in near[m] if s else ():
+        for k in near[m]:
             if k != m:
                 rank[k] += s
     order = []
@@ -150,7 +150,7 @@ def _plan(g: SignedRibbonGraph) -> tuple[list[int], list[tuple], list[int]]:
         a, b, c, d, u, w, minus = edges[n]
         # per corner, its slot or -1 and its arc's end
         probe = (slot[a], sigma[a], slot[b], sigma[b], slot[c], sigma[c], slot[d], sigma[d])
-        cleared = []  # the slots it frees and no corner takes again: the top of free
+        cleared = []  # the slots it frees; a child rewrites any it takes again
         for x in (a, b, c, d):
             s, y = slot[x], sigma[x]
             if s >= 0:  # x leaves the frontier
@@ -159,8 +159,6 @@ def _plan(g: SignedRibbonGraph) -> tuple[list[int], list[tuple], list[int]]:
             elif due[y] > t:  # y joins the frontier
                 slot[y] = free.pop() if free else wide
                 wide += slot[y] == wide
-                if cleared and cleared[-1] == slot[y]:  # freed and taken again at once
-                    cleared.pop()
         steps.append(((a, b, c, d, u, w, closes[t], minus), probe, cleared))
         widths.append(wide - len(free))
     return slot, steps, widths
@@ -172,9 +170,10 @@ def _subgraph_profiles(
     """Histogram of the caller's exponent key over all 2^e spanning
     subgraphs F: ``start``, plus ``positive`` per positive edge of F,
     ``negative`` per negative one, ``cycle`` per boundary cycle and
-    ``component`` per component, each a vector as long as the key.
-    Frontier dynamic programming on the boundary walk, as Sekine, Imai and
-    Tani (ISAAC 1995) compute the Tutte polynomial, on the steps of
+    ``component`` per component, each a vector as long as the key, which
+    has 2 fields (the invariant) or 3 (R and the bracket).  Frontier
+    dynamic programming on the boundary walk, as Sekine, Imai and Tani
+    (ISAAC 1995) compute the Tutte polynomial, on the steps of
     :func:`_plan`.  A state is the matching the decided bands induce on the
     frontier and, only if ``component`` is nonzero, the partition of the
     circles in play into components, each named by its least circle.  Its
@@ -247,18 +246,13 @@ def _subgraph_profiles(
                     nxt[key] = (at, hist)
                     continue
                 at0, big = old
-                small = hist
-                if len(small) > len(big):  # fold the smaller into a copy of the larger
-                    at0, big, at, small = at, small.copy(), at0, big
-                    owned.add(key)
-                    nxt[key] = (at0, big)
-                elif key not in owned:
+                if key not in owned:  # fold into a copy of the first
                     owned.add(key)
                     big = big.copy()
                     nxt[key] = (at0, big)
                 at -= at0
                 get = big.get
-                for h, count in small.items():
+                for h, count in hist.items():
                     h += at
                     big[h] = get(h, 0) + count
         states = nxt
@@ -268,10 +262,8 @@ def _subgraph_profiles(
     mask, top = (1 << width) - 1, fields[-1]
     if len(start) == 2:  # the invariant
         return {(((x := h + off) & mask) - bias, (x >> top) - bias): n for h, n in hist.items()}
-    if len(start) == 3:  # R and the bracket
-        return {(((x := h + off) & mask) - bias, (x >> width & mask) - bias, (x >> top) - bias): n
-                for h, n in hist.items()}
-    return {tuple([(h + off >> at & mask) - bias for at in fields]): n for h, n in hist.items()}
+    return {(((x := h + off) & mask) - bias, (x >> width & mask) - bias, (x >> top) - bias): n
+            for h, n in hist.items()}
 
 
 def _r_terms(g: SignedRibbonGraph, restrict: bool) -> dict[tuple[int, ...], int]:

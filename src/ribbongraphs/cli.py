@@ -28,9 +28,9 @@ from .links import (
 )
 from .ribbon import (
     SignedRibbonGraph,
+    _labeled_form,
     _presentation,
     _walk,
-    canonical_form,
     parse_ribbon_graph,
     serialize_ribbon_graph,
     stats,
@@ -114,31 +114,31 @@ def _verify_duality(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
 
 
 def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
-    # Checks compare (graph, presentation) pairs: equal presentations and
-    # equal signs (each dict in label order) mean that two graphs differ by
-    # rotation, circle order and M1 alone.  Only other pairs compare
-    # canonical forms.  An exhaustive run reads each distinct circle once,
-    # into ``reads``; a sampled run, whose subsets share few circles, keeps
-    # them for one subset only.
+    # Each lemma is an identity of labeled graphs.  Checks compare (graph,
+    # presentation) pairs: the signs must be equal, and then equal
+    # presentations mean that two graphs differ by rotation, circle order and
+    # M1 alone.  Only other pairs compare labeled forms.  An exhaustive run
+    # reads each distinct circle once, into ``reads``; a sampled run, whose
+    # subsets share few circles, keeps them for one subset only.
     reads: dict[tuple, tuple] = {}
 
     def presented(x: SignedRibbonGraph) -> tuple:
         return x, _presentation(x, reads)
 
     def same(a: tuple, b: tuple) -> bool:
-        if a[1] == b[1] and a[0].signs == b[0].signs:
-            return True
-        return canonical_form(a[0]) == canonical_form(b[0])
+        if a[0].signs != b[0].signs:
+            return False
+        return a[1] == b[1] or _labeled_form(a[0]) == _labeled_form(b[0])
 
     base = presented(g)
     groups, orientable = _walk(g)
     # The composition chain of a subset dualises g on one edge at a time, in
     # label order, from the stored chain of its longest stored prefix (in mask
-    # order one label shorter: one call per subset).  Chains that can grow, those
-    # without the last label, are stored while they hold fewer edges than the
-    # largest exhaustive run stores, 2^(h-1) chains of h = VERIFY_EXHAUSTIVE_EDGES.
+    # order one label shorter: one call per subset).  Chains are stored while
+    # they hold fewer edges than the largest exhaustive run stores, 2^(h-1)
+    # chains of h = VERIFY_EXHAUSTIVE_EDGES.  In mask order the chains with the
+    # last label, which no later subset extends, come after all the others.
     chains = {frozenset(): g}
-    last = max(g.signs, default="")
     most = VERIFY_EXHAUSTIVE_EDGES
     room = (most << most - 1) // max(g.num_edges, 1)
     # The presented duals on the runs labels[:i]: each previous △ subset is one.
@@ -159,7 +159,7 @@ def _verify_lemmas(g: SignedRibbonGraph, subsets) -> tuple[bool, list[str]]:
         for label in reversed(missing):
             prefix = prefix | {label}
             chain = partial_dual(chain, {label})
-            if label != last and len(chains) < room:
+            if len(chains) < room:
                 chains[prefix] = chain
         h = partial_dual(g, subset)
         dual = presented(h)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import TooManyEdges, UnknownEdge
-from .ribbon import SignedRibbonGraph, _coloured_form, _dual_circles, _flat, canonical_form
+from .ribbon import SignedRibbonGraph, _dual_circles, _flat, _labeled_form, canonical_form
 
 __all__ = [
     "partial_dual",
@@ -77,11 +77,6 @@ def _stabilizer(g: SignedRibbonGraph) -> list[int]:
     the orbit exactly."""
     labels = g.edge_labels
     e = len(labels)
-    rank = {label: i for i, label in enumerate(labels)}
-
-    def labeled_form(h: SignedRibbonGraph) -> tuple:
-        return _coloured_form(h, [rank[label] for label in _flat(h)[0]])
-
     # a single edge keeps the circle count only as a loop whose two flags
     # differ: any other edge merges two circles or splits one
     occ, flags, home, partner, _ = _flat(g)
@@ -90,7 +85,7 @@ def _stabilizer(g: SignedRibbonGraph) -> list[int]:
     }
     singles = [1 << i for i, label in enumerate(labels) if label in twisted]
     lengths = sorted(map(len, g.circles))
-    own = labeled_form(g)
+    own = _labeled_form(g)
     basis: list[int] = []
     for x in singles + [1 << i | 1 << j for j in range(e) for i in range(j)]:
         for b in basis:
@@ -101,7 +96,7 @@ def _stabilizer(g: SignedRibbonGraph) -> list[int]:
         dual = partial_dual(g, [l for i, l in enumerate(labels) if x >> i & 1])
         # equal forms imply equal circle lengths; most duals fail the
         # cheap test, which cuts the search's time to a third
-        if sorted(map(len, dual.circles)) != lengths or labeled_form(dual) != own:
+        if sorted(map(len, dual.circles)) != lengths or _labeled_form(dual) != own:
             continue
         top = 1 << x.bit_length() - 1
         basis = [b ^ x if b & top else b for b in basis] + [x]

@@ -119,8 +119,8 @@ class VirtualLinkDiagram:
 
     @property
     def crossing_ids(self) -> tuple[str, ...]:
-        """Crossing ids in lexicographic order."""
-        return tuple(sorted(self.signs))
+        """Crossing ids in lexicographic order, as ``signs`` keeps them."""
+        return tuple(self.signs)
 
     @property
     def num_crossings(self) -> int:

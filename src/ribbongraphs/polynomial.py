@@ -195,11 +195,8 @@ class Laurent:
             rest = key[:i] + (0,) + key[i + 1 :]
             exps.setdefault(e, {})[rest] = exps.setdefault(e, {}).get(rest, 0) + coeff
         result = Laurent(self.ring)
-        negatives = [e for e in exps if e < 0]
-        inverse = value.inverse_unit() if negatives else None
-        for e, bucket in exps.items():
-            power = value**e if e >= 0 else inverse ** (-e)  # type: ignore[operator]
-            result = result + Laurent(self.ring, bucket) * power
+        for e, bucket in exps.items():  # a negative power inverts a unit
+            result = result + Laurent(self.ring, bucket) * value**e
         return result
 
     def evaluate(self, values: Sequence[int]) -> int:
@@ -220,16 +217,9 @@ class Laurent:
                         f"cannot evaluate fractional exponent {Fraction(u, scale)}"
                     )
                 e = u // scale
-                if e < 0:
-                    if v == 1:
-                        continue
-                    if v == -1:
-                        e = -e
-                    else:
-                        raise NegativeExponentNonUnit(
-                            f"negative power of non-unit value {v}"
-                        )
-                prod *= v**e
+                if e < 0 and v not in (1, -1):
+                    raise NegativeExponentNonUnit(f"negative power of non-unit value {v}")
+                prod *= v**e if e >= 0 else v**-e
             total += prod
         return total
 
@@ -238,8 +228,6 @@ class Laurent:
     # ------------------------------------------------------------------
 
     def _ordered_terms(self) -> list[tuple[Key, int]]:
-        if not self.terms:
-            return []
         if len(self.ring.names) == 1:
             return sorted(self.terms.items())
         lcm = 1

@@ -171,8 +171,8 @@ class SignedRibbonGraph:
 
     @property
     def edge_labels(self) -> tuple[str, ...]:
-        """All edge labels in lexicographic order."""
-        return tuple(sorted(self.signs))
+        """All edge labels in lexicographic order, as ``signs`` keeps them."""
+        return tuple(self.signs)
 
     def sign(self, label: str) -> int:
         """The sign of edge ``label``; ``UnknownEdge`` if it is not an edge."""
@@ -508,6 +508,12 @@ def _coloured_form(g: SignedRibbonGraph, colours: list[int] | None) -> tuple[tup
     return tuple(sorted(codes))
 
 
+def _labeled_form(g: SignedRibbonGraph) -> tuple[tuple[int, ...], ...]:
+    """:func:`_coloured_form` by label rank: graphs compared with labels kept."""
+    rank = {label: i for i, label in enumerate(g.signs)}
+    return _coloured_form(g, [rank[label] for label in _flat(g)[0]])
+
+
 def _presentation(g: SignedRibbonGraph, reads: dict) -> tuple:
     """The sorted circles of ``g``, each read from an occurrence of its least
     label whichever way reads least: forward from an Along occurrence, or
@@ -524,7 +530,7 @@ def _presentation(g: SignedRibbonGraph, reads: dict) -> tuple:
                 for i, (label, against) in enumerate(c)
                 if label == least
             ]
-            got = reads[c] = found[0] if len(found) == 1 else min(found)
+            got = reads[c] = min(found)
         read.append(got)
     read.sort()
     return tuple(read)

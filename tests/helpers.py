@@ -669,6 +669,71 @@ def count_subgraphs(g: SignedRibbonGraph) -> dict[str, int]:
     return counts
 
 
+def _determinant(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: every division is exact, so no fraction arises."""
+    m, sign, prev = [row[:] for row in rows], 1, 1
+    n = len(m)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def spanning_tree_count(g: SignedRibbonGraph) -> int:
+    """The maximal spanning forests of the circle/edge multigraph of ``g``
+    by Kirchhoff's matrix-tree theorem: per component, the determinant of
+    its Laplacian with the row and column of one circle removed; the
+    product over components.  Loops add nothing to a Laplacian."""
+    ends = [(a, b) for a, b in _edge_ends(g).values() if a != b]
+    total = 1
+    for part in components(g):
+        index = {x: i for i, x in enumerate(part[1:])}  # the first circle's row removed
+        laplacian = [[0] * len(index) for _ in index]
+        for a, b in ends:
+            for x, y in ((a, b), (b, a)):
+                if x in index:
+                    laplacian[index[x]][index[x]] += 1
+                    if y in index:
+                        laplacian[index[x]][index[y]] -= 1
+        total *= _determinant(laplacian)
+    return total
+
+
+def _gf2_basis(vectors: Iterable[int]) -> dict[int, int]:
+    """A basis over GF(2) of the span of ``vectors`` (ints as bit
+    vectors), one vector per leading bit."""
+    basis: dict[int, int] = {}
+    for x in vectors:
+        while x and x.bit_length() in basis:
+            x ^= basis[x.bit_length()]
+        if x:
+            basis[x.bit_length()] = x
+    return basis
+
+
+def bicycle_dimension(g: SignedRibbonGraph) -> int:
+    """dim B of the bicycle space of the circle/edge multigraph of ``g``:
+    the cut space over GF(2) met with its orthogonal complement, the cycle
+    space.  The circles' stars span the cut space (a loop lies in none),
+    and B is the kernel of the Gram matrix of a basis of it, so
+    dim B = rank of the cut space - rank of that Gram matrix."""
+    stars = [0] * g.num_vertices
+    for bit, (a, b) in enumerate(_edge_ends(g).values()):
+        stars[a] ^= 1 << bit
+        stars[b] ^= 1 << bit
+    cuts = list(_gf2_basis(stars).values())
+    gram = [sum((bin(x & y).count("1") & 1) << j for j, y in enumerate(cuts)) for x in cuts]
+    return len(cuts) - len(_gf2_basis(gram))
+
+
 # ----------------------------------------------------------------------
 # isomorphism oracle
 # ----------------------------------------------------------------------
@@ -1400,11 +1465,15 @@ def sweep_profiles(edges, sigma, tau, parent, v) -> dict[tuple[int, int, int, in
 def frontier_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]:
     """Histogram of (|F|, k(F), f(F), negative edges in F) over the spanning
     subgraphs F of ``g``, from the frontier engine ``br._subgraph_profiles``
-    with one unit increment per field.  No command reads this view: each
-    passes the engine its own exponent key.  :func:`r_terms_of` and
-    :func:`bracket_terms_of` map it to those keys."""
-    units = (1, 0, 0, 0), (1, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)
-    return br._subgraph_profiles(g, *units, (0, 0, 0, 0))
+    with one unit increment per field.  The engine takes keys of at most 3
+    fields, so |F| and the negative edges share one, |F| + (e + 1)·neg,
+    decoded here.  No command reads this view: each passes the engine its
+    own exponent key.  :func:`r_terms_of` and :func:`bracket_terms_of` map it
+    to those keys."""
+    e = g.num_edges
+    units = (1, 0, 0), (e + 2, 0, 0), (0, 0, 1), (0, 1, 0)
+    hist = br._subgraph_profiles(g, *units, (0, 0, 0))
+    return {(x % (e + 1), k, f, x // (e + 1)): n for (x, k, f), n in hist.items()}
 
 
 def r_terms_of(

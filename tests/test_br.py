@@ -35,10 +35,12 @@ from .helpers import (
     FIXTURES,
     SURFACE_IMAGES,
     all_subsets,
+    bicycle_dimension,
     bouquet,
     braid_closure,
     bracket_terms_of,
     chord_ring,
+    count_subgraphs,
     delete_edge,
     disjoint_union,
     forest,
@@ -56,6 +58,7 @@ from .helpers import (
     random_link,
     sized_diagram,
     sized_graph,
+    spanning_tree_count,
     split_blocks,
     split_graph,
     split_profiles,
@@ -728,6 +731,42 @@ class TestTutte:
             if () in g.circles:
                 seen.add("empty circle")
         assert seen == {"loop", "parallel", "components", "empty circle"}
+
+    @staticmethod
+    def tree_and_bicycle_sums(g: SignedRibbonGraph) -> tuple[int, int]:
+        # T(1,1) and T(-1,-1) off R's keys (a, b, c): R(x-1, y-1, 1) on an
+        # all-positive graph is the sum of n (x-1)^(a/2) (y-1)^(b/2).
+        terms = br._r_terms(g, False)
+        trees = sum(n for (a, b, _), n in terms.items() if a == b == 0)
+        return trees, sum(n * (-2) ** ((a + b) // 2) for (a, b, _), n in terms.items())
+
+    def test_tree_and_bicycle_oracles(self):
+        # The two oracles against brute force on small graphs: Kirchhoff
+        # against counted maximal spanning forests, and Rosenstiehl and
+        # Read's T(-1,-1) = (-1)^e (-2)^dim B against R.
+        dims = set()
+        for g in graph_corpus(211, 120, max_edges=8):
+            g = SignedRibbonGraph(g.circles, dict.fromkeys(g.signs, 1))
+            assert spanning_tree_count(g) == count_subgraphs(g)["trees"], g
+            trees, at_minus_one = self.tree_and_bicycle_sums(g)
+            assert trees == spanning_tree_count(g), g
+            dims.add(bicycle_dimension(g))
+            assert at_minus_one == (-1) ** g.num_edges * (-2) ** bicycle_dimension(g), g
+        assert len(dims) >= 3, dims
+
+    def test_tree_and_bicycle_counts_past_the_guard(self, monkeypatch):
+        # R of all-positive graphs with 32-40 edges, beyond any 2^e sum,
+        # against two identities that cost none (Kirchhoff's matrix-tree
+        # theorem; the bicycle theorem of Rosenstiehl and Read, Ann.
+        # Discrete Math. 3, 1978).  About 2 s.
+        monkeypatch.setattr(br, "BR_MAX_EDGES", 64)
+        for e in (32, 34, 36, 38, 40):
+            for s in (0, 1):
+                g = sized_graph(random.Random(1000 * e + s), e, e // 2)
+                g = SignedRibbonGraph(g.circles, dict.fromkeys(g.signs, 1))
+                trees, at_minus_one = self.tree_and_bicycle_sums(g)
+                assert trees == spanning_tree_count(g), (e, s)
+                assert at_minus_one == (-1) ** e * (-2) ** bicycle_dimension(g), (e, s)
 
 
 class TestMainDualityTheorem:

@@ -437,7 +437,7 @@ class TestLemmaGate:
 
     def test_fail_lines_pinned(self):
         forms: list = []
-        with mock.patch.object(cli, "canonical_form", counting(forms, cli.canonical_form)):
+        with mock.patch.object(cli, "_labeled_form", counting(forms, cli._labeled_form)):
             got = lemma_gate_text()
         assert forms  # a mismatch of presentations falls back on forms
         assert got == LEMMA_GATE.read_text(encoding="utf-8")
@@ -530,6 +530,44 @@ class TestLemmaGate:
                 "FAIL symmetric-difference subset=1,2",
             ],
         )
+
+    def test_label_swap_fails(self):
+        # Each lemma is an identity of labeled graphs.  This fault swaps two
+        # labels of one sign on subsets of two or more edges that hold both
+        # or neither, so its duals keep their signs and unlabeled forms, and
+        # only a comparison that keeps labels fails them.  On these graphs
+        # the swap is no labeled symmetry of some dual.
+        def swap_fault(g, edges):
+            dual, subset = partial_dual(g, edges), set(edges)
+            both = ("1" in subset) == ("2" in subset)
+            if len(subset) < 2 or not both or g.signs["1"] != g.signs["2"]:
+                return dual
+            swap = {"1": "2", "2": "1"}
+            circles = [[(swap.get(l, l), a) for l, a in c] for c in dual.circles]
+            return SignedRibbonGraph(circles, dual.signs)
+
+        for circles in ("3' / 1' / 3 2 1 2'", "2 3 1' 2' 1 3", "1 / 2 1' 3' 2 3'"):
+            text = "edges: 1:- 2:- 3:-\n" + "".join(f"circle: {c}\n" for c in circles.split(" / "))
+            g = parse_ribbon_graph(text)
+            assert cli._verify_lemmas(g, cli._subset_pool(g, 200, 0)[1]) == (True, [])
+            with mock.patch.object(cli, "partial_dual", swap_fault):
+                ok, lines = cli._verify_lemmas(g, cli._subset_pool(g, 200, 0)[1])
+            assert not ok and "FAIL composition subset=1,2" in lines, circles
+
+    def test_exhaustive_runs_make_four_duals_per_subset(self):
+        # A sound exhaustive run calls partial_dual 4 times per subset (h,
+        # the involution, one chain step and the chained dual) but twice on
+        # the empty set, which has no chain step and no previous subset, and
+        # e - 1 more times for the direct duals of runs labels[:i] that are
+        # not yet checked when a symmetric difference needs them.
+        rng = random.Random(4)
+        for e in range(7, cli.VERIFY_EXHAUSTIVE_EDGES + 1):
+            g = sized_graph(rng, e, e // 2)
+            calls: list = []
+            with mock.patch.object(cli, "partial_dual", counting(calls, partial_dual)):
+                got = cli._verify_lemmas(g, cli._subset_pool(g, 200, 0)[1])
+            assert got == (True, [])
+            assert len(calls) == 4 * 2**e + e - 3, e
 
     def test_sampled_fail_lines_pinned(self):
         # The sha256 of the FAIL lines, written from the program as it
@@ -717,7 +755,7 @@ class TestGoldens:
         parser = cli.build_parser()
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
         forms: list = []
-        monkeypatch.setattr(cli, "canonical_form", counting(forms, cli.canonical_form))
+        monkeypatch.setattr(cli, "_labeled_form", counting(forms, cli._labeled_form))
         got = {}
         for case, argv, text in cli_corpus():
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -13,6 +13,7 @@ from ribbongraphs.links import (
     all_B_state,
     seifert_state,
     state_ribbon_graph,
+    VirtualLinkDiagram,
 )
 from ribbongraphs.ribbon import (
     Occurrence,
@@ -214,6 +215,26 @@ def assert_as_checked(g: SignedRibbonGraph) -> None:
 
 
 class TestDerivedGraphs:
+    def test_labels_keep_label_order(self):
+        # edge_labels and crossing_ids read the signs in the order they are
+        # kept, so the constructors, partial duals and state graphs must
+        # keep them sorted as strings: "10" before "2".
+        g = parse_ribbon_graph("edges: 2:+ 10:- 1:+ b:- a:+\ncircle: 2 10 1' b\ncircle: a 2 10' a' 1 b\n")
+        order = ("1", "10", "2", "a", "b")
+        for subset in all_subsets(g):
+            h = partial_dual(g, subset)
+            assert h.edge_labels == tuple(h.signs) == order, subset
+            assert partial_dual(h, subset).edge_labels == order, subset
+        d = VirtualLinkDiagram([[("3", True), ("10", False), ("2", True)],
+                                [("10", True), ("2", False), ("3", False)]],
+                               {"3": 1, "2": -1, "10": 1})
+        assert d.crossing_ids == tuple(d.signs) == ("10", "2", "3")
+        bits = {"10": "B", "2": "A", "3": "B"}
+        for state in (seifert_state(d), all_A_state(d), all_B_state(d), bits):
+            h = state_ribbon_graph(d, state)
+            assert h.edge_labels == tuple(h.signs) == ("10", "2", "3"), state
+            assert partial_dual(h, ["2", "3"]).edge_labels == ("10", "2", "3"), state
+
     def test_partial_duals(self):
         rng = random.Random(3490)
         graphs = graph_corpus(3490, 600, max_edges=10)
