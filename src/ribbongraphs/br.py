@@ -83,7 +83,7 @@ def _edges(g: SignedRibbonGraph) -> list[tuple[int, ...]]:
     """The edges of ``g`` by first occurrence i, each as its corners 2i,
     2i + 1, 2j, 2j + 1 in the table :func:`_flat` (j the second
     occurrence), the circles of i and j, and 1 if it is negative."""
-    labels, _, home, partner, _ = _flat(g)
+    labels, _, home, partner, _, _ = _flat(g)
     return [
         (2 * i, 2 * i + 1, 2 * j, 2 * j + 1, home[i], home[j], int(g.signs[labels[i]] < 0))
         for i, j in enumerate(partner)
@@ -296,8 +296,8 @@ def bollobas_riordan(g: SignedRibbonGraph) -> Laurent:
 def tutte_via_br(g: SignedRibbonGraph) -> Laurent:
     """Tutte polynomial of the underlying signed graph: R(x-1, y-1, 1), as
     a map on R's doubled keys (a, b, c).  z = 1 sums the counts over c,
-    none cancelling, and then x and y shift in turn by the binomial
-    theorem: a term n x^A adds (-1)^(A-i) C(A, i) n at x^i, i = 0..A.
+    none cancelling, and a term n x^A y^B expands by the binomial theorem
+    in both: it adds (-1)^(A-i+B-j) C(A, i) C(B, j) n at x^i y^j.
 
     The shift needs nonnegative integer powers of x and y in R, which
     every all-positive graph has; negative edges can break it.
@@ -312,11 +312,9 @@ def tutte_via_br(g: SignedRibbonGraph) -> Laurent:
     terms: dict[tuple[int, int], int] = {}
     for (a, b, _), n in _r_terms(g, False).items():
         terms[a, b] = terms.get((a, b), 0) + n
-    # each pass shifts the first variable and moves it last, so the pass
-    # for y finds y first and leaves the keys as (x, y)
-    for name in "xy":
-        odd = [a for a, _ in terms if a & 1]
-        if odd or any(a < 0 for a, _ in terms):
+    for name, powers in (("x", [a for a, _ in terms]), ("y", [b for _, b in terms])):
+        odd = [p for p in powers if p & 1]
+        if odd or any(p < 0 for p in powers):
             error, reason = (
                 (FractionalExponent, f"{name} occurs with exponent {min(odd)}/2")
                 if odd
@@ -328,14 +326,13 @@ def tutte_via_br(g: SignedRibbonGraph) -> Laurent:
                 f"exponents of x and y, and the negative edges {negative} "
                 f"break it: {reason}"
             )
-        shifted: dict[tuple[int, int], int] = {}
-        for (a, b), n in terms.items():
-            power = a >> 1
-            for i in range(power + 1):
-                at = (b, 2 * i)
-                shifted[at] = shifted.get(at, 0) + (-1) ** (power - i) * comb(power, i) * n
-        terms = shifted
-    return Laurent(RING_XY, terms)
+    shifted: dict[tuple[int, int], int] = {}
+    for (a, b), n in terms.items():
+        p, q = a >> 1, b >> 1
+        for i, j in product(range(p + 1), range(q + 1)):
+            c = (-1) ** (p - i + q - j) * comb(p, i) * comb(q, j) * n
+            shifted[2 * i, 2 * j] = shifted.get((2 * i, 2 * j), 0) + c
+    return Laurent(RING_XY, shifted)
 
 
 def duality_invariant(g: SignedRibbonGraph) -> Laurent:

@@ -98,7 +98,7 @@ def cmd_duals(args: argparse.Namespace) -> tuple[int, str]:
     classes = dual_orbit(_load_graph(args.file))
     lines = [f"classes={len(classes)}"]
     for cls in classes:
-        subset = ",".join(sorted(cls.subset))
+        subset = ",".join(cls.subset)
         lines.append("")
         lines.append(f"# subset={subset} size={cls.size}")
         lines.append(serialize_ribbon_graph(cls.graph).rstrip("\n"))
@@ -205,9 +205,12 @@ def _subset_pool(
 
 def _sample_count(text: str) -> int:
     most = 1 << VERIFY_EXHAUSTIVE_EDGES  # the subsets of the largest exhaustive run
-    if not 1 <= int(text) <= most:
-        raise argparse.ArgumentTypeError(f"must be from 1 to {most}, got {text}")
-    return int(text)
+    try:
+        if 1 <= int(text) <= most:
+            return int(text)
+    except ValueError:  # not an integer: the same message as out of range
+        pass
+    raise argparse.ArgumentTypeError(f"must be from 1 to {most}, got {text}")
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:

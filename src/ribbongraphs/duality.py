@@ -79,7 +79,7 @@ def _stabilizer(g: SignedRibbonGraph) -> list[int]:
     e = len(labels)
     # a single edge keeps the circle count only as a loop whose two flags
     # differ: any other edge merges two circles or splits one
-    occ, flags, home, partner, _ = _flat(g)
+    occ, flags, home, partner, _, _ = _flat(g)
     twisted = {
         occ[i] for i, j in enumerate(partner) if home[i] == home[j] and flags[i] != flags[j]
     }

@@ -134,7 +134,7 @@ class VirtualLinkDiagram:
         )
 
     def __hash__(self) -> int:
-        return hash((self.components, tuple(sorted(self.signs.items()))))
+        return hash((self.components, tuple(self.signs.items())))
 
     def __repr__(self) -> str:
         body = " / ".join(

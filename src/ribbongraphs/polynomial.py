@@ -16,7 +16,7 @@ actually used are
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import FractionalExponent, NegativeExponentNonUnit, RingMismatch
@@ -230,10 +230,8 @@ class Laurent:
     def _ordered_terms(self) -> list[tuple[Key, int]]:
         if len(self.ring.names) == 1:
             return sorted(self.terms.items())
-        lcm = 1
-        for s in self.ring.scales:
-            lcm = lcm * s // gcd(lcm, s)
-        mult = [lcm // s for s in self.ring.scales]
+        top = lcm(*self.ring.scales)
+        mult = [top // s for s in self.ring.scales]
 
         def rank(item: tuple[Key, int]):
             key = item[0]

@@ -17,7 +17,7 @@ single edge (move M2).
 from __future__ import annotations
 
 import re
-from itertools import accumulate, compress, islice
+from itertools import compress, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -188,7 +188,7 @@ class SignedRibbonGraph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.circles, tuple(sorted(self.signs.items()))))
+        return hash((self.circles, tuple(self.signs.items())))
 
     def __repr__(self) -> str:
         body = " / ".join(
@@ -251,27 +251,28 @@ class SignedRibbonGraph:
 # ----------------------------------------------------------------------
 
 
-def _flat(g: SignedRibbonGraph) -> tuple[list, list, list, list, list]:
+def _flat(g: SignedRibbonGraph) -> tuple[list, list, list, list, list, list]:
     """The occurrence table of ``g``, from one pass over its circles.
 
     Occurrence i, in circle-major order, has label ``labels[i]``, Against
-    flag ``flags[i]``, circle ``home[i]`` and the other end of its edge at
-    ``partner[i]``.  Its corners are 2i (tail) and 2i+1 (head); the arc
-    matching ``sigma`` pairs the corner after each occurrence with the
-    corner before the next one on its circle, along the free arc between.
+    flag ``flags[i]``, circle ``home[i]``, the other end of its edge at
+    ``partner[i]`` and corners 2i (tail) and 2i+1 (head); circle c holds
+    the range ``runs[c]``.  The arc matching ``sigma`` pairs the corner
+    after each occurrence with the corner before the next on its circle.
 
     The first call for ``g`` builds the table and keeps it on ``g``; every
     later call returns the same lists, so no caller may mutate them.
     """
     if g._table is not None:
         return g._table
-    labels, flags, home = [], [], []
+    labels, flags, home, runs = [], [], [], []
     partner = [0] * (2 * len(g.signs))
     sigma = [0] * (4 * len(g.signs))
     first: dict[str, int] = {}
     i = 0
     for ci, circle in enumerate(g.circles):
         home += [ci] * len(circle)
+        runs.append(range(i, i + len(circle)))
         # the corner after the previous occurrence; at the first, after the last
         out = 2 * (i + len(circle)) - 1 - (circle[-1][1] if circle else 0)
         for label, against in circle:
@@ -283,15 +284,8 @@ def _flat(g: SignedRibbonGraph) -> tuple[list, list, list, list, list]:
             labels.append(label)
             flags.append(against)
             i += 1
-    object.__setattr__(g, "_table", (labels, flags, home, partner, sigma))
+    object.__setattr__(g, "_table", (labels, flags, home, partner, sigma, runs))
     return g._table
-
-
-def _runs(g: SignedRibbonGraph) -> list[range]:
-    """The numbers of the occurrences on each circle in the table of
-    :func:`_flat`."""
-    ends = list(accumulate([len(circle) for circle in g.circles]))
-    return [range(end - len(circle), end) for circle, end in zip(g.circles, ends)]
 
 
 def _walk(g: SignedRibbonGraph) -> tuple[list[list[int]], bool]:
@@ -305,8 +299,7 @@ def _walk(g: SignedRibbonGraph) -> tuple[list[list[int]], bool]:
     components come as lists of circles in walk order, listed by their
     least circle.
     """
-    _, flags, home, partner, _ = _flat(g)
-    runs = _runs(g)
+    _, flags, home, partner, _, runs = _flat(g)
     reversal: list[int | None] = [None] * len(runs)
     groups: list[list[int]] = []
     orientable = True
@@ -361,7 +354,7 @@ def _dual_circles(g: SignedRibbonGraph, inside: list[bool]) -> tuple:
     forward keeps its flag.  Only the corners of band crossings are marked
     passed, as a circle starts only at an inside corner.  Circles with no
     inside occurrence follow."""
-    labels, _, home, partner, sigma = _flat(g)
+    labels, _, home, partner, sigma, _ = _flat(g)
     seen = [False] * len(sigma)
     circles = []
     for start in range(len(sigma)):
@@ -419,7 +412,7 @@ def _rooted_code(g, rings, colours, root, best):
     has colour ``colours[i]`` (``colours`` is None when edges are not
     coloured), and ``rings[c]`` lists the occurrences of circle c twice
     over, so that one slice reads the circle from any start either way."""
-    _, flags, home, partner, _ = _flat(g)
+    _, flags, home, partner, _, _ = _flat(g)
     queue = [root]
     placed = {home[root[0]]}
     first: list = [None] * len(partner)  # (number, flag) left at the unread end
@@ -485,8 +478,7 @@ def _coloured_form(g: SignedRibbonGraph, colours: list[int] | None) -> tuple[tup
     occurrences of an edge share its colour, and an isomorphism must
     keep colours: coloured by label rank, two graphs have equal forms
     exactly when moves that keep every label turn one into the other."""
-    _, _, home, partner, _ = _flat(g)
-    runs = _runs(g)
+    _, _, home, partner, _, runs = _flat(g)
     rings = [list(run) * 2 for run in runs]
     codes = []
     for group in _walk(g)[0]:

@@ -53,7 +53,6 @@ from ribbongraphs.ribbon import (
     Occurrence,
     SignedRibbonGraph,
     _flat,
-    _runs,
     components,
     parse_ribbon_graph,
     serialize_ribbon_graph,
@@ -1035,7 +1034,7 @@ def traced_partial_dual(g: SignedRibbonGraph, edges) -> SignedRibbonGraph:
     ``ribbon._dual_circles``, the walk that ``duality.partial_dual`` took
     over from this path, with the same circle order and arrow flags."""
     subset = set(edges)
-    labels, _, home, _, sigma = _flat(g)
+    labels, _, home, _, sigma, _ = _flat(g)
     inside = [label in subset for label in labels]
     starts = [c for c in range(len(sigma)) if inside[c >> 1]]
     new_circles = [
@@ -1350,8 +1349,7 @@ def split_blocks(g: SignedRibbonGraph) -> list[list[int]]:
     pulled apart there, so they merge until no two alternate.  Then g is
     built from its blocks by one-point joins and disjoint unions alone.
     """
-    _, _, home, partner, _ = _flat(g)
-    runs = _runs(g)
+    _, _, home, partner, _, runs = _flat(g)
     block = [-1] * len(partner)  # block id of each occurrence
     order, low = [0] * len(runs), [0] * len(runs)
     met: list[int] = []  # occurrences of edges met and not yet in a block
@@ -1522,7 +1520,7 @@ def split_profiles(g: SignedRibbonGraph) -> dict[tuple[int, int, int, int], int]
     add, and since every sweep counts all v circles of g, empty ones
     included, k(F) = sum k(F_b) - (m-1)v and f(F) = sum f(F_b) - (m-1)v.
     """
-    labels, _, home, partner, sigma = _flat(g)
+    labels, _, home, partner, sigma, _ = _flat(g)
     v = g.num_vertices
     tau = [c ^ 1 for c in range(len(sigma))]  # every band excluded
     parent = list(range(v))
@@ -1798,7 +1796,7 @@ def boundary_components(g: SignedRibbonGraph) -> tuple[BoundaryWalk, ...]:
     counts for f.  Walks start at their smallest corner and leave it
     along the arc.  Isolated vertices append their own cornerless walks.
     """
-    labels, _, home, _, sigma = _flat(g)
+    labels, _, home, _, sigma, _ = _flat(g)
     walks = [
         BoundaryWalk(
             tuple([Corner(c >> 1, HEAD if c & 1 else TAIL) for c in cycle]),

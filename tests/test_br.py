@@ -776,6 +776,20 @@ class TestMainDualityTheorem:
             for subset in all_subsets(g):
                 assert duality_invariant(partial_dual(g, subset)) == inv
 
+    def test_invariant_equal_past_the_guard(self, monkeypatch):
+        # The paper's theorem at 24-32 edges, beyond any 2^e sum: G and
+        # G^A share the invariant for a random A.  The two engine runs
+        # sum different graphs, whose edges change sign across A.
+        monkeypatch.setattr(br, "BR_MAX_EDGES", 64)
+        rng = random.Random(7)
+        for e in range(24, 33):
+            g = sized_graph(rng, e, e // 2)
+            subset = [l for l in g.signs if rng.random() < 0.5]
+            assert 0 < len(subset) < e, e
+            dual = partial_dual(g, subset)
+            assert dual.circles != g.circles, e
+            assert duality_invariant(dual) == duality_invariant(g), (e, subset)
+
     def test_monomial_correction_between_duals(self):
         # x^k(G) y^v(G) z^(v(G)+1) R(G) and the dual's counterpart agree
         # on the surface; off the surface the raw polynomials differ.

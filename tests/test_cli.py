@@ -296,10 +296,12 @@ class TestVerify:
         )
         assert code == 0  # 2 edges: exhaustive, flags are inert
 
-    @pytest.mark.parametrize("samples", ["0", "-3", "4097"])
+    @pytest.mark.parametrize("samples", ["0", "-3", "4097", "abc", "1.5"])
     def test_samples_below_one_exit_2(self, capsys, tmp_path, samples):
         # Above 12 edges verify samples subsets; none would pass
-        # vacuously, and no more than the 2^12 of an exhaustive run.
+        # vacuously, and no more than the 2^12 of an exhaustive run.  A
+        # count that is no integer gets the same message, which names no
+        # function of the package.
         labels = [f"e{i}" for i in range(13)]
         decl = " ".join(f"{l}:+" for l in labels)
         path = tmp_path / "big.rg"
@@ -310,6 +312,8 @@ class TestVerify:
         assert exc.value.code == 2
         assert captured.out == ""
         assert "--samples" in captured.err
+        assert "must be from 1 to 4096" in captured.err
+        assert "_sample_count" not in captured.err
 
     def test_sampled_subsets_are_distinct(self):
         # 4096 draws with replacement from the 8192 subsets of 13 edges

@@ -11,7 +11,9 @@ from ribbongraphs.errors import TooManyEdges, UnknownEdge
 from ribbongraphs.links import (
     all_A_state,
     all_B_state,
+    parse_gauss,
     seifert_state,
+    serialize_gauss,
     state_ribbon_graph,
     VirtualLinkDiagram,
 )
@@ -234,6 +236,27 @@ class TestDerivedGraphs:
             h = state_ribbon_graph(d, state)
             assert h.edge_labels == tuple(h.signs) == ("10", "2", "3"), state
             assert partial_dual(h, ["2", "3"]).edge_labels == ("10", "2", "3"), state
+
+    def test_equal_values_hash_equal(self):
+        # The hashes read the signs in the order they are kept, unsorted,
+        # so equal graphs and diagrams built by different paths must keep
+        # them in one order.
+        def same(a, b):
+            assert a == b and hash(a) == hash(b) and list(a.signs) == list(b.signs)
+
+        rng = random.Random(3493)
+        for g in graph_corpus(3493, 200, max_edges=8):
+            same(g, SignedRibbonGraph(g.circles, dict(reversed(g.signs.items()))))
+            same(g, partial_dual(g, ()))
+            same(g, parse_ribbon_graph(serialize_ribbon_graph(g)))
+        for d in diagram_corpus(3494, 200, max_crossings=11):
+            same(d, VirtualLinkDiagram(d.components, dict(reversed(d.signs.items()))))
+            same(d, parse_gauss(serialize_gauss(d)))
+            bits = {cid: rng.choice("AB") for cid in d.crossing_ids}
+            for state in (seifert_state(d), all_A_state(d), all_B_state(d), bits):
+                h = state_ribbon_graph(d, state)
+                same(h, parse_ribbon_graph(serialize_ribbon_graph(h)))
+                same(h, SignedRibbonGraph(h.circles, dict(reversed(h.signs.items()))))
 
     def test_partial_duals(self):
         rng = random.Random(3490)
@@ -484,7 +507,7 @@ class TestCosetWalk:
         # circles and an untwisted loop splits one, so no such dual is g.
         twisted = 0
         for g in orbit_corpus():
-            occ, flags, home, partner, _ = _flat(g)
+            occ, flags, home, partner, _, _ = _flat(g)
             for i, j in enumerate(partner):
                 if i < j:
                     kept = len(partial_dual(g, occ[i]).circles) == len(g.circles)

@@ -285,11 +285,14 @@ class TestOccurrenceTable:
     def test_matches_oracles(self):
         loops = 0
         for g in self.corpus():
-            labels, flags, home, partner, sigma = ribbon._flat(g)
+            labels, flags, home, partner, sigma, runs = ribbon._flat(g)
             assert (sigma, labels) == arc_matching(g)
             occs = list(occurrences(g))
             assert flags == [occ.against for _, _, _, occ in occs]
             assert home == [ci for _, ci, _, _ in occs]
+            # circle c's run holds its occurrences, in their positions on it
+            assert len(runs) == len(g.circles) and sum(map(len, runs)) == len(occs)
+            assert all(runs[ci][pos] == i for i, ci, pos, _ in occs)
             ends: dict[str, list[int]] = {}
             for i, _, _, occ in occs:
                 ends.setdefault(occ.label, []).append(i)
@@ -343,7 +346,7 @@ class TestCircleWalk:
             ("no edges", "empty circle", "twisted loop", "odd cycle", "out of order"), 0
         )
         for g in graphs:
-            _, flags, home, partner, _ = ribbon._flat(g)
+            _, flags, home, partner, _, _ = ribbon._flat(g)
             groups, orientable = ribbon._walk(g)
             roots, want = parity_union_find(g, flags, home, partner)
             classes: dict[int, list[int]] = {}

@@ -29,8 +29,9 @@ README = ROOT / "README.md"
 # and the circle walk for the form-and-orientability pair of _form, and
 # the frontier engine, which now runs at every size, for the crossover
 # constants _SPLIT_MIN_EDGES and _FRONTIER_MIN_EDGES, and the map on R's
-# keys in tutte_via_br, which drops z itself, for Laurent.project, and
-# the one walk inside resolve_state for the strand matching _strand_edges)
+# keys in tutte_via_br, which drops z itself, for Laurent.project, the
+# one walk inside resolve_state for the strand matching _strand_edges,
+# and the runs column of the occurrence table for _runs)
 REMOVED = [
     ("polynomial", "monomial", None),
     ("polynomial", "parse_poly", "parse_poly"),
@@ -64,6 +65,7 @@ REMOVED = [
     ("ribbon", "_circle_union", "parity_union_find"),
     ("ribbon", "_form", None),
     ("ribbon", "_trace", "_trace"),
+    ("ribbon", "_runs", None),
     ("ribbon.SignedRibbonGraph", "occurrences", "occurrences"),
     ("duality", "delete_edge", "delete_edge"),
     ("duality", "contract_edge", "contract_edge"),
@@ -280,3 +282,19 @@ def test_records_are_tuples():
     classes = ribbongraphs.dual_orbit(g)
     assert classes[0] == ((), g, 1)
     assert [size for _, _, size in classes] == [1, 1]
+
+
+def test_ci_runs_the_tier1_command_from_the_floor():
+    # The workflow's test step is the ROADMAP's tier-1 command, verbatim,
+    # and its least Python is the floor that pyproject.toml declares.
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+    (job,) = workflow["jobs"].values()
+    (command,) = re.findall(r"\*\*Tier-1 verify:\*\* `(.+)`", (ROOT / "ROADMAP.md").read_text(encoding="utf-8"))
+    (step,) = [step for step in job["steps"] if step.get("name") == "Tier-1 tests"]
+    assert step["run"] == command
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (floor,) = re.findall(r'^requires-python = ">=([\d.]+)"$', pyproject, re.M)
+    versions = job["strategy"]["matrix"]["python-version"]
+    assert all(isinstance(v, str) for v in versions)  # 3.10 unquoted reads as 3.1
+    assert min(versions, key=lambda v: tuple(map(int, v.split(".")))) == floor
