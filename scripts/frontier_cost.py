@@ -3,11 +3,12 @@
 of all 2^e subsets up to 16 edges, and print the frontier widths of its
 plan.
 
-The engine runs with each caller's exponent key: R (``br._r_terms``),
-which carries the component partition in its states, and the duality
-invariant (``br._r_terms`` with ``restrict``) and the bracket
-(``links._bracket_terms``, which ``links.kauffman_bracket`` runs on its
-all-A state graph), which do not.
+The engine runs with each caller's exponent key: R
+(``br.bollobas_riordan``), which carries the component partition in its
+states, and the duality invariant (``br.duality_invariant``) and the
+bracket (``links._bracket_terms``, which ``links.kauffman_bracket`` runs
+on its all-A state graph), which do not.  R's and the invariant's times
+include the ``Laurent`` that wraps their terms.
 
 Small cells: for each, a seeded set of graphs goes through the engine
 once per caller and through the depth-first sweep over all 2^e subsets
@@ -54,8 +55,8 @@ SEED = 2007
 SWEEP_MAX_EDGES = 16
 LARGE_SEEDS = 4
 CALLERS = {
-    "R": lambda g: br._r_terms(g, False),
-    "inv": lambda g: br._r_terms(g, True),
+    "R": br.bollobas_riordan,
+    "inv": br.duality_invariant,
     "bracket": _bracket_terms,
 }
 

@@ -14,16 +14,17 @@ No subgraph is rebuilt and no deletion-contraction recursion runs.  One
 frontier engine, :func:`_subgraph_profiles`, sums each caller's exponent
 key at every size: the caller names what an edge of either sign, a
 boundary cycle and a component of F add to its key.  So R, the duality
-invariant and, through the all-A state graph of a diagram, the bracket of
-:mod:`ribbongraphs.links` come out keyed; only R reads k(F), and the
-others run on states without the component partition.  Tutte is a map on
-R's keys: it sums them over z and expands each power of x and of y by the
-binomial theorem, so no Laurent arithmetic runs.  The cost follows the
-frontier width of the plan made before any state exists, not 2^e.  R is
+invariant, Tutte and, through the all-A state graph of a diagram, the
+bracket of :mod:`ribbongraphs.links` come out keyed; only R and Tutte read
+k(F), and the others run on states without the component partition.
+Tutte sums R's powers of x and y alone and expands each by the binomial
+theorem, so no Laurent arithmetic runs.  The cost follows the frontier
+width of the plan made before any state exists, not 2^e.  R is
 multiplicative over disjoint unions and one-point joins (Bollobás and
 Riordan, Math. Ann. 323, 2002), but the width is zero between the parts
 of a union only if the order finishes one first, and never between those
-of a join, which two arcs link.  ``BR_MAX_EDGES`` limits the edge count.
+of a join, which two arcs link.  ``BR_MAX_EDGES`` limits the edge count,
+in the engine.
 """
 
 from __future__ import annotations
@@ -171,16 +172,19 @@ def _subgraph_profiles(
     subgraphs F: ``start``, plus ``positive`` per positive edge of F,
     ``negative`` per negative one, ``cycle`` per boundary cycle and
     ``component`` per component, each a vector as long as the key, which
-    has 2 fields (the invariant) or 3 (R and the bracket).  Frontier
-    dynamic programming on the boundary walk, as Sekine, Imai and Tani
-    (ISAAC 1995) compute the Tutte polynomial, on the steps of
+    has 2 fields (the invariant and Tutte) or 3 (R and the bracket).
+    Frontier dynamic programming on the boundary walk, as Sekine, Imai and
+    Tani (ISAAC 1995) compute the Tutte polynomial, on the steps of
     :func:`_plan`.  A state is the matching the decided bands induce on the
     frontier and, only if ``component`` is nonzero, the partition of the
     circles in play into components, each named by its least circle.  Its
     histogram counts packed keys, as an offset and a dict that states share
-    until a merge copies one."""
+    until a merge copies one.  More than ``BR_MAX_EDGES`` edges raise
+    TooManyEdges before the plan."""
+    v, e = g.num_vertices, g.num_edges
+    if e > BR_MAX_EDGES:
+        raise TooManyEdges(f"{e} edges exceed the state-sum guard of {BR_MAX_EDGES} (2^{e} subsets)")
     slot, plan, _ = _plan(g)
-    v, e = g.num_vertices, len(plan)
     # no partial sum of a field leaves +-reach (at most e edges, v + e boundary
     # cycles and v components), so a bias of 2^(width-1) keeps each field in place
     reach = max(abs(s) + e * max(abs(p), abs(n)) + (v + e) * abs(f) + v * abs(k)
@@ -191,8 +195,6 @@ def _subgraph_profiles(
         sum(x << at for x, at in zip(vector, fields))
         for vector in (positive, negative, cycle, component, [x + bias for x in start])
     )
-    outcomes = {inner: ((i * per_cycle, p), (x * per_cycle, q))  # closed cycles packed
-                for inner, ((i, p), (x, q)) in _OUTCOMES.items()}
     empty = g.circles.count(())  # each a closed component and boundary cycle
     off, track = off + empty * (per_cycle + per_component), any(component)
     slots = (0,) * (max(slot, default=-1) + 1)  # every slot of the plan, a free one 0
@@ -233,14 +235,14 @@ def _subgraph_profiles(
                         elif name == x:  # none of its circles is left: it closes
                             shut += 1
                     steps.append((tuple(lab), gain * include + shut * per_component))
-            both = outcomes[inner[ends[0]], inner[ends[1]], inner[ends[2]], inner[ends[3]]]
+            both = _OUTCOMES[inner[ends[0]], inner[ends[1]], inner[ends[2]], inner[ends[3]]]
             for (closed, pairs), (comp2, at) in zip(both, steps):
                 new = base.copy()
                 for y, z in pairs:
                     new[slot[ends[y]]] = ends[z]
                     new[slot[ends[z]]] = ends[y]
                 key = (tuple(new), comp2)
-                at += off + closed
+                at += off + closed * per_cycle
                 old = nxt.get(key)
                 if old is None:
                     nxt[key] = (at, hist)
@@ -260,44 +262,31 @@ def _subgraph_profiles(
     ((off, hist),) = states.values()
     # no field borrows from the next, so the top one needs no mask
     mask, top = (1 << width) - 1, fields[-1]
-    if len(start) == 2:  # the invariant
+    if len(start) == 2:  # the invariant and Tutte
         return {(((x := h + off) & mask) - bias, (x >> top) - bias): n for h, n in hist.items()}
     return {(((x := h + off) & mask) - bias, (x >> width & mask) - bias, (x >> top) - bias): n
             for h, n in hist.items()}
 
 
-def _r_terms(g: SignedRibbonGraph, restrict: bool) -> dict[tuple[int, ...], int]:
-    """R's terms by doubled exponent key (a, b, c), or with ``restrict``
-    those of x^k y^v z^(v+1) R on xyz² = 1, k = k(G) and N negative edges.
-    F adds a = 2k(F) + 2neg(F) - 2k - N, b = 2|F| + 2k(F) - 2neg(F) + N - 2v
-    and c = 2k(F) - f(F) + |F| - v; z = x^(-1/2) y^(-1/2) takes (a, b, c)
-    to (a + 2k - c - v - 1, b + v - c - 1), where k(F) cancels."""
-    e = g.num_edges
-    if e > BR_MAX_EDGES:
-        raise TooManyEdges(
-            f"{e} edges exceed the state-sum guard of {BR_MAX_EDGES} (2^{e} subsets)"
-        )
-    v, minus = g.num_vertices, sum(1 for sign in g.signs.values() if sign < 0)
-    if restrict:  # f(F) - |F| + 2neg(F) - N - 1, f(F) + |F| - 2neg(F) + N - 1
-        return _subgraph_profiles(g, (-1, 1), (1, -1), (1, 1), (0, 0), (-minus - 1, minus - 1))
-    start = (-2 * len(_walk(g)[0]) - minus, minus - 2 * v, -v)
-    return _subgraph_profiles(g, (0, 2, 1), (2, 0, 1), (0, 0, -1), (2, 2, 2), start)
-
-
 def bollobas_riordan(g: SignedRibbonGraph) -> Laurent:
-    """The signed three-variable polynomial of ``g`` by state sum.
+    """The signed three-variable polynomial of ``g`` by state sum, by
+    doubled exponent key (a, b, c): with k = k(G) and N negative edges, F
+    adds a = 2k(F) + 2neg(F) - 2k - N, b = 2|F| + 2k(F) - 2neg(F) + N - 2v
+    and c = 2k(F) - f(F) + |F| - v.
 
     Raises:
         TooManyEdges: more than ``BR_MAX_EDGES`` edges.
     """
-    return Laurent(RING_XYZ, _r_terms(g, False))
+    v, minus = g.num_vertices, sum(1 for sign in g.signs.values() if sign < 0)
+    start = (-2 * len(_walk(g)[0]) - minus, minus - 2 * v, -v)
+    return Laurent(RING_XYZ, _subgraph_profiles(g, (0, 2, 1), (2, 0, 1), (0, 0, -1), (2, 2, 2), start))
 
 
 def tutte_via_br(g: SignedRibbonGraph) -> Laurent:
-    """Tutte polynomial of the underlying signed graph: R(x-1, y-1, 1), as
-    a map on R's doubled keys (a, b, c).  z = 1 sums the counts over c,
-    none cancelling, and a term n x^A y^B expands by the binomial theorem
-    in both: it adds (-1)^(A-i+B-j) C(A, i) C(B, j) n at x^i y^j.
+    """Tutte polynomial of the underlying signed graph: R(x-1, y-1, 1),
+    summed by the engine in R's first two fields (a, b), which z = 1
+    leaves, none cancelling.  x and then y shift by the binomial theorem:
+    a term n x^A adds (-1)^(A-i) C(A, i) n at x^i, i = 0..A.
 
     The shift needs nonnegative integer powers of x and y in R, which
     every all-positive graph has; negative edges can break it.
@@ -309,12 +298,12 @@ def tutte_via_br(g: SignedRibbonGraph) -> Laurent:
             negative one; or else the same holds of y.  The message names
             the negative edges too.
     """
-    terms: dict[tuple[int, int], int] = {}
-    for (a, b, _), n in _r_terms(g, False).items():
-        terms[a, b] = terms.get((a, b), 0) + n
-    for name, powers in (("x", [a for a, _ in terms]), ("y", [b for _, b in terms])):
-        odd = [p for p in powers if p & 1]
-        if odd or any(p < 0 for p in powers):
+    v, minus = g.num_vertices, sum(1 for sign in g.signs.values() if sign < 0)
+    start = (-2 * len(_walk(g)[0]) - minus, minus - 2 * v)
+    terms = _subgraph_profiles(g, (0, 2), (2, 0), (0, 0), (2, 2), start)
+    for axis, name in enumerate("xy"):  # the x shift keeps every y, zeros too
+        odd = [key[axis] for key in terms if key[axis] & 1]
+        if odd or any(key[axis] < 0 for key in terms):
             error, reason = (
                 (FractionalExponent, f"{name} occurs with exponent {min(odd)}/2")
                 if odd
@@ -326,19 +315,23 @@ def tutte_via_br(g: SignedRibbonGraph) -> Laurent:
                 f"exponents of x and y, and the negative edges {negative} "
                 f"break it: {reason}"
             )
-    shifted: dict[tuple[int, int], int] = {}
-    for (a, b), n in terms.items():
-        p, q = a >> 1, b >> 1
-        for i, j in product(range(p + 1), range(q + 1)):
-            c = (-1) ** (p - i + q - j) * comb(p, i) * comb(q, j) * n
-            shifted[2 * i, 2 * j] = shifted.get((2 * i, 2 * j), 0) + c
-    return Laurent(RING_XY, shifted)
+        shifted: dict[tuple[int, int], int] = {}
+        for (a, b), n in terms.items():
+            power = (b if axis else a) >> 1
+            for i in range(power + 1):
+                at = (a, 2 * i) if axis else (2 * i, b)
+                shifted[at] = shifted.get(at, 0) + (-1) ** (power - i) * comb(power, i) * n
+        terms = shifted
+    return Laurent(RING_XY, terms)
 
 
 def duality_invariant(g: SignedRibbonGraph) -> Laurent:
     """x^k y^v z^(v+1) R restricted to xyz² = 1 (k components, v circles),
     which every partial dual of ``g`` shares, summed by the engine in its
-    own key: k(F) adds 2 to each of R's a, b and c, so it cancels in the
-    restriction's a - c and b - c, and the states carry no component
-    partition.  Raises TooManyEdges as :func:`bollobas_riordan` does."""
-    return Laurent(RING_XY, _r_terms(g, True))
+    own key.  z = x^(-1/2) y^(-1/2) takes R's (a, b, c) to
+    (a + 2k - c - v - 1, b + v - c - 1): k(F) adds 2 to each of a, b and c,
+    so it cancels, and the states carry no component partition.  F adds
+    (f(F) - |F| + 2neg(F) - N - 1, f(F) + |F| - 2neg(F) + N - 1), N the
+    negative edges.  Raises TooManyEdges as :func:`bollobas_riordan` does."""
+    minus = sum(1 for sign in g.signs.values() if sign < 0)
+    return Laurent(RING_XY, _subgraph_profiles(g, (-1, 1), (1, -1), (1, 1), (0, 0), (-minus - 1, minus - 1)))

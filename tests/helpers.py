@@ -38,6 +38,7 @@ from ribbongraphs.links import (
     parse_gauss,
     resolve_state,
     serialize_gauss,
+    state_ribbon_graph,
 )
 from ribbongraphs.polynomial import (
     RING_ABD,
@@ -1480,8 +1481,9 @@ def r_terms_of(
     """R's terms by doubled exponent key (a, b, c), or with ``restrict``
     the duality invariant's, mapped from a histogram of (|F|, k(F), f(F),
     negative edges) by R's exponent formulas: the oracle for the keys that
-    ``br._r_terms`` hands the engine.  k(G) is read off the F = E entry,
-    and xyz² = 1 takes (a, b, c) to (a + 2k(G) - c - v - 1, b + v - c - 1)."""
+    ``br.bollobas_riordan`` and ``br.duality_invariant`` hand the engine.
+    k(G) is read off the F = E entry, and xyz² = 1 takes (a, b, c) to
+    (a + 2k(G) - c - v - 1, b + v - c - 1)."""
     e, v = g.num_edges, g.num_vertices
     k_g = next(k for size, k, _, _ in hist if size == e)
     neg_total = sum(1 for sign in g.signs.values() if sign < 0)
@@ -1638,6 +1640,37 @@ def jones_from_bracket(bracket: Laurent, w: int) -> Laurent:
     for (a, b, dd), coeff in bracket.terms.items():
         total = total + Laurent(RING_T, {(b - a,): coeff}) * loop**dd
     return total * Laurent(RING_T, {(3 * w,): (-1) ** (w & 1)})
+
+
+def bracket_through_state(d: VirtualLinkDiagram, state) -> Laurent:
+    """The Kauffman bracket of ``d`` through the ribbon graph G of any one
+    state: A^e times the image of x^k y^v z^(v+1) R(G) under x -> A d / B,
+    y -> B d / A, z -> 1 / d, with e the crossings and k and v the
+    components and circles of G (Chmutov, arXiv:0711.3490, after Chmutov
+    and Pak), by polynomial products and :func:`monomial_map`."""
+    g = state_ribbon_graph(d, state)
+    s = stats(g)
+    shifted = Laurent.monomial(RING_XYZ, (2 * s.k, 2 * s.v, s.v + 1)) * br.bollobas_riordan(g)
+    images = [
+        (1, (Fraction(1), Fraction(-1), Fraction(1))),  # x -> A d / B
+        (1, (Fraction(-1), Fraction(1), Fraction(1))),  # y -> B d / A
+        (1, (Fraction(0), Fraction(0), Fraction(-1))),  # z -> 1 / d
+    ]
+    return Laurent.monomial(RING_ABD, (s.e, 0, 0)) * monomial_map(shifted, RING_ABD, images)
+
+
+def jones_at_cube_root(p: Laurent) -> tuple[int, int, int, int]:
+    """The Jones polynomial ``p`` at t = e^(2πi/3), taking t^(1/4) to
+    z = e^(2πi/12): the sum of c z^k over its terms c t^(k/4), as the
+    coefficients of 1, z, z^2 and z^3 modulo z^4 - z^2 + 1, the 12th
+    cyclotomic polynomial."""
+    total = [0, 0, 0, 0]
+    for (k,), c in p.terms.items():
+        power = [1, 0, 0, 0]
+        for _ in range(k % 12):  # times z, with z^4 = z^2 - 1
+            power = [-power[3], power[0], power[1] + power[3], power[2]]
+        total = [t + c * x for t, x in zip(total, power)]
+    return tuple(total)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Gauss codes, bracket and Jones, state ribbon graphs."""
 
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -33,7 +32,7 @@ from ribbongraphs.links import (
     state_ribbon_graph,
     writhe,
 )
-from ribbongraphs.polynomial import RING_ABD, RING_T, RING_XYZ, Laurent
+from ribbongraphs.polynomial import RING_ABD, RING_T, Laurent
 from ribbongraphs.ribbon import SignedRibbonGraph, is_isomorphic, stats
 
 from .helpers import (
@@ -41,10 +40,11 @@ from .helpers import (
     all_states,
     braid_closure,
     braid_word_closure,
+    bracket_through_state,
     diagram_corpus,
+    jones_at_cube_root,
     jones_from_bracket,
     load_diagram,
-    monomial_map,
     over_then_under,
     random_link,
     sized_diagram,
@@ -99,23 +99,6 @@ def reidemeister_2(diag, rng):
     spots = [(s1, p1, over), (s2, p2, under)]
     moved = _insert(diag, rng.sample(spots, 2), {"a": sign, "b": -sign})
     return moved, ("R2", same_order, s1 == s2)
-
-
-def bracket_via_graph(diag, state):
-    """Right side of the bracket identity, from the state graph."""
-    g = state_ribbon_graph(diag, state)
-    s = stats(g)
-    shifted = Laurent.monomial(
-        RING_XYZ, (2 * s.k, 2 * s.v, s.v + 1)
-    ) * bollobas_riordan(g)
-    images = [
-        (1, (Fraction(1), Fraction(-1), Fraction(1))),  # x -> A d / B
-        (1, (Fraction(-1), Fraction(1), Fraction(1))),  # y -> B d / A
-        (1, (Fraction(0), Fraction(0), Fraction(-1))),  # z -> 1 / d
-    ]
-    return Laurent.monomial(RING_ABD, (s.e, 0, 0)) * monomial_map(
-        shifted, RING_ABD, images
-    )
 
 
 class TestParsing:
@@ -462,6 +445,19 @@ class TestJones:
         for diag, want in zip(diags, expected):
             assert jones(diag) == want, diag
 
+    def test_classical_links_at_a_cube_root_of_unity(self):
+        # V(e^(2πi/3)) = (-1)^(c-1) for a classical link of c components
+        # (Jones, Bull. AMS 12, 1985), with t^(1/2) = e^(πi/3), on
+        # braid closures of 3-5 strands; a strand that no letter touches
+        # is an unknotted component.  Virtual diagrams are not claimed.
+        rng = random.Random(43)
+        for _ in range(400):
+            strands = rng.randint(3, 5)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(4, 24))]
+            diag = braid_word_closure(strands, word)
+            sign = (-1) ** (len(diag.components) - 1)
+            assert jones_at_cube_root(jones(diag)) == (sign, 0, 0, 0), (strands, word)
+
     def test_writhe_normalization(self):
         # A single positive kink must cancel exactly (Jones of unknot).
         kinked = parse_gauss("component: O1+ U1+ O2+ U2+")
@@ -532,13 +528,26 @@ class TestBracketIdentity:
             diag = load_diagram(f"{name}.gauss")
             br = kauffman_bracket(diag)
             for state in all_states(diag):
-                assert bracket_via_graph(diag, state) == br
+                assert bracket_through_state(diag, state) == br
 
     def test_random_diagrams(self):
         for diag in diagram_corpus(67, 12, max_crossings=3):
             br = kauffman_bracket(diag)
             for state in all_states(diag):
-                assert bracket_via_graph(diag, state) == br
+                assert bracket_through_state(diag, state) == br
+
+    def test_braid_closures_past_the_guard(self, monkeypatch):
+        # The identity at 16-40 crossings, beyond any 2^n state sum: the
+        # bracket of a 4-strand braid closure against R of its Seifert
+        # state graph and of one random state graph.
+        monkeypatch.setattr("ribbongraphs.br.BR_MAX_EDGES", 64)
+        monkeypatch.setattr("ribbongraphs.links.BR_MAX_EDGES", 64)  # bound at import
+        rng = random.Random(41)
+        for n in (16, 24, 32, 40):
+            diag = braid_word_closure(4, [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(n)])
+            br = kauffman_bracket(diag)
+            for state in (seifert_state(diag), {c: rng.choice("AB") for c in diag.crossing_ids}):
+                assert bracket_through_state(diag, state) == br, (n, state)
 
 
 class TestJonesFromStateGraph:

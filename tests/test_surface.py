@@ -28,10 +28,11 @@ README = ROOT / "README.md"
 # IndexError that the helpers' one_point_join raises, canonical_form
 # and the circle walk for the form-and-orientability pair of _form, and
 # the frontier engine, which now runs at every size, for the crossover
-# constants _SPLIT_MIN_EDGES and _FRONTIER_MIN_EDGES, and the map on R's
-# keys in tutte_via_br, which drops z itself, for Laurent.project, the
-# one walk inside resolve_state for the strand matching _strand_edges,
-# and the runs column of the occurrence table for _runs)
+# constants _SPLIT_MIN_EDGES and _FRONTIER_MIN_EDGES, and tutte_via_br's
+# own engine key, which has no z, for Laurent.project, the one walk
+# inside resolve_state for the strand matching _strand_edges, the runs
+# column of the occurrence table for _runs, and the engine call with its
+# own key in bollobas_riordan and duality_invariant for _r_terms)
 REMOVED = [
     ("polynomial", "monomial", None),
     ("polynomial", "parse_poly", "parse_poly"),
@@ -49,6 +50,7 @@ REMOVED = [
     ("br", "_SPLIT_MIN_EDGES", None),
     ("br", "_sweep", "sweep_profiles"),
     ("br", "_FRONTIER_MIN_EDGES", None),
+    ("br", "_r_terms", None),
     ("links", "StateExpansion", None),
     ("links", "BRACKET_MAX_CROSSINGS", None),
     ("links", "_strand_edges", None),
@@ -224,10 +226,15 @@ def test_the_lemma_gate_patches_every_partial_dual():
 def test_the_engine_is_planned_in_one_place():
     # The order, the slots and the widths come from br._plan alone, which
     # the engine, the cost script and the tests read; each caller's key is
-    # set in one place, the bracket's in links._bracket_terms.
+    # set in its one engine call, the bracket's in links._bracket_terms.
     assert sites("_edge_order") == [("br", "_plan")]
     assert sites("_plan") == [("br", "_subgraph_profiles")]
-    assert set(sites("_subgraph_profiles")) == {("br", "_r_terms"), ("links", "_bracket_terms")}
+    assert sites("_subgraph_profiles") == [
+        ("br", "bollobas_riordan"),
+        ("br", "duality_invariant"),
+        ("br", "tutte_via_br"),
+        ("links", "_bracket_terms"),
+    ]
 
 
 def load_script(script: Path, monkeypatch):
@@ -298,3 +305,16 @@ def test_ci_runs_the_tier1_command_from_the_floor():
     versions = job["strategy"]["matrix"]["python-version"]
     assert all(isinstance(v, str) for v in versions)  # 3.10 unquoted reads as 3.1
     assert min(versions, key=lambda v: tuple(map(int, v.split(".")))) == floor
+
+
+def test_ci_installs_the_test_extra():
+    # One list of test dependencies: the workflow installs exactly the
+    # names of pyproject.toml's test extra, so `pip install .[test]` gets
+    # the networkx and sympy oracles and this file's yaml checks too.
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+    (job,) = workflow["jobs"].values()
+    (step,) = [step for step in job["steps"] if step.get("name") == "Install the test dependencies"]
+    (extra,) = re.findall(r"^test = \[(.*)\]$", (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    names = re.findall(r'"([^"]+)"', extra)
+    assert step["run"].split() == ["python", "-m", "pip", "install", *names]
